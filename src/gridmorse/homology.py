@@ -7,17 +7,29 @@ heuristic before falling back to the classical gcd-driven algorithm on the
 fallback are both unimodular, so the invariant factors of the whole matrix
 are the eliminated units plus the factors of the remainder, renormalized to
 a divisibility chain at the end.  All arithmetic is exact.
+
+reduced_homology reduces the chain complex from the top dimension down and
+clears as it goes (Chen & Kerber's twist, Bauer, Kerber & Reininghaus's
+clear-and-compress): d_k is built only over the k-faces that were not rows
+of a unit pivot taken by the heap while reducing d_{k+1}.  This is exact
+over Z.  The cleared rows R and the pivot columns C of d_{k+1} span a square
+block B whose elimination used only +-1 pivots, so det B = +-1 and B^{-1} is
+integral.  From d_k d_{k+1} = 0 the cleared columns of d_k satisfy
+d_k[:, R] = -d_k[:, R'] d_{k+1}[R', C] B^{-1}: they are integer combinations
+of the kept columns R', so the column lattice, the rank and the invariant
+factors of d_k do not change.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .complexes import CapacityError, SimplicialComplex
 
 DEFAULT_HOMOLOGY_FACE_CAP = 300_000
+DEFAULT_ENTRY_CAP = 50_000_000
 
 
 @dataclass
@@ -38,16 +50,6 @@ class IntegerMatrix:
 
     def nnz(self) -> int:
         return len(self.entries)
-
-    def to_rows(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.ncols, self.nrows,
-                             {(c, r): v for (r, c), v in self.entries.items()})
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.ncols != other.nrows:
@@ -70,34 +72,44 @@ class IntegerMatrix:
 @dataclass(frozen=True)
 class SNFResult:
     factors: tuple  # positive invariant factors d_1 | d_2 | ... | d_r
+    # rows of the unit pivots taken by the heap, in elimination order; the
+    # rows reduced_homology clears from the next lower boundary matrix
+    eliminated_rows: tuple = field(default=(), compare=False)
 
     @property
     def rank(self) -> int:
         return len(self.factors)
 
 
-def boundary_matrices(c: SimplicialComplex, entry_cap: int = 50_000_000):
-    """Boundary operators of the augmented chain complex.
+def _boundary_matrix(graded, s, cleared=frozenset(), entry_cap=DEFAULT_ENTRY_CAP):
+    """d_s from the s-faces to the (s-1)-faces, over the s-faces whose index
+    is not in `cleared`.  Kept faces are renumbered 0, 1, ... in order; rows
+    keep the index of the (s-1)-face.  Signs alternate with the position of
+    the omitted vertex, faces being sorted in the ground vertex order."""
+    ncols = len(graded[s]) - len(cleared)
+    if s * ncols > entry_cap:
+        raise CapacityError("boundary matrix exceeds entry cap")
+    lower_index = {f: i for i, f in enumerate(graded[s - 1])}
+    entries = {}
+    col = 0
+    for j, face in enumerate(graded[s]):
+        if j in cleared:
+            continue
+        for i in range(s):
+            facet = face[:i] + face[i + 1:]
+            entries[(lower_index[facet], col)] = 1 if i % 2 == 0 else -1
+        col += 1
+    return IntegerMatrix(len(graded[s - 1]), ncols, entries)
+
+
+def boundary_matrices(c: SimplicialComplex, entry_cap: int = DEFAULT_ENTRY_CAP):
+    """Boundary operators of the augmented chain complex, in full.
 
     mats[d] maps d-chains to (d-1)-chains; mats[0] is the augmentation row
-    sending every vertex to the empty face.  Signs alternate with the
-    position of the omitted vertex, faces being sorted in the ground vertex
-    order.
+    sending every vertex to the empty face.
     """
-    graded = c.graded
-    mats = []
-    for s in range(1, len(graded)):
-        lower_index = {f: i for i, f in enumerate(graded[s - 1])}
-        entries = {}
-        for col, face in enumerate(graded[s]):
-            for i in range(len(face)):
-                facet = face[:i] + face[i + 1:]
-                sign = 1 if i % 2 == 0 else -1
-                entries[(lower_index[facet], col)] = sign
-        if len(entries) > entry_cap:
-            raise CapacityError("boundary matrix exceeds entry cap")
-        mats.append(IntegerMatrix(len(graded[s - 1]), len(graded[s]), entries))
-    return mats
+    return [_boundary_matrix(c.graded, s, entry_cap=entry_cap)
+            for s in range(1, len(c.graded))]
 
 
 def _dense_snf_diagonal(rows):
@@ -194,7 +206,7 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
 
-    unit_count = 0
+    eliminated_rows = []
     loose_diagonal = []
     heap = []
 
@@ -207,7 +219,6 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
                 heapq.heappush(heap, (score(r, c), r, c))
 
     def eliminate(r, c):
-        nonlocal unit_count
         eps = rows[r][c]  # +1 or -1
         pivot_row = [(c2, v2) for c2, v2 in rows[r].items() if c2 != c]
         for r2 in list(cols[c]):
@@ -240,7 +251,7 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
                 del cols[c2]
         del rows[r]
         del cols[c]
-        unit_count += 1
+        eliminated_rows.append(r)
 
     # Lazy heap with slack: a popped pivot is taken unless its current fill
     # score has drifted well past the heap minimum, which keeps the pivot
@@ -267,7 +278,7 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
             del rows[r]
             del cols[c]
 
-    diag = [1] * unit_count + loose_diagonal
+    diag = [1] * len(eliminated_rows) + loose_diagonal
     if rows:
         live_rows = sorted(rows)
         live_cols = sorted({c for row in rows.values() for c in row})
@@ -277,7 +288,7 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
             for c, v in rows[r].items():
                 dense[i][col_pos[c]] = v
         diag.extend(_dense_snf_diagonal(dense))
-    return SNFResult(_chain_normalize(diag))
+    return SNFResult(_chain_normalize(diag), tuple(eliminated_rows))
 
 
 @dataclass
@@ -305,19 +316,26 @@ def reduced_homology(c: SimplicialComplex,
     """Reduced Betti ranks and torsion of every dimension of c.
 
     b~_d = f_d - rank d_d - rank d_{d+1}, torsion in dimension d from the
-    invariant factors of d_{d+1} exceeding one.
+    invariant factors of d_{d+1} exceeding one.  The boundary matrices are
+    reduced from the top dimension down, each built without the columns
+    cleared by the unit pivots of the one above it; clearing keeps every
+    rank and invariant factor exact (see the module docstring).
     """
     total = c.num_faces()
     if total > face_cap:
         raise CapacityError("complex with %d faces exceeds homology cap %d"
                             % (total, face_cap))
-    mats = boundary_matrices(c)
-    snfs = [smith_normal_form(M) for M in mats]
-    ranks = [s.rank for s in snfs] + [0]
+    graded = c.graded
+    snfs = [None] * (len(graded) - 1)  # snfs[s - 1] reduces d_s
+    cleared = frozenset()
+    for s in range(len(graded) - 1, 0, -1):
+        snfs[s - 1] = smith_normal_form(_boundary_matrix(graded, s, cleared))
+        cleared = frozenset(snfs[s - 1].eliminated_rows)
+    ranks = [snf.rank for snf in snfs] + [0]
     betti, torsion = {}, {}
-    top = len(c.graded) - 2
+    top = len(graded) - 2
     for d in range(0, top + 1):
-        f_d = len(c.graded[d + 1])
+        f_d = len(graded[d + 1])
         betti[d] = f_d - ranks[d] - ranks[d + 1]
         if d + 1 < len(snfs):
             tors = tuple(x for x in snfs[d + 1].factors if x > 1)

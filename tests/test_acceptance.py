@@ -204,14 +204,27 @@ def test_criterion_11_torsion_scan():
 
 
 def test_full_scale_skips_reported():
-    # larger rows are attempted through n=8; n>=9 and the wedge-decomposition
+    # larger rows are attempted through n=9; n>=10 and the wedge-decomposition
     # question are out of desk-scale reach and reported, not silently dropped
     extended = torsion_scan(2, range(6, 9), HOMOLOGY_CAP)
     for n, torsion in extended:
         assert torsion == {}, (n, torsion)
     report("PASS -- extended torsion scan m=2, n in 6..8: none found")
-    for n in (9, 10, 11):
-        report("SKIP -- homology of the m=2 comb complex at n=%d: beyond the "
-               "desk-scale time budget" % n)
+    g = build_graph("delta", m=2, n=9)
+    faces = count_independent_sets(g, cap=HOMOLOGY_CAP)
+    assert faces <= HOMOLOGY_CAP
+    rep = reduced_homology(independence_complex(g), HOMOLOGY_CAP)
+    assert not rep.has_torsion(), rep.torsion
+    census = census_from_tree(comb_tree(2, 9))
+    assert morse_inequality_check(census, rep)
+    assert rep.betti_profile() == census.counts
+    report("PASS -- homology of the m=2 comb complex at n=9 (%d faces): no "
+           "torsion, Betti profile %s equals the tree census, exact"
+           % (faces, rep.betti_profile()))
+    for n in (10, 11):
+        faces = count_independent_sets(build_graph("delta", m=2, n=n))
+        assert faces > HOMOLOGY_CAP
+        report("SKIP -- homology of the m=2 comb complex at n=%d: %d faces "
+               "exceed the %d-face cap" % (n, faces, HOMOLOGY_CAP))
     report("SKIP -- wedge-of-spheres verification at n=11: homology alone "
            "cannot certify a wedge decomposition")

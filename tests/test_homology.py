@@ -3,15 +3,15 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import ind_complex
 from gridmorse import (CapacityError, CriticalCensus, Graph, IntegerMatrix,
-                       SimplicialComplex, boundary_matrices, build_graph,
-                       census_from_tree, comb_tree, independence_complex,
-                       morse_inequality_check, plain, reduced_homology,
-                       smith_normal_form, torsion_scan)
+                       SimplicialComplex, SNFResult, boundary_matrices,
+                       build_graph, census_from_tree, comb_tree,
+                       independence_complex, morse_inequality_check, plain,
+                       reduced_homology, smith_normal_form, torsion_scan)
 
 
 def minor_gcd_snf(rows):
@@ -123,10 +123,14 @@ def test_sphere_profiles():
     assert reduced_homology(full).betti_profile() == {}
 
 
-def test_projective_plane_torsion():
+def rp2_complex():
     facets = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
               (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
-    rp2 = SimplicialComplex.from_facets(tuple(plain(i) for i in range(1, 7)), facets)
+    return SimplicialComplex.from_facets(tuple(plain(i) for i in range(1, 7)), facets)
+
+
+def test_projective_plane_torsion():
+    rp2 = rp2_complex()
     report = reduced_homology(rp2)
     assert report.betti_profile() == {}
     assert report.torsion == {1: (2,)}
@@ -175,3 +179,59 @@ def test_report_json():
     data = report.to_json()
     assert {"d": 1, "betti": 2, "torsion": []} in data["dims"]
     assert data["euler"] == -2
+
+
+def unclear_homology(cx):
+    """Oracle for the cleared reduction: Betti numbers and torsion from the
+    SNF of every full boundary matrix, with no column cleared."""
+    mats = boundary_matrices(cx)
+    snfs = [smith_normal_form(M) for M in mats]
+    for M, snf in zip(mats, snfs):
+        rows = snf.eliminated_rows
+        assert len(set(rows)) == len(rows) <= snf.rank
+        assert all(0 <= r < M.nrows for r in rows)
+    ranks = [s.rank for s in snfs] + [0]
+    betti = {d: len(cx.graded[d + 1]) - ranks[d] - ranks[d + 1]
+             for d in range(len(cx.graded) - 1)}
+    torsion = {d: tors for d in range(len(snfs) - 1)
+               if (tors := tuple(x for x in snfs[d + 1].factors if x > 1))}
+    return betti, torsion
+
+
+def assert_clearing_exact(cx):
+    report = reduced_homology(cx)
+    assert (report.betti, report.torsion) == unclear_homology(cx)
+
+
+def test_clearing_matches_full_snf_rp2():
+    rp2 = rp2_complex()
+    assert unclear_homology(rp2)[1] == {1: (2,)}
+    assert_clearing_exact(rp2)
+
+
+@pytest.mark.parametrize("fam,kw", [
+    ("star", dict(m=3, n=4)), ("star", dict(m=2, n=5)),
+    ("theta", dict(m=3, n=4)), ("theta", dict(m=2, n=5)),
+    ("delta", dict(m=2, n=4)), ("delta", dict(m=3, n=3)),
+])
+def test_clearing_matches_full_snf_families(fam, kw):
+    assert_clearing_exact(ind_complex(fam, **kw))
+
+
+@seed(2011)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_clearing_matches_full_snf_random_graphs(data):
+    size = data.draw(st.integers(1, 9))
+    verts = [plain(i) for i in range(1, size + 1)]
+    edges = [(verts[x], verts[y]) for x in range(size) for y in range(x + 1, size)
+             if data.draw(st.booleans())]
+    assert_clearing_exact(independence_complex(Graph(verts, edges)))
+
+
+def test_snf_equality_ignores_eliminated_rows():
+    a = smith_normal_form(IntegerMatrix.from_rows([[1, 0], [0, 1]]))
+    b = smith_normal_form(IntegerMatrix.from_rows([[0, 1], [1, 0]]))
+    assert a.eliminated_rows and a.factors == b.factors
+    assert a == b and hash(a) == hash(b)
+    assert a == SNFResult((1, 1))
