@@ -238,7 +238,9 @@ def _verify_checks(args):
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_instance_checks_packed, jobs))
-        except OSError:
+        except OSError as exc:
+            print("verify: process pool unavailable (%s); running the checks "
+                  "serially" % exc, file=sys.stderr)
             results = [_instance_checks(*job) for job in jobs]
     else:
         results = [_instance_checks(*job) for job in jobs]
@@ -341,6 +343,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.m is not None and args.m < 0:
         parser.error("--m must be nonnegative")
+    if getattr(args, "nmax", 0) < 0:
+        parser.error("--nmax must be nonnegative")
     try:
         return args.func(args)
     except CapacityError as exc:

@@ -6,10 +6,11 @@ theta and comb families one shared decision procedure covers all phases; it
 classifies the connected components of the residual graph and acts on the
 first applicable rule:
 
-  1. a residual vertex with no residual neighbors exists -> Free it.  This
-     kills contractible branches (path remnants of length one, the hub left
-     over after its tendrils are consumed, the far hub at the last tooth,
-     and the isolated-vertex comb base).
+  1. a residual vertex with no residual neighbors exists -> Free the
+     lowest one, the first singleton component.  This kills contractible
+     branches (path remnants of length one, the hub left over after its
+     tendrils are consumed, the far hub at the last tooth, and the
+     isolated-vertex comb base).
   2. a component made of tendril vertices only is a detached path; consume
      it from its far end with Match steps, lowest path index first.
   3. a component with exactly one non-tendril vertex is a star in progress:
@@ -65,14 +66,9 @@ class CriticalCensus:
                 "census": {str(d): c for d, c in sorted(self.counts.items())}}
 
 
-def _free_vertex(g: Graph, res, rset):
-    for v in res:
-        if all(u not in rset for u in g.adj[v]):
-            return v
-    return None
-
-
 def _components(g: Graph, res, rset):
+    """Connected components of the residual graph, as sorted vertex lists
+    in the order of their lowest vertex."""
     seen = set()
     comps = []
     for v in res:
@@ -105,12 +101,12 @@ def _family_step(g: Graph, node):
     """Shared decision procedure for star, theta and comb graphs."""
     res = node.residual
     rset = set(res)
-
-    v = _free_vertex(g, res, rset)
-    if v is not None:
-        return Free(v)
-
     comps = _components(g, res, rset)
+
+    # rule 1: the lowest isolated residual vertex is the first singleton
+    for comp in comps:
+        if len(comp) == 1:
+            return Free(comp[0])
 
     # rule 2: detached tendril paths
     for comp in comps:
@@ -161,9 +157,9 @@ def _family_step(g: Graph, node):
 def _path_step(g: Graph, node):
     res = node.residual
     rset = set(res)
-    v = _free_vertex(g, res, rset)
-    if v is not None:
-        return Free(v)
+    for comp in _components(g, res, rset):
+        if len(comp) == 1:
+            return Free(comp[0])
     p = min(res)
     nbr = [u for u in g.adj[p] if u in rset]
     if len(nbr) != 1:

@@ -1,9 +1,18 @@
-"""Independence and matching complexes, enumerated explicitly.
+"""Independence and matching complexes: enumerated explicitly, or counted.
 
 Faces are stored as sorted tuples of vertex indices into the ground vertex
 order, graded by size (graded[s] holds the faces with s vertices, so the
 empty face sits at graded[0]).  Enumeration is a lexicographic DFS over the
 vertex order, which makes face indices reproducible run to run.
+
+count_independent_sets counts faces without listing them.  It applies the
+recursion I(G) = I(G - v) + I(G - N[v]) one connected component at a time,
+with vertex sets held as bitmasks and component counts memoised within a
+call, so no face is visited.  Under a cap the arithmetic saturates at
+cap + 1, which stays exact because every partial count is at least 1 and
+sums and products are monotone.  The same counter gives |Sigma(A, B)| for
+matching-tree nodes (morse.sigma_count).  Enumeration stays the independent
+oracle that tests check it against.
 """
 
 from __future__ import annotations
@@ -62,10 +71,6 @@ class SimplicialComplex:
         for fs in self.graded:
             yield from fs
 
-    def face_label_sets(self):
-        """All faces as frozensets of labels (order-free comparison form)."""
-        return {frozenset(self.face_labels(f)) for f in self.all_faces()}
-
     def to_json(self, include_faces=False) -> dict:
         out = {
             "graph": self.graph.to_json() if self.graph is not None else None,
@@ -114,32 +119,115 @@ def independence_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> Simplici
 
 def count_independent_sets(g: Graph, cap: int | None = None) -> int:
     """Number of independent sets of g (including the empty set), without
-    materializing them.  If cap is given, stop and return cap + 1 as soon
-    as the count would exceed it."""
-    n = len(g)
-    adj = g.adj
-    blocked = [0] * n
-    total = 1
+    listing them.  If cap is given, return cap + 1 as soon as the count is
+    known to exceed it; the result is always exactly min(count, cap + 1).
 
-    def grow(start):
-        nonlocal total
-        for v in range(start, n):
-            if blocked[v]:
-                continue
-            total += 1
-            if cap is not None and total > cap:
-                return False
-            for u in adj[v]:
-                blocked[u] += 1
-            ok = grow(v + 1)
-            for u in adj[v]:
-                blocked[u] -= 1
-            if not ok:
-                return False
-        return True
+    The count comes from the recursion I(G) = I(G - v) + I(G - N[v]),
+    applied to one connected component at a time (the count of a graph is
+    the product of the counts of its components, and an isolated vertex
+    counts 2).  The branch vertex v has maximum degree in its component,
+    lowest index first.  Component counts are memoised for the duration of
+    the call, keyed by their vertex bitmask.
 
-    grow(0)
-    return total
+    Under a cap every partial value saturates at cap + 1.  That is exact:
+    each partial value is at least 1, and sums and products of such values
+    are monotone, so once any term reaches cap + 1 the true total is at
+    least cap + 1 too.  A second branch is skipped once the first has
+    saturated.
+    """
+    return _count_independent(_neighbour_masks(g), (1 << len(g)) - 1,
+                              None if cap is None else cap + 1)
+
+
+def _neighbour_masks(g: Graph):
+    """The neighbourhood of each vertex of g as a bitmask over vertex indices."""
+    return [sum(1 << u for u in nb) for nb in g.adj]
+
+
+def _components(nbr, mask):
+    """The connected components of the subgraph induced on `mask`, as
+    bitmasks, in the order of their lowest vertex."""
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        yield comp
+        mask &= ~comp
+
+
+def _branch_vertex(nbr, comp, top):
+    """A vertex of maximum degree inside comp, the lowest such index.  The
+    scan stops early at a vertex of degree `top`, the maximum degree of the
+    whole graph, since no vertex of comp can beat it."""
+    best, best_deg = -1, -1
+    rest = comp
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        deg = (nbr[v] & comp).bit_count()
+        if deg > best_deg:
+            best, best_deg = v, deg
+            if deg == top:
+                break
+        rest ^= low
+    return best
+
+
+def _count_independent(nbr, mask, limit=None):
+    """Independent sets of the subgraph induced on the bitmask `mask`, given
+    the neighbour masks `nbr` of the whole graph; saturated at `limit` when
+    it is given.  The recursion of count_independent_sets runs on an
+    explicit stack of generators, so its depth is not bounded by Python's
+    recursion limit (a path of n vertices nests about n branches deep)."""
+    top = max((m.bit_count() for m in nbr), default=0)
+
+    def sat(x):
+        return x if limit is None or x < limit else limit
+
+    def product(rest):
+        acc = 1
+        for comp in _components(nbr, rest):
+            acc = sat(acc * (yield comp))
+            if acc == limit:
+                break
+        return acc
+
+    def branch(comp):
+        v = _branch_vertex(nbr, comp, top)
+        rest = comp & ~(1 << v)
+        first = yield from product(rest)
+        if first == limit:
+            return first
+        second = yield from product(rest & ~nbr[v])
+        return sat(first + second)
+
+    memo = {}
+    frames = [(product(mask), None)]   # (generator, the component it counts)
+    value = None
+    while True:
+        gen, key = frames[-1]
+        try:
+            comp = gen.send(value)
+        except StopIteration as done:
+            value = done.value
+            frames.pop()
+            if key is None:
+                return value
+            memo[key] = value
+            continue
+        if comp in memo:
+            value = memo[comp]
+        elif comp & (comp - 1) == 0:
+            value = sat(2)
+        else:
+            frames.append((branch(comp), comp))
+            value = None
 
 
 def matching_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:

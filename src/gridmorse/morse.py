@@ -20,13 +20,21 @@ Growth steps, applied at a leaf with nonempty residual:
 Leaves whose residual is empty contribute their A-set as a critical cell.
 Pairings are never materialized during growth; collect_pairing rebuilds them
 on demand for oracle comparisons and acyclicity checks.
+
+Residuals are carried from the parent rather than recomputed from the whole
+vertex set.  The root's residual is every vertex.  A Split(v) child that
+excludes v drops v; a child that takes v into A (Split(v) or Match(p, v))
+drops v and N(v); the empty child of a Free step keeps its parent's.  Each
+is the same sorted tuple V minus (A, B and N(A)) would give, because N(A)
+is forced into B along every legal run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import CapacityError, DEFAULT_FACE_CAP, SimplicialComplex
+from .complexes import (CapacityError, DEFAULT_FACE_CAP, SimplicialComplex,
+                        _count_independent, _neighbour_masks)
 from .graphs import Graph
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -64,34 +72,23 @@ class SigmaNode:
     children: list = field(default_factory=list)
 
 
-def _residual(g: Graph, A, B):
-    shadow = set(B)
-    shadow.update(A)
-    for a in A:
-        shadow.update(g.adj[a])
-    return tuple(i for i in range(len(g)) if i not in shadow)
-
-
 class MatchingTree:
     def __init__(self, g: Graph):
         self.graph = g
         self.nodes = [SigmaNode(0, frozenset(), frozenset(), None,
-                                _residual(g, (), ()), kind="root")]
+                                tuple(range(len(g))), kind="root")]
 
     def node(self, nid: int) -> SigmaNode:
         return self.nodes[nid]
 
-    def _add(self, A, B, parent, kind=None) -> int:
+    def _add(self, A, B, residual, parent, kind=None) -> int:
         if A & B:
             raise MatchingTreeError("A and B intersect")
         nid = len(self.nodes)
-        node = SigmaNode(nid, A, B, parent, _residual(self.graph, A, B), kind=kind)
+        node = SigmaNode(nid, A, B, parent, residual, kind=kind)
         self.nodes.append(node)
         self.nodes[parent].children.append(nid)
         return nid
-
-    def leaves(self):
-        return [nd for nd in self.nodes if not nd.children and nd.kind != "empty"]
 
     def critical_leaves(self):
         return [nd for nd in self.nodes if nd.kind == "terminal"]
@@ -133,33 +130,16 @@ def residual_vertices(g: Graph, node: SigmaNode) -> set:
     return {g.vertices[i] for i in node.residual}
 
 
-def _count_independent_in(g: Graph, verts) -> int:
-    verts = sorted(verts)
-    vset = set(verts)
-    adj = {v: [u for u in g.adj[v] if u in vset] for v in verts}
-    blocked = {v: 0 for v in verts}
-    total = 1
-
-    def grow(start):
-        nonlocal total
-        for idx in range(start, len(verts)):
-            v = verts[idx]
-            if blocked[v]:
-                continue
-            total += 1
-            for u in adj[v]:
-                blocked[u] += 1
-            grow(idx + 1)
-            for u in adj[v]:
-                blocked[u] -= 1
-
-    grow(0)
-    return total
-
-
 def sigma_count(g: Graph, node: SigmaNode) -> int:
     """|Sigma(A, B)| = number of independent sets of the residual graph."""
-    return _count_independent_in(g, node.residual)
+    return _count_independent(_neighbour_masks(g),
+                              sum(1 << i for i in node.residual))
+
+
+def _taking(g: Graph, res, v):
+    """The residual of a child that puts v into A and N(v) into B."""
+    shadow = g.adjsets[v]
+    return tuple(u for u in res if u != v and u not in shadow)
 
 
 def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
@@ -173,7 +153,7 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
     if not node.residual and node.kind != "root":
         raise MatchingTreeError("node %d has |Sigma| = 1; nothing to expand" % node_id)
     AB = node.A | node.B
-    res = set(node.residual)
+    res = node.residual
 
     if isinstance(step, Free):
         p = step.p
@@ -184,7 +164,7 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
             raise MatchingTreeError(
                 "free vertex %s has neighbors outside A and B: %s"
                 % (g.vertices[p], [str(g.vertices[u]) for u in loose]))
-        tree._add(node.A, node.B, node_id, kind="empty")
+        tree._add(node.A, node.B, res, node_id, kind="empty")
         site = "free-site"
     elif isinstance(step, Match):
         p, v = step.p, step.v
@@ -198,15 +178,15 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
             raise MatchingTreeError(
                 "pivot %s must have exactly one neighbor outside A and B (got %s)"
                 % (g.vertices[p], [str(g.vertices[u]) for u in loose]))
-        tree._add(node.A | {v}, node.B | g.adjsets[v], node_id)
+        tree._add(node.A | {v}, node.B | g.adjsets[v], _taking(g, res, v), node_id)
         site = "matching-site"
     elif isinstance(step, Split):
         v = step.v
         if v not in res:
             raise MatchingTreeError(
                 "splitting vertex %s is not residual" % g.vertices[v])
-        tree._add(node.A, node.B | {v}, node_id)
-        tree._add(node.A | {v}, node.B | g.adjsets[v], node_id)
+        tree._add(node.A, node.B | {v}, tuple(u for u in res if u != v), node_id)
+        tree._add(node.A | {v}, node.B | g.adjsets[v], _taking(g, res, v), node_id)
         site = "splitting-site"
     else:
         raise MatchingTreeError("unknown step %r" % (step,))

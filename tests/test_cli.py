@@ -123,3 +123,31 @@ def test_bad_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["nonesuch"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["census", "scan", "riordan", "verify"])
+def test_negative_nmax_exits_2(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--nmax", "-1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--nmax must be nonnegative" in captured.err
+
+
+def test_verify_jobs_reports_serial_fallback(capsys, monkeypatch):
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise OSError("no semaphores")
+
+    code1, out1 = run(capsys, "verify", "--m", "2", "--nmax", "2")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    code2 = main(["verify", "--m", "2", "--nmax", "2", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert (code1, code2) == (0, 0)
+    assert captured.out == out1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "no semaphores" in lines[0] and "serially" in lines[0]

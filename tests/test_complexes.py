@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from conftest import brute_f_vector, brute_faces
 from gridmorse import (CapacityError, Graph, SimplicialComplex, build_graph,
-                       delta2_isomorphism, independence_complex, join,
-                       line_graph, matching_complex, plain, reduced_euler)
+                       count_independent_sets, delta2_isomorphism,
+                       independence_complex, join, line_graph, matching_complex,
+                       plain, reduced_euler)
 
 
 def faces_as_index_sets(cx):
@@ -137,3 +138,52 @@ def test_complex_json():
     assert data["reduced_euler"] == 1
     assert ["v1", "v3"] in data["faces"]
     assert "faces" not in cx.to_json()
+
+
+def assert_cap_contract(g, total):
+    for cap in (0, 1, total - 1, total, total + 1):
+        assert count_independent_sets(g, cap=cap) == min(total, cap + 1), cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_count_matches_enumeration_on_random_graphs(data):
+    size = data.draw(st.integers(0, 12))
+    sparsity = data.draw(st.integers(1, 5))
+    verts = [plain(i) for i in range(1, size + 1)]
+    edges = [(verts[x], verts[y]) for x in range(size) for y in range(x + 1, size)
+             if data.draw(st.integers(0, sparsity)) == 0]
+    g = Graph(verts, edges)
+    total = independence_complex(g).num_faces()
+    assert count_independent_sets(g) == total
+    assert_cap_contract(g, total)
+
+
+@pytest.mark.parametrize("m,n,want", [(2, 10, 808395), (2, 11, 2598440),
+                                      (3, 7, 499106)])
+def test_count_transfer_matrix_values(m, n, want):
+    # values confirmed by a 2^m-state column transfer matrix
+    g = build_graph("delta", m=m, n=n)
+    assert count_independent_sets(g) == want
+    assert count_independent_sets(g, cap=want - 1) == want
+    assert count_independent_sets(g, cap=want) == want
+
+
+@pytest.mark.parametrize("g", [build_graph("star", m=4, n=5),
+                               build_graph("theta", m=3, n=5),
+                               line_graph(build_graph("grid2", n=7))],
+                         ids=["star(4,5)", "theta(3,5)", "L(grid2(7))"])
+def test_count_matches_enumeration_on_families(g):
+    total = independence_complex(g).num_faces()
+    assert count_independent_sets(g) == total
+    assert_cap_contract(g, total)
+
+
+def test_count_long_path_without_deep_recursion():
+    # independent sets of the n-vertex path number F(n + 2)
+    g = build_graph("path", n=1900)
+    fib = [0, 1]
+    while len(fib) < 1903:
+        fib.append(fib[-1] + fib[-2])
+    assert count_independent_sets(g, cap=10**6) == 10**6 + 1
+    assert count_independent_sets(g) == fib[1902]

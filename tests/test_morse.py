@@ -213,3 +213,38 @@ def test_tree_json():
     assert {"free", "match", "split"} >= {k for e in data["edges"] if e["step"]
                                           for k in e["step"]}
     assert sorted(map(len, data["critical"])) == [2, 2]
+
+
+def residual_by_definition(g, node):
+    """V minus (A, B and N(A)), computed from the adjacency sets alone."""
+    shadow = set(node.A) | set(node.B)
+    for a in node.A:
+        shadow |= g.adjsets[a]
+    return tuple(i for i in range(len(g)) if i not in shadow)
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: path_tree(1), lambda: path_tree(11),
+    lambda: star_tree(1, 4), lambda: star_tree(3, 5), lambda: star_tree(4, 4),
+    lambda: theta_tree(2, 5), lambda: theta_tree(3, 5), lambda: theta_tree(4, 3),
+] + [lambda m=m, n=n: comb_tree(m, n) for m in (2, 3) for n in range(-1, 9)])
+def test_carried_residuals_match_definition(maker):
+    tree = maker()
+    for nd in tree.nodes:
+        assert nd.residual == residual_by_definition(tree.graph, nd), nd.id
+
+
+@pytest.mark.parametrize("maker,fam,kw", [
+    (lambda: path_tree(7), "path", dict(n=7)),
+    (lambda: star_tree(3, 2), "star", dict(m=3, n=2)),
+    (lambda: theta_tree(2, 3), "theta", dict(m=2, n=3)),
+    (lambda: comb_tree(2, 3), "delta", dict(m=2, n=3)),
+    (lambda: comb_tree(3, 2), "delta", dict(m=3, n=2)),
+])
+def test_sigma_count_matches_face_filter(maker, fam, kw):
+    # |Sigma(A, B)| counted straight from the enumerated faces
+    tree = maker()
+    faces = [set(f) for f in ind_complex(fam, **kw).all_faces()]
+    for nd in tree.nodes:
+        want = sum(1 for f in faces if nd.A <= f and not nd.B & f)
+        assert sigma_count(tree.graph, nd) == want, nd.id
