@@ -6,13 +6,11 @@ from .census import (CensusTable, DimensionBounds, census_extend, census_seed,
                      census_table, dimension_bounds, euler_closed_form,
                      euler_from_table, euler_recursion, low_homology_prediction,
                      observation_scan, riordan_T, riordan_identity_check)
-from .comb import (CriticalCensus, StrategyScript, census_from_tree,
-                   census_split, comb_census, comb_strategy, comb_tree,
-                   path_strategy, path_tree, star_strategy, star_tree,
-                   theta_strategy, theta_tree)
+from .comb import (PIVOT_RULES, CriticalCensus, StrategyScript,
+                   census_from_tree, census_split, comb_census, comb_tree,
+                   path_tree, star_tree, theta_tree)
 from .complexes import (CapacityError, SimplicialComplex, count_independent_sets,
-                        f_vector, independence_complex, join, matching_complex,
-                        reduced_euler)
+                        independence_complex, join, matching_complex)
 from .graphs import (END_A, END_B, Graph, VertexLabel, build_graph,
                      delta2_isomorphism, grid_edge, line_graph, neighbors,
                      parse_label, plain, spine, tendril)

@@ -75,35 +75,28 @@ def census_seed(m: int) -> CensusTable:
 
 
 def census_extend(table: CensusTable, n_max: int) -> CensusTable:
-    """Fill rows through n_max using the three-term recursion."""
+    """Rows 0..n_max: the given rows, then the three-term recursion read as
+    shifted row sums, row_n = x^2 row_{n-3} + x^m row_{n-3} + x^(m+1) row_{n-4},
+    where row_k is the polynomial sum_d C[k][d] x^d."""
     m = table.m
-    rows = [list(r) for r in table.rows]
+    rows = [list(r) for r in table.rows[:n_max + 1]]
+    if len(rows) < min(n_max + 1, 4):
+        raise ValueError("the recursion needs the seed rows 0..3")
     for n in range(len(rows), n_max + 1):
-        width = max(len(rows[n - 3]) + m, len(rows[n - 4]) + m + 1)
-        row = []
-        for d in range(width):
-            c = 0
-            if d >= 2:
-                c += table_get(rows, n - 3, d - 2)
-            if d >= m + 1:
-                c += table_get(rows, n - 4, d - m - 1)
-            if d >= m:
-                c += table_get(rows, n - 3, d - m)
-            row.append(c)
+        r3, r4 = rows[n - 3], rows[n - 4]
+        row = [0] * max(len(r3) + m, len(r4) + m + 1)
+        for shift, src in ((2, r3), (m, r3), (m + 1, r4)):
+            for d, c in enumerate(src, shift):
+                row[d] += c
         while row and row[-1] == 0:
             row.pop()
         rows.append(row)
     return CensusTable(m, rows)
 
 
-def table_get(rows, n, d):
-    if n < 0 or d < 0 or n >= len(rows) or d >= len(rows[n]):
-        return 0
-    return rows[n][d]
-
-
 def census_table(m: int, n_max: int) -> CensusTable:
-    return census_extend(census_seed(m), n_max) if n_max > 3 else census_seed(m)
+    """Rows 0..n_max of the census table for m tendrils."""
+    return census_extend(census_seed(m), n_max)
 
 
 def euler_from_table(table: CensusTable, n: int) -> int:

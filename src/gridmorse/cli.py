@@ -1,17 +1,15 @@
 """Command-line interface.
 
 Subcommands: graph, complex, census, morse, homology, riordan, scan, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 capacity
-exceeded.  Identical invocations produce byte-identical output.  Selected
-defaults can be overridden with MG_-prefixed environment variables
-(MG_FACE_CAP, MG_SEED, MG_JOBS, MG_FORMAT).
+Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
+1 verification failure, 2 usage error, 3 capacity exceeded.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -22,24 +20,13 @@ from .complexes import (CapacityError, DEFAULT_FACE_CAP, count_independent_sets,
 from .graphs import build_graph
 from .homology import (DEFAULT_HOMOLOGY_FACE_CAP, IntegerMatrix,
                        morse_inequality_check, reduced_homology,
-                       smith_normal_form, torsion_scan)
+                       smith_normal_form)
 from .morse import collect_pairing, run_strategy, verify_acyclic
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
-
-
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        print("invalid %s=%r" % (name, raw), file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _emit(text: str, out_path):
@@ -64,6 +51,8 @@ def _build_family(args):
         if args.m is None:
             raise ValueError("--m is required for the %s family" % family)
         return build_graph(family, m=args.m, n=args.n)
+    if args.m is not None:
+        raise ValueError("--m is not used by the %s family" % family)
     return build_graph(family, n=args.n)
 
 
@@ -92,21 +81,11 @@ def cmd_census(args):
     return EXIT_OK
 
 
-def _strategy_for(args):
-    if args.family == "delta":
-        return comb_mod.comb_strategy(args.m, args.n)
-    if args.family == "star":
-        return comb_mod.star_strategy(args.m, args.n)
-    if args.family == "theta":
-        return comb_mod.theta_strategy(args.m, args.n)
-    if args.family == "path":
-        return comb_mod.path_strategy(args.n)
-    raise ValueError("no pivot script for the %s family" % args.family)
-
-
 def cmd_morse(args):
     g = _build_family(args)
-    tree = run_strategy(g, _strategy_for(args))
+    if g.family not in comb_mod.PIVOT_RULES:
+        raise ValueError("no pivot script for the %s family" % g.family)
+    tree = run_strategy(g, comb_mod.PIVOT_RULES[g.family])
     out = tree.to_json()
     out["census"] = comb_mod.census_from_tree(tree).to_json()
     _emit_json(out, args.out)
@@ -140,13 +119,11 @@ def cmd_scan(args):
 
 
 def _check_seed(m):
-    want = {2: {(0, 0): 1, (1, 1): 2, (2, 2): 1, (3, 2): 2}}
-    table = census_mod.census_seed(m)
-    got = {(n, d): c for n, d, c in table.nonzero()}
-    if m == 2:
-        return got == want[2]
-    expect = {(0, 0): 1, (1, 1): 1, (1, m - 1): 1, (2, m): 1, (3, 2): 1, (3, m): 1}
-    return got == expect
+    """The seed rows against the censuses of the matching trees, which share
+    no code with the seed."""
+    seed = census_mod.census_seed(m)
+    return all(seed.row_counts(n) == comb_mod.comb_census(m, n).counts
+               for n in range(4))
 
 
 def _instance_checks(m, n, face_cap, hom_cap):
@@ -237,7 +214,7 @@ def _verify_checks(args):
         try:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_instance_checks_packed, jobs))
+                results = list(pool.map(_instance_checks, *zip(*jobs)))
         except OSError as exc:
             print("verify: process pool unavailable (%s); running the checks "
                   "serially" % exc, file=sys.stderr)
@@ -252,10 +229,6 @@ def _verify_checks(args):
     rows.append(("snf-unimodular-invariance(seed=%d)" % args.seed,
                  _snf_perturbation_check(args.seed), ""))
     return rows
-
-
-def _instance_checks_packed(job):
-    return _instance_checks(*job)
 
 
 def cmd_verify(args):
@@ -283,57 +256,54 @@ def build_parser() -> argparse.ArgumentParser:
                     "morse matchings, cell censuses, exact homology.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, family=False, needs_n=False, nmax_default=None):
-        if family:
-            p.add_argument("--family", default="delta",
-                           choices=["path", "cycle", "grid2", "star", "theta", "delta"])
-        p.add_argument("--m", type=int, default=None if family else 2)
-        if needs_n:
-            p.add_argument("--n", type=int, required=True)
-        if nmax_default is not None:
-            p.add_argument("--nmax", type=int,
-                           default=_env_int("MG_NMAX", nmax_default))
-        p.add_argument("--format", choices=["csv", "json"],
-                       default=os.environ.get("MG_FORMAT", "json"))
+    def family_parser(name, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--family", default="delta",
+                       choices=["path", "cycle", "grid2", "star", "theta", "delta"])
+        p.add_argument("--m", type=int, default=None)
+        p.add_argument("--n", type=int, required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--face-cap", type=int,
-                       default=_env_int("MG_FACE_CAP", DEFAULT_FACE_CAP))
-        p.add_argument("--seed", type=int, default=_env_int("MG_SEED", 20160603))
-        p.add_argument("--jobs", type=int, default=_env_int("MG_JOBS", 1))
+        return p
 
-    p = sub.add_parser("graph", help="emit a graph as JSON")
-    add_common(p, family=True, needs_n=True)
+    def table_parser(name, summary, nmax):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--nmax", type=int, default=nmax)
+        p.add_argument("--out", default=None)
+        return p
+
+    p = family_parser("graph", "emit a graph as JSON")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("complex", help="enumerate an independence complex")
-    add_common(p, family=True, needs_n=True)
+    p = family_parser("complex", "enumerate an independence complex")
+    p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
     p.add_argument("--faces", action="store_true", help="include the face list")
     p.set_defaults(func=cmd_complex)
 
-    p = sub.add_parser("census", help="closed-form critical cell table")
-    add_common(p, nmax_default=10)
+    p = table_parser("census", "closed-form critical cell table", 10)
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--oeis", action="store_true",
                    help="print the Euler characteristic sequence in b-file form")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("morse", help="grow a matching tree and report its census")
-    add_common(p, family=True, needs_n=True)
+    p = family_parser("morse", "grow a matching tree and report its census")
     p.set_defaults(func=cmd_morse)
 
-    p = sub.add_parser("homology", help="exact reduced homology of a complex")
-    add_common(p, family=True, needs_n=True)
+    p = family_parser("homology", "exact reduced homology of a complex")
+    p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
     p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("riordan", help="check the m=2 array identities")
-    add_common(p, nmax_default=30)
+    p = table_parser("riordan", "check the m=2 array identities", 30)
     p.set_defaults(func=cmd_riordan)
 
-    p = sub.add_parser("scan", help="rank-excess scan of the m=2 table")
-    add_common(p, nmax_default=99)
+    p = table_parser("scan", "rank-excess scan of the m=2 table", 99)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("verify", help="run the desk-scale cross-check suite")
-    add_common(p, nmax_default=5)
+    p = table_parser("verify", "run the desk-scale cross-check suite", 5)
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
+    p.add_argument("--seed", type=int, default=20160603)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -341,10 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.m is not None and args.m < 0:
+    if getattr(args, "m", None) is not None and args.m < 0:
         parser.error("--m must be nonnegative")
     if getattr(args, "nmax", 0) < 0:
         parser.error("--nmax must be nonnegative")
+    if getattr(args, "face_cap", 0) < 0:
+        parser.error("--face-cap must be nonnegative")
+    if getattr(args, "jobs", 1) < 1:
+        parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except CapacityError as exc:

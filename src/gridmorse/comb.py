@@ -1,10 +1,13 @@
-"""Deterministic pivot scripts for paths, extended stars, theta graphs and
+"""The deterministic pivot rule for paths, extended stars, theta graphs and
 comb graphs, plus the critical-cell census read off a completed tree.
 
-Every script is a pure function of a node's (A, B) sets.  For the star,
-theta and comb families one shared decision procedure covers all phases; it
-classifies the connected components of the residual graph and acts on the
-first applicable rule:
+`PIVOT_RULES` maps a graph family to its rule: `PATH_RULE` for paths and
+`FAMILY_RULE` for the star, theta and comb ("delta") families.  Each is a
+pure function of a node's (A, B) sets.  The path rule frees an isolated
+residual vertex if there is one and otherwise matches the path's low end:
+Match(1, 2), then Match(4, 5), and so on.  The family rule is one decision
+procedure for all phases; it classifies the connected components of the
+residual graph and acts on the first applicable rule:
 
   1. a residual vertex with no residual neighbors exists -> Free the
      lowest one, the first singleton component.  This kills contractible
@@ -23,6 +26,9 @@ first applicable rule:
 
 Rule order matters: teeth are resolved (rules 2 and 3) before the nested
 comb continues (rule 5), so the script stays a function of (A, B) alone.
+On a comb the backbone splits run along the spine, each tooth consumes its
+star factor, and the all-excluded leaf is a theta; the degenerate sizes
+n = 0 and n = -1 resolve through the theta and free-vertex rules.
 """
 
 from __future__ import annotations
@@ -167,36 +173,12 @@ def _path_step(g: Graph, node):
     return Match(p, nbr[0])
 
 
-def path_strategy(n: int) -> StrategyScript:
-    """Consume a path from its low end: Match(1, 2), then Match(4, 5), ..."""
-    if n < 1:
-        raise ValueError("requires n >= 1")
-    return StrategyScript("path(n=%d)" % n, _path_step)
+PATH_RULE = StrategyScript("path", _path_step)
+FAMILY_RULE = StrategyScript("family", _family_step)
 
-
-def star_strategy(m: int, n: int) -> StrategyScript:
-    """Tendril lengths divisible by 3 are consumed leaf-in; otherwise split
-    at the hub and consume the resulting detached paths."""
-    if m < 1 or n < 1:
-        raise ValueError("requires m >= 1 and n >= 1")
-    return StrategyScript("star(m=%d,n=%d)" % (m, n), _family_step)
-
-
-def theta_strategy(m: int, n: int) -> StrategyScript:
-    """Split at the right hub, then run the star script on both branches."""
-    if m < 2 or n < 1:
-        raise ValueError("requires m >= 2 and n >= 1")
-    return StrategyScript("theta(m=%d,n=%d)" % (m, n), _family_step)
-
-
-def comb_strategy(m: int, n: int) -> StrategyScript:
-    """Backbone splits along the spine; each tooth consumes its star factor
-    and recurses on the remaining smaller comb; the all-excluded leaf runs
-    the theta script.  Degenerate comb sizes n = 0 and n = -1 are legal and
-    resolve through the theta and free-vertex rules."""
-    if m < 2 or n < -1:
-        raise ValueError("requires m >= 2 and n >= -1")
-    return StrategyScript("comb(m=%d,n=%d)" % (m, n), _family_step)
+# The pivot rule of each graph family, keyed by Graph.family.
+PIVOT_RULES = {"path": PATH_RULE, "star": FAMILY_RULE, "theta": FAMILY_RULE,
+               "delta": FAMILY_RULE}
 
 
 def census_from_tree(tree: MatchingTree) -> CriticalCensus:
@@ -224,22 +206,20 @@ def census_split(tree: MatchingTree) -> dict:
 
 
 def path_tree(n: int) -> MatchingTree:
-    return run_strategy(build_graph("path", n=n), path_strategy(n))
+    return run_strategy(build_graph("path", n=n), PATH_RULE)
 
 
 def star_tree(m: int, n: int) -> MatchingTree:
-    return run_strategy(build_graph("star", m=m, n=n), star_strategy(m, n))
+    return run_strategy(build_graph("star", m=m, n=n), FAMILY_RULE)
 
 
 def theta_tree(m: int, n: int) -> MatchingTree:
-    return run_strategy(build_graph("theta", m=m, n=n), theta_strategy(m, n))
+    return run_strategy(build_graph("theta", m=m, n=n), FAMILY_RULE)
 
 
 def comb_tree(m: int, n: int) -> MatchingTree:
-    return run_strategy(build_graph("delta", m=m, n=n), comb_strategy(m, n))
+    return run_strategy(build_graph("delta", m=m, n=n), FAMILY_RULE)
 
 
 def comb_census(m: int, n: int) -> CriticalCensus:
-    census = census_from_tree(comb_tree(m, n))
-    census.m, census.n = m, n
-    return census
+    return census_from_tree(comb_tree(m, n))

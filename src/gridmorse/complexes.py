@@ -258,10 +258,3 @@ def join(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialComplex:
         bucket.sort()
     return SimplicialComplex(labels, graded, None)
 
-
-def f_vector(c: SimplicialComplex):
-    return c.f_vector()
-
-
-def reduced_euler(c: SimplicialComplex) -> int:
-    return c.reduced_euler()

@@ -198,3 +198,33 @@ def test_census_extend_idempotent_prefix():
     longer = census_extend(base, 10)
     for n in range(7):
         assert longer.rows[n] == base.rows[n]
+    assert census_extend(base, 2).rows == base.rows[:3]
+    with pytest.raises(ValueError):
+        census_extend(census_table(3, 2), 10)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_census_table_stops_at_n_max(m):
+    seed = census_seed(m)
+    for k in range(7):
+        table = census_table(m, k)
+        assert table.n_max == k
+        assert table.rows[:4] == seed.rows[:k + 1]
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_census_extend_matches_cellwise_recursion(m):
+    # C[n][d] = C[n-3][d-2] + C[n-4][d-m-1] + C[n-3][d-m], one cell at a time
+    rows = [list(r) for r in census_seed(m).rows]
+
+    def cell(n, d):
+        return rows[n][d] if 0 <= n and 0 <= d < len(rows[n]) else 0
+
+    for n in range(4, 41):
+        width = n + 1 + m * (n + 1)
+        row = [cell(n - 3, d - 2) + cell(n - 4, d - m - 1) + cell(n - 3, d - m)
+               for d in range(width)]
+        while row and row[-1] == 0:
+            row.pop()
+        rows.append(row)
+    assert census_table(m, 40).rows == rows

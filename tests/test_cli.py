@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -105,12 +106,6 @@ def test_capacity_exit_code(capsys):
     assert code == 3
 
 
-def test_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("MG_FACE_CAP", "1000")
-    code, _ = run(capsys, "complex", "--family", "star", "--m", "3", "--n", "12")
-    assert code == 3
-
-
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "graph.json"
     code, out = run(capsys, "graph", "--family", "path", "--n", "3",
@@ -151,3 +146,75 @@ def test_verify_jobs_reports_serial_fallback(capsys, monkeypatch):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert "no semaphores" in lines[0] and "serially" in lines[0]
+
+
+def exit_code(argv):
+    """main's exit code, whether it returns it or argparse raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["riordan", "--m", "3"],
+    ["scan", "--m", "3"],
+    ["graph", "--n", "3", "--m", "2", "--format", "csv"],
+    ["morse", "--n", "3", "--m", "2", "--face-cap", "10"],
+    ["census", "--seed", "1"],
+    ["homology", "--n", "2", "--m", "2", "--jobs", "2"],
+    ["graph", "--family", "path", "--n", "3", "--m", "2"],
+])
+def test_unread_flags_exit_2(argv, capsys):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("family", ["path", "cycle", "grid2"])
+def test_m_rejected_for_families_without_m(family, capsys):
+    assert main(["graph", "--family", family, "--n", "4", "--m", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m is not used by the %s family" % family in captured.err
+
+
+def test_morse_without_pivot_rule(capsys):
+    assert main(["morse", "--family", "cycle", "--n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no pivot script for the cycle family" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--jobs", "0"], "--jobs must be at least 1"),
+    (["verify", "--jobs", "-4"], "--jobs must be at least 1"),
+    (["complex", "--family", "cycle", "--n", "6", "--face-cap", "-1"],
+     "--face-cap must be nonnegative"),
+])
+def test_negative_counts_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_census_csv_stops_at_nmax(capsys):
+    code, out = run(capsys, "census", "--m", "2", "--nmax", "1", "--format", "csv")
+    assert code == 0
+    assert {line.split(",")[1] for line in out.strip().splitlines()[1:]} == {"0", "1"}
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()
+            if line.startswith("gridmorse ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -1,10 +1,9 @@
 import pytest
 
 from conftest import star_profile, theta_profile
-from gridmorse import (build_graph, census_from_tree, census_split,
-                       comb_census, comb_strategy, comb_tree, path_strategy,
-                       path_tree, run_strategy, star_strategy, star_tree,
-                       theta_strategy, theta_tree)
+from gridmorse import (PIVOT_RULES, build_graph, census_from_tree,
+                       census_split, comb_census, comb_tree, path_tree,
+                       star_tree, theta_tree)
 
 
 def path_profile(n):
@@ -94,27 +93,11 @@ def test_census_split_dead_teeth():
 
 def test_strategies_are_pure():
     g = build_graph("delta", m=2, n=3)
-    strat = comb_strategy(2, 3)
+    strat = PIVOT_RULES["delta"]
     tree = comb_tree(2, 3)
     for node in tree.nodes:
         if node.step is not None and node.residual:
             assert strat(g, node) == node.step
-
-
-def test_strategy_parameter_validation():
-    with pytest.raises(ValueError):
-        path_strategy(0)
-    with pytest.raises(ValueError):
-        star_strategy(0, 2)
-    with pytest.raises(ValueError):
-        theta_strategy(1, 2)
-    with pytest.raises(ValueError):
-        comb_strategy(2, -2)
-
-
-def test_script_names():
-    assert star_strategy(2, 3).name == "star(m=2,n=3)"
-    assert comb_strategy(3, 1).name == "comb(m=3,n=1)"
 
 
 def test_tree_reuse_across_runs_deterministic():

@@ -6,7 +6,7 @@ from conftest import brute_f_vector, brute_faces
 from gridmorse import (CapacityError, Graph, SimplicialComplex, build_graph,
                        count_independent_sets, delta2_isomorphism,
                        independence_complex, join, line_graph, matching_complex,
-                       plain, reduced_euler)
+                       plain)
 
 
 def faces_as_index_sets(cx):
@@ -103,7 +103,7 @@ def test_reduced_euler_values():
     assert independence_complex(build_graph("cycle", n=6)).reduced_euler() == -2
     full = independence_complex(Graph([plain(i) for i in (1, 2, 3)], []))
     assert full.f_vector() == (1, 3, 3, 1)
-    assert reduced_euler(full) == 0
+    assert full.reduced_euler() == 0
     assert independence_complex(build_graph("delta", m=2, n=2)).reduced_euler() == 1
 
 

@@ -1,10 +1,10 @@
 import pytest
 
 from conftest import ind_complex
-from gridmorse import (FacePairing, Free, Graph, Match, MatchingTree,
-                       MatchingTreeError, Split, build_graph, collect_pairing,
-                       comb_tree, critical_cells, expand, independence_complex,
-                       path_strategy, path_tree, plain, residual_vertices,
+from gridmorse import (PIVOT_RULES, FacePairing, Free, Graph, Match,
+                       MatchingTree, MatchingTreeError, Split, build_graph,
+                       collect_pairing, comb_tree, critical_cells, expand,
+                       independence_complex, path_tree, plain, residual_vertices,
                        run_strategy, sigma_count, spine, star_tree, theta_tree,
                        verify_acyclic)
 
@@ -203,7 +203,7 @@ def test_bad_strategy_rejected():
 def test_step_budget():
     g = build_graph("path", n=9)
     with pytest.raises(MatchingTreeError, match="budget"):
-        run_strategy(g, path_strategy(9), step_budget=2)
+        run_strategy(g, PIVOT_RULES["path"], step_budget=2)
 
 
 def test_tree_json():
