@@ -21,7 +21,8 @@ from .graphs import build_graph
 from .homology import (DEFAULT_HOMOLOGY_FACE_CAP, IntegerMatrix,
                        morse_inequality_check, reduced_homology,
                        smith_normal_form)
-from .morse import collect_pairing, run_strategy, verify_acyclic
+from .morse import (collect_pairing, critical_cells, run_strategy,
+                    verify_acyclic)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -137,9 +138,9 @@ def _instance_checks(m, n, face_cap, hom_cap):
     tree = comb_mod.comb_tree(m, n)
     cx = independence_complex(g, face_cap)
     pairing = collect_pairing(tree, face_cap)
-    crit = set(tuple(sorted(nd.A)) for nd in tree.critical_leaves())
-    partition = (pairing.paired_faces() | crit == set(cx.all_faces())
-                 and not (pairing.paired_faces() & crit))
+    paired = pairing.paired_faces()
+    crit = set(critical_cells(tree))
+    partition = paired | crit == set(cx.all_faces()) and not paired & crit
     acyclic, _ = verify_acyclic(cx, pairing)
     report = reduced_homology(cx, hom_cap)
     morse_ok = morse_inequality_check(comb_mod.census_from_tree(tree), report)

@@ -2,8 +2,10 @@
 
 Faces are stored as sorted tuples of vertex indices into the ground vertex
 order, graded by size (graded[s] holds the faces with s vertices, so the
-empty face sits at graded[0]).  Enumeration is a lexicographic DFS over the
-vertex order, which makes face indices reproducible run to run.
+empty face sits at graded[0]).  Enumeration builds one size layer from the
+last: each face carries a bitmask of the vertices that can extend it, and
+extending lex-ordered parents in increasing vertex order keeps every layer
+in lex order, so face indices are reproducible run to run.
 
 count_independent_sets counts faces without listing them.  It applies the
 recursion I(G) = I(G - v) + I(G - N[v]) one connected component at a time,
@@ -84,37 +86,39 @@ class SimplicialComplex:
 
 
 def independence_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
-    """All independent sets of g, graded by size."""
-    n = len(g)
-    adj = g.adj
-    graded = [[()]]
-    total = 1
-    blocked = [0] * n
-    face = []
+    """All independent sets of g, graded by size, each layer in lex order.
 
-    def grow(start):
-        nonlocal total
-        for v in range(start, n):
-            if blocked[v]:
+    Layer s + 1 is built from layer s.  Each face carries the bitmask of the
+    vertices above its last vertex that are adjacent to none of its
+    vertices; its children are f + (u,) for each bit u of that mask, in
+    increasing u, and a child's mask is the parent's mask cut down to
+    above[u].  Extending lex-ordered parents in increasing u keeps every
+    layer in lex order.  The face cap is checked per parent, before its
+    children are built, so a capped call never builds past the cap.
+    """
+    above = _above_masks(_neighbour_masks(g))
+    graded = [[()]]
+    masks = [(1 << len(g)) - 1]
+    total = 1
+    while True:
+        faces, next_masks = [], []
+        for f, mask in zip(graded[-1], masks):
+            if not mask:
                 continue
-            face.append(v)
-            total += 1
+            total += mask.bit_count()
             if total > face_cap:
                 raise CapacityError(
                     "independence complex exceeds face cap %d" % face_cap)
-            t = tuple(face)
-            if len(graded) <= len(t):
-                graded.append([])
-            graded[len(t)].append(t)
-            for u in adj[v]:
-                blocked[u] += 1
-            grow(v + 1)
-            for u in adj[v]:
-                blocked[u] -= 1
-            face.pop()
-
-    grow(0)
-    return SimplicialComplex(g.vertices, graded, g)
+            while mask:
+                low = mask & -mask
+                u = low.bit_length() - 1
+                faces.append(f + (u,))
+                next_masks.append(mask & above[u])
+                mask ^= low
+        if not faces:
+            return SimplicialComplex(g.vertices, graded, g)
+        graded.append(faces)
+        masks = next_masks
 
 
 def count_independent_sets(g: Graph, cap: int | None = None) -> int:
@@ -142,6 +146,13 @@ def count_independent_sets(g: Graph, cap: int | None = None) -> int:
 def _neighbour_masks(g: Graph):
     """The neighbourhood of each vertex of g as a bitmask over vertex indices."""
     return [sum(1 << u for u in nb) for nb in g.adj]
+
+
+def _above_masks(nbr):
+    """For each vertex u, the vertices above u that are not its neighbours:
+    the candidates that may follow u in a sorted independent set."""
+    n = len(nbr)
+    return [((1 << n) - (2 << u)) & ~nbr[u] for u in range(n)]
 
 
 def _components(nbr, mask):

@@ -51,23 +51,6 @@ class IntegerMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        rows_other = {}
-        for (r, c), v in other.entries.items():
-            rows_other.setdefault(r, []).append((c, v))
-        out = {}
-        for (r, c), v in self.entries.items():
-            for c2, v2 in rows_other.get(c, ()):
-                key = (r, c2)
-                out[key] = out.get(key, 0) + v * v2
-        out = {k: v for k, v in out.items() if v}
-        return IntegerMatrix(self.nrows, other.ncols, out)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
 
 @dataclass(frozen=True)
 class SNFResult:

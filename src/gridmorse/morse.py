@@ -19,7 +19,13 @@ Growth steps, applied at a leaf with nonempty residual:
 
 Leaves whose residual is empty contribute their A-set as a critical cell.
 Pairings are never materialized during growth; collect_pairing rebuilds them
-on demand for oracle comparisons and acyclicity checks.
+on demand for oracle comparisons and acyclicity checks.  It builds each
+site's faces one size layer at a time on a bitmask of the site's ground
+set, the way independence_complex builds the complex, and checks in bulk
+that no face is paired twice.  verify_acyclic makes one pass per size layer:
+the facets of each upper face that are lower faces of the same layer give
+both the cover check and the successor list, and a depth-first search over
+the pairs with successors looks for a gradient cycle.
 
 Residuals are carried from the parent rather than recomputed from the whole
 vertex set.  The root's residual is every vertex.  A Split(v) child that
@@ -31,10 +37,12 @@ is forced into B along every legal run.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .complexes import (CapacityError, DEFAULT_FACE_CAP, SimplicialComplex,
-                        _count_independent, _neighbour_masks)
+                        _above_masks, _count_independent, _neighbour_masks)
 from .graphs import Graph
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -247,7 +255,7 @@ class FacePairing:
         return sorted(self.up.items())
 
     def paired_faces(self):
-        return set(self.up) | set(self.down)
+        return {*self.up, *self.down}
 
 
 def collect_pairing(tree: MatchingTree, face_cap: int = DEFAULT_FACE_CAP) -> FacePairing:
@@ -255,48 +263,73 @@ def collect_pairing(tree: MatchingTree, face_cap: int = DEFAULT_FACE_CAP) -> Fac
 
     At a free site every face of Sigma(A, B) avoiding p pairs with its
     extension by p; at a matching site the same happens within
-    Sigma(A, B + v).  Double pairing of any face is an internal invariant
-    violation and raises.
+    Sigma(A, B + v).  Each site's faces come from _site_pairs one size layer
+    at a time and go into the dicts in bulk.  A face paired twice is an
+    internal invariant violation: it shows as a dict smaller than the number
+    of pairs added, or as a face that is both a lower and an upper face, and
+    the pairs are then replayed through FacePairing.add, which raises
+    MatchingTreeError at the first repeat.  CapacityError is raised once
+    2 * pairs would exceed face_cap.
     """
-    g = tree.graph
     pairing = FacePairing()
-    budget = face_cap
+    up, down = pairing.up, pairing.down
+    added = 0
+    for los, his in _site_pairs(tree, face_cap):
+        up.update(zip(los, his))
+        down.update(zip(his, los))
+        added += len(los)
+    if len(up) < added or len(down) < added or not up.keys().isdisjoint(down):
+        replay = FacePairing()
+        for los, his in _site_pairs(tree, face_cap):
+            for lo, hi in zip(los, his):
+                replay.add(lo, hi)
+    return pairing
+
+
+def _site_pairs(tree: MatchingTree, face_cap: int):
+    """The pairs of every site as (lower faces, upper faces) lists, one size
+    layer of a site at a time.
+
+    A site's lower faces are A + J for J independent in its ground set (the
+    residual minus p, and minus v at a matching site), built layer by layer
+    on one ground bitmask the way independence_complex builds faces: each
+    face carries the ground vertices above the last vertex of its J that are
+    adjacent to none of J, and a child inserts one of them with bisect.  The
+    upper face inserts p the same way.  The pair count is checked against
+    the cap per parent, before its children are built.
+    """
+    above = _above_masks(_neighbour_masks(tree.graph))
+    pairs = 0
+
+    def charge(k):
+        nonlocal pairs
+        pairs += k
+        if 2 * pairs > face_cap:
+            raise CapacityError("pairing exceeds face cap %d" % face_cap)
 
     for node in tree.sites():
         step = node.step
-        if isinstance(step, Free):
-            ground = [u for u in node.residual if u != step.p]
-        else:
-            ground = [u for u in node.residual if u not in (step.p, step.v)]
         p = step.p
-        base = tuple(sorted(node.A))
-        gset = set(ground)
-        adj = {v: [u for u in g.adj[v] if u in gset] for v in ground}
-        blocked = {v: 0 for v in ground}
-
-        def emit(J):
-            nonlocal budget
-            lo = tuple(sorted(base + J))
-            hi = tuple(sorted(lo + (p,)))
-            pairing.add(lo, hi)
-            budget -= 2
-            if budget < 0:
-                raise CapacityError("pairing exceeds face cap %d" % face_cap)
-
-        def grow(start, J):
-            emit(J)
-            for idx in range(start, len(ground)):
-                v = ground[idx]
-                if blocked[v]:
+        ground = sum(1 << u for u in node.residual) & ~(1 << p)
+        if isinstance(step, Match):
+            ground &= ~(1 << step.v)
+        los, masks = [tuple(sorted(node.A))], [ground]
+        charge(1)
+        while los:
+            yield los, [lo[:(i := bisect(lo, p))] + (p,) + lo[i:] for lo in los]
+            next_los, next_masks = [], []
+            for lo, mask in zip(los, masks):
+                if not mask:
                     continue
-                for u in adj[v]:
-                    blocked[u] += 1
-                grow(idx + 1, J + (v,))
-                for u in adj[v]:
-                    blocked[u] -= 1
-
-        grow(0, ())
-    return pairing
+                charge(mask.bit_count())
+                while mask:
+                    low = mask & -mask
+                    u = low.bit_length() - 1
+                    i = bisect(lo, u)
+                    next_los.append(lo[:i] + (u,) + lo[i:])
+                    next_masks.append(mask & above[u])
+                    mask ^= low
+            los, masks = next_los, next_masks
 
 
 def critical_cells(tree: MatchingTree):
@@ -312,50 +345,76 @@ def verify_acyclic(complex: SimplicialComplex, pairing: FacePairing):
     Orient matched covers upward and all other covers downward; the pairing
     is acyclic iff this digraph has no directed cycle.  Any such cycle stays
     within two adjacent dimensions, so each size layer is checked on its
-    own.  Returns (True, None) or (False, witness) where the witness lists
-    the matched (lower, upper) pairs around one cycle.
+    own: the pairs (lo, hi) with |lo| = s, with an edge from (lo, hi) to
+    (lo', hi') when lo' is a facet of hi other than lo.
+
+    One pass over each layer checks every pair and builds the successor
+    lists: the facets of hi that are lower faces of the layer, from
+    combinations(hi, s).  lo must be among them (and |hi| = s + 1), or the
+    pair is not a cover relation.  The rest, reversed, are the successors in
+    the order hi[0], hi[1], ... is removed.  Every pair is checked before any
+    cycle search.  A depth-first search then runs over the pairs that have
+    successors, started in sorted order; the first gray node it meets
+    closes the witness, so the witness depends only on those two orders.
+
+    Returns (True, None) or (False, witness) where the witness lists the
+    matched (lower, upper) pairs around one cycle.  Raises ValueError if the
+    pairing mentions a face outside the complex or a pair that is not a
+    cover relation.
     """
     face_set = set(complex.all_faces())
-    for lo, hi in pairing.up.items():
-        if lo not in face_set or hi not in face_set:
-            raise ValueError("pairing mentions a face outside the complex")
-        if len(hi) != len(lo) + 1 or not set(lo) < set(hi):
-            raise ValueError("pair (%s, %s) is not a cover relation" % (lo, hi))
+    if not (face_set.issuperset(pairing.up) and face_set.issuperset(pairing.down)):
+        raise ValueError("pairing mentions a face outside the complex")
+    del face_set
 
     by_size = {}
     for lo, hi in pairing.up.items():
         by_size.setdefault(len(lo), {})[lo] = hi
 
+    layers = []
     for size, layer in sorted(by_size.items()):
-        # edge: (lo, hi) -> (lo', hi') when lo' is a facet of hi other than lo
-        color = {lo: 0 for lo in layer}  # 0 white, 1 gray, 2 black
-        for start in sorted(layer):
-            if color[start]:
-                continue
-            trail = [start]
-            iters = [iter(_matched_facets(layer[start], start, layer))]
-            color[start] = 1
-            while trail:
-                try:
-                    nxt = next(iters[-1])
-                except StopIteration:
-                    color[trail.pop()] = 2
-                    iters.pop()
-                    continue
-                if color[nxt] == 1:
-                    cyc = trail[trail.index(nxt):]
-                    witness = [(lo, layer[lo]) for lo in cyc]
-                    return False, witness
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    trail.append(nxt)
-                    iters.append(iter(_matched_facets(layer[nxt], nxt, layer)))
+        succ = {}
+        lower = layer.__contains__
+        for lo, hi in layer.items():
+            facets = (list(filter(lower, combinations(hi, size)))
+                      if len(hi) == size + 1 else ())
+            if lo not in facets:
+                raise ValueError("pair (%s, %s) is not a cover relation" % (lo, hi))
+            if len(facets) > 1:
+                facets.remove(lo)
+                facets.reverse()
+                succ[lo] = facets
+        layers.append((layer, succ))
+
+    for layer, succ in layers:
+        cycle = _find_cycle(succ)
+        if cycle is not None:
+            return False, [(lo, layer[lo]) for lo in cycle]
     return True, None
 
 
-def _matched_facets(hi, lo, layer):
-    """Facets of hi, other than lo, that are matched upward in this layer."""
-    for i in range(len(hi)):
-        facet = hi[:i] + hi[i + 1:]
-        if facet != lo and facet in layer:
-            yield facet
+def _find_cycle(succ):
+    """The nodes of one directed cycle of the digraph succ, in path order,
+    or None.  Nodes without successors are absent from succ: they are sinks
+    and lie on no cycle."""
+    color = {}  # 1 gray (on the trail), 2 black
+    for start in sorted(succ):
+        if start in color:
+            continue
+        color[start] = 1
+        trail = [start]
+        iters = [iter(succ[start])]
+        while iters:
+            for nxt in iters[-1]:
+                state = color.get(nxt)
+                if state == 1:
+                    return trail[trail.index(nxt):]
+                if state is None and nxt in succ:
+                    color[nxt] = 1
+                    trail.append(nxt)
+                    iters.append(iter(succ[nxt]))
+                    break
+            else:
+                color[trail.pop()] = 2
+                iters.pop()
+    return None

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +133,27 @@ def test_face_cap():
         independence_complex(build_graph("star", m=3, n=4), face_cap=50)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_enumeration_matches_subset_scan_in_order(data):
+    # the oracle scans all 2^n subsets, size by size in lex order, so the
+    # layers must agree element for element, not just as sets
+    g = random_graph(data, 12)
+    want = []
+    for size in range(len(g) + 1):
+        layer = [c for c in combinations(range(len(g)), size)
+                 if all(v not in g.adjsets[u] for u, v in combinations(c, 2))]
+        if not layer:
+            break
+        want.append(layer)
+    assert independence_complex(g).graded == want
+    total = sum(map(len, want))
+    if len(g):  # the cap is checked as vertices are added, so never here
+        with pytest.raises(CapacityError):
+            independence_complex(g, face_cap=total - 1)
+    assert independence_complex(g, face_cap=total).graded == want
+
+
 def test_complex_json():
     cx = independence_complex(build_graph("cycle", n=4))
     data = cx.to_json(include_faces=True)
@@ -145,15 +168,19 @@ def assert_cap_contract(g, total):
         assert count_independent_sets(g, cap=cap) == min(total, cap + 1), cap
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_count_matches_enumeration_on_random_graphs(data):
-    size = data.draw(st.integers(0, 12))
+def random_graph(data, max_size):
+    size = data.draw(st.integers(0, max_size))
     sparsity = data.draw(st.integers(1, 5))
     verts = [plain(i) for i in range(1, size + 1)]
     edges = [(verts[x], verts[y]) for x in range(size) for y in range(x + 1, size)
              if data.draw(st.integers(0, sparsity)) == 0]
-    g = Graph(verts, edges)
+    return Graph(verts, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_count_matches_enumeration_on_random_graphs(data):
+    g = random_graph(data, 12)
     total = independence_complex(g).num_faces()
     assert count_independent_sets(g) == total
     assert_cap_contract(g, total)

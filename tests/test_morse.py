@@ -1,12 +1,16 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ind_complex
-from gridmorse import (PIVOT_RULES, FacePairing, Free, Graph, Match,
-                       MatchingTree, MatchingTreeError, Split, build_graph,
-                       collect_pairing, comb_tree, critical_cells, expand,
-                       independence_complex, path_tree, plain, residual_vertices,
-                       run_strategy, sigma_count, spine, star_tree, theta_tree,
-                       verify_acyclic)
+from gridmorse import (PIVOT_RULES, CapacityError, FacePairing, Free, Graph,
+                       Match, MatchingTree, MatchingTreeError, SigmaNode, Split,
+                       build_graph, collect_pairing, comb_tree, critical_cells,
+                       expand, independence_complex, path_tree, plain,
+                       residual_vertices, run_strategy, sigma_count, spine,
+                       star_tree, theta_tree, verify_acyclic)
 
 
 def fresh(g):
@@ -248,3 +252,132 @@ def test_sigma_count_matches_face_filter(maker, fam, kw):
     for nd in tree.nodes:
         want = sum(1 for f in faces if nd.A <= f and not nd.B & f)
         assert sigma_count(tree.graph, nd) == want, nd.id
+
+
+def kahn_acyclic(cx, pairing):
+    """Oracle sharing no code with verify_acyclic: the whole face-poset
+    digraph, with every cover as an edge (matched covers up, the rest down),
+    peeled by Kahn's algorithm.  Acyclic iff every face gets peeled."""
+    faces = [frozenset(f) for f in cx.all_faces()]
+    matched = {(frozenset(lo), frozenset(hi)) for lo, hi in pairing.up.items()}
+    succ = {f: [] for f in faces}
+    indeg = dict.fromkeys(faces, 0)
+    for hi in faces:
+        for x in hi:
+            lo = hi - {x}
+            tail, head = (lo, hi) if (lo, hi) in matched else (hi, lo)
+            succ[tail].append(head)
+            indeg[head] += 1
+    ready = [f for f in faces if not indeg[f]]
+    peeled = 0
+    while ready:
+        f = ready.pop()
+        peeled += 1
+        for h in succ[f]:
+            indeg[h] -= 1
+            if not indeg[h]:
+                ready.append(h)
+    return peeled == len(faces)
+
+
+def random_pairing(cx, rnd, acyclic):
+    """A random partial matching of covers.  With acyclic set, a random part
+    of the matching sigma <-> sigma + v for one vertex v (acyclic, so any
+    part of it is too); otherwise random covers added greedily."""
+    covers = [(f[:i] + f[i + 1:], f) for fs in cx.graded for f in fs
+              for i in range(len(f))]
+    if acyclic and cx.labels:
+        v = rnd.randrange(len(cx.labels))
+        covers = [(lo, hi) for lo, hi in covers if v in hi and v not in lo]
+    rnd.shuffle(covers)
+    keep = rnd.uniform(0.5, 1.0)  # denser pairings close more cycles
+    pairing, used = FacePairing(), set()
+    for lo, hi in covers:
+        if lo not in used and hi not in used and rnd.random() < keep:
+            used.update((lo, hi))
+            pairing.add(lo, hi)
+    return pairing
+
+
+def assert_matches_oracle(cx, pairing):
+    ok, witness = verify_acyclic(cx, pairing)
+    assert ok == kahn_acyclic(cx, pairing)
+    if ok:
+        assert witness is None
+        return ok
+    # a closed gradient path: each next lower face is a facet of the previous
+    # upper face other than its own lower face, and the last wraps around
+    for k, (lo, hi) in enumerate(witness):
+        assert pairing.up[lo] == hi
+        nxt = witness[(k + 1) % len(witness)][0]
+        assert nxt != lo and len(nxt) + 1 == len(hi) and set(nxt) < set(hi)
+    return ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_acyclic_matches_kahn_oracle(data):
+    size = data.draw(st.integers(0, 8))
+    sparsity = data.draw(st.integers(1, 5))
+    verts = [plain(i) for i in range(1, size + 1)]
+    edges = [(verts[x], verts[y]) for x in range(size) for y in range(x + 1, size)
+             if data.draw(st.integers(0, sparsity)) == 0]
+    cx = independence_complex(Graph(verts, edges))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    assert_matches_oracle(cx, random_pairing(cx, rnd, data.draw(st.booleans())))
+
+
+def test_verify_acyclic_oracle_sweep_sees_both_outcomes():
+    rnd = random.Random(20160603)
+    outcomes = []
+    for _ in range(300):
+        size = rnd.randint(1, 8)
+        verts = [plain(i) for i in range(1, size + 1)]
+        edges = [(verts[x], verts[y]) for x in range(size)
+                 for y in range(x + 1, size) if rnd.random() < 0.3]
+        cx = independence_complex(Graph(verts, edges))
+        outcomes.append(assert_matches_oracle(
+            cx, random_pairing(cx, rnd, rnd.random() < 0.5)))
+    assert 0 < outcomes.count(False) < len(outcomes)
+
+
+def test_verify_acyclic_rejects_faces_outside_the_complex():
+    cx = ind_complex("path", n=3)  # v2 is adjacent to v1 and v3
+    pairing = FacePairing()
+    pairing.add((0,), (0, 1))
+    with pytest.raises(ValueError, match="outside the complex"):
+        verify_acyclic(cx, pairing)
+
+
+@pytest.mark.parametrize("lo,hi", [((0,), (1, 2)), ((), (0, 2))],
+                         ids=["not-a-facet", "two-sizes-up"])
+def test_verify_acyclic_rejects_non_covers(lo, hi):
+    # the full 2-simplex: every pair here is of two faces of the complex
+    cx = independence_complex(Graph([plain(1), plain(2), plain(3)], []))
+    pairing = FacePairing()
+    pairing.add(lo, hi)
+    with pytest.raises(ValueError, match="not a cover relation"):
+        verify_acyclic(cx, pairing)
+
+
+@pytest.mark.parametrize("sites", [
+    [((), (0,), 0), ((), (1,), 1)],      # () is a lower face twice
+    [((1,), (0,), 0), ((0,), (1,), 1)],  # (0, 1) is an upper face twice
+    [((), (0,), 0), ((0,), (1,), 1)],    # (0,) is upper, then lower
+], ids=["lower-twice", "upper-twice", "upper-and-lower"])
+def test_collect_pairing_rejects_sites_covering_one_face(sites):
+    # two free sites, built by hand, that no legal growth would produce
+    tree = MatchingTree(Graph([plain(1), plain(2)], []))
+    for a, residual, p in sites:
+        tree.nodes.append(SigmaNode(len(tree.nodes), frozenset(a), frozenset(),
+                                    0, residual, kind="free-site", step=Free(p)))
+    with pytest.raises(MatchingTreeError, match="paired twice"):
+        collect_pairing(tree)
+
+
+def test_collect_pairing_face_cap_boundary():
+    tree = comb_tree(2, 3)
+    pairs = len(collect_pairing(tree))
+    with pytest.raises(CapacityError):
+        collect_pairing(tree, face_cap=2 * pairs - 1)
+    assert len(collect_pairing(tree, face_cap=2 * pairs)) == pairs
