@@ -3,11 +3,13 @@ comb graphs, plus the critical-cell census read off a completed tree.
 
 `PIVOT_RULES` maps a graph family to its rule: `PATH_RULE` for paths and
 `FAMILY_RULE` for the star, theta and comb ("delta") families.  Each is a
-pure function of a node's (A, B) sets.  The path rule frees an isolated
-residual vertex if there is one and otherwise matches the path's low end:
-Match(1, 2), then Match(4, 5), and so on.  The family rule is one decision
-procedure for all phases; it classifies the connected components of the
-residual graph and acts on the first applicable rule:
+pure function of a node's (A, B) sets, read through the residual bitmask
+and the residual's connected components that the node carries from its
+parent (see morse).  The path rule frees an isolated residual vertex if
+there is one and otherwise matches the path's low end: Match(1, 2), then
+Match(4, 5), and so on.  The family rule is one decision procedure for all
+phases; it classifies the connected components of the residual graph and
+acts on the first applicable rule:
 
   1. a residual vertex with no residual neighbors exists -> Free the
      lowest one, the first singleton component.  This kills contractible
@@ -29,12 +31,18 @@ comb continues (rule 5), so the script stays a function of (A, B) alone.
 On a comb the backbone splits run along the spine, each tooth consumes its
 star factor, and the all-excluded leaf is a theta; the degenerate sizes
 n = 0 and n = -1 resolve through the theta and free-vertex rules.
+
+A component is classified by bitmask tests against tendril, spine and
+right-hub masks computed once per graph.  Its step depends on its mask
+alone, so the family rule memoises the steps per graph, keyed by component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
+from .complexes import _neighbour_masks
 from .graphs import Graph, build_graph
 from .morse import Free, Match, MatchingTree, Split, run_strategy
 
@@ -72,105 +80,97 @@ class CriticalCensus:
                 "census": {str(d): c for d, c in sorted(self.counts.items())}}
 
 
-def _components(g: Graph, res, rset):
-    """Connected components of the residual graph, as sorted vertex lists
-    in the order of their lowest vertex."""
-    seen = set()
-    comps = []
-    for v in res:
-        if v in seen:
-            continue
-        comp = []
-        todo = [v]
-        seen.add(v)
-        while todo:
-            x = todo.pop()
-            comp.append(x)
-            for u in g.adj[x]:
-                if u in rset and u not in seen:
-                    seen.add(u)
-                    todo.append(u)
-        comps.append(sorted(comp))
-    return comps
+@lru_cache(maxsize=8)
+def _graph_masks(g: Graph):
+    """Bitmasks the pivot rules read, computed once per graph: the
+    neighbourhood of each vertex, all tendril vertices, the tendril vertices
+    of each tooth path in order of its index j, the spine vertices and the
+    right hub; and an empty memo of family-rule steps keyed by component.
+    Graphs hash by identity, so an equal graph built afresh gets its own
+    entry; the cache keeps the last few graphs a tree was grown on."""
+    nbr = _neighbour_masks(g)
+    kinds = {}
+    paths = {}
+    for i, lab in enumerate(g.vertices):
+        kinds[lab.kind] = kinds.get(lab.kind, 0) | 1 << i
+        if lab.kind == "t":
+            paths[lab.args[0]] = paths.get(lab.args[0], 0) | 1 << i
+    return (nbr, kinds.get("t", 0), [paths[j] for j in sorted(paths)],
+            kinds.get("s", 0), kinds.get("b", 0), {})
 
 
-def _consume_path(g: Graph, comp, rset):
-    """Match step eating a detached tendril interval from its far end."""
-    p = max(comp)
-    nbr = [u for u in g.adj[p] if u in rset]
-    if len(nbr) != 1:
+def _path_end(g: Graph, nbr, comp, path):
+    """Match step eating a detached tendril interval `path` of the component
+    `comp` from its far end."""
+    p = path.bit_length() - 1
+    nb = nbr[p] & comp
+    if not nb or nb & (nb - 1):
         raise RuntimeError("path end %s is not degree one" % g.vertices[p])
-    return Match(p, nbr[0])
+    return Match(p, nb.bit_length() - 1)
+
+
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
 
 
 def _family_step(g: Graph, node):
-    """Shared decision procedure for star, theta and comb graphs."""
-    res = node.residual
-    rset = set(res)
-    comps = _components(g, res, rset)
+    """Shared decision procedure for star, theta and comb graphs.
 
-    # rule 1: the lowest isolated residual vertex is the first singleton
-    for comp in comps:
-        if len(comp) == 1:
-            return Free(comp[0])
-
-    # rule 2: detached tendril paths
-    for comp in comps:
-        if all(g.vertices[x].kind == "t" for x in comp):
-            return _consume_path(g, comp, rset)
-
-    # rule 3: a star in progress
-    for comp in comps:
-        hubs = [x for x in comp if g.vertices[x].kind != "t"]
-        if len(hubs) != 1:
-            continue
-        center = hubs[0]
-        intervals = {}
-        for x in comp:
-            lab = g.vertices[x]
-            if lab.kind == "t":
-                intervals.setdefault(lab.args[0], []).append(x)
-        lengths = {len(ks) for ks in intervals.values()}
+    Every component but a singleton falls under exactly one of rules 2..5,
+    by its number of non-tendril vertices (0, 1, 2, or 3 and more), so the
+    node's step is the step of the first component under the lowest rule,
+    and that step depends on the component's mask alone."""
+    nbr, tendrils, paths, spines, right, memo = _graph_masks(g)
+    best, best_rank = 0, 4
+    for comp in node.components:
+        # rule 1: the lowest isolated residual vertex is the first singleton
+        if comp & (comp - 1) == 0:
+            return Free(comp.bit_length() - 1)
+        rank = min((comp & ~tendrils).bit_count(), 3)
+        if rank < best_rank:
+            best, best_rank = comp, rank
+    if not best:
+        raise RuntimeError("no rule applies at node %d" % node.id)
+    step = memo.get(best)
+    if step is not None:
+        return step
+    hubs = best & ~tendrils
+    if best_rank == 0:
+        # rule 2: a detached tendril path
+        step = _path_end(g, nbr, best, best)
+    elif best_rank == 1:
+        # rule 3: a star in progress
+        intervals = [best & path for path in paths if best & path]
+        lengths = {iv.bit_count() for iv in intervals}
         if len(lengths) == 1 and lengths.pop() % 3 != 0:
-            return Split(center)
-        j = min(intervals)
-        return _consume_path(g, intervals[j], rset)
-
-    # rule 4: a theta joining the acting left hub to b
-    for comp in comps:
-        hubs = [x for x in comp if g.vertices[x].kind != "t"]
-        if len(hubs) != 2:
-            continue
-        right = [x for x in hubs if g.vertices[x].kind == "b"]
-        if not right:
+            step = Split(_lowest(hubs))
+        else:
+            step = _path_end(g, nbr, best, intervals[0])
+    elif best_rank == 2:
+        # rule 4: a theta joining the acting left hub to b
+        if not hubs & right:
             raise RuntimeError("two-hub component without a right hub")
-        return Split(right[0])
-
-    # rule 5: comb backbone
-    for comp in comps:
-        hubs = sorted(x for x in comp if g.vertices[x].kind != "t")
-        if len(hubs) < 3:
-            continue
-        acting_a = hubs[0]
-        spines = [x for x in hubs[1:] if g.vertices[x].kind == "s"]
-        if not spines:
+        step = Split(_lowest(hubs & right))
+    else:
+        # rule 5: comb backbone; the lowest hub is the acting left hub
+        backbone = hubs & (hubs - 1) & spines
+        if not backbone:
             raise RuntimeError("comb component without backbone spines")
-        return Split(min(spines))
-
-    raise RuntimeError("no rule applies at node %d" % node.id)
+        step = Split(_lowest(backbone))
+    memo[best] = step
+    return step
 
 
 def _path_step(g: Graph, node):
-    res = node.residual
-    rset = set(res)
-    for comp in _components(g, res, rset):
-        if len(comp) == 1:
-            return Free(comp[0])
-    p = min(res)
-    nbr = [u for u in g.adj[p] if u in rset]
-    if len(nbr) != 1:
+    for comp in node.components:
+        if comp & (comp - 1) == 0:
+            return Free(comp.bit_length() - 1)
+    res = node.residual_mask
+    p = _lowest(res)
+    nb = _graph_masks(g)[0][p] & res
+    if not nb or nb & (nb - 1):
         raise RuntimeError("path start %s is not degree one" % g.vertices[p])
-    return Match(p, nbr[0])
+    return Match(p, nb.bit_length() - 1)
 
 
 PATH_RULE = StrategyScript("path", _path_step)

@@ -93,13 +93,17 @@ def independence_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> Simplici
     vertices; its children are f + (u,) for each bit u of that mask, in
     increasing u, and a child's mask is the parent's mask cut down to
     above[u].  Extending lex-ordered parents in increasing u keeps every
-    layer in lex order.  The face cap is checked per parent, before its
-    children are built, so a capped call never builds past the cap.
+    layer in lex order.  The face cap is checked for the empty face before
+    the first layer, then per parent, before its children are built, so a
+    capped call never builds past the cap.
     """
+    over_cap = "independence complex exceeds face cap %d" % face_cap
     above = _above_masks(_neighbour_masks(g))
     graded = [[()]]
     masks = [(1 << len(g)) - 1]
     total = 1
+    if total > face_cap:
+        raise CapacityError(over_cap)
     while True:
         faces, next_masks = [], []
         for f, mask in zip(graded[-1], masks):
@@ -107,8 +111,7 @@ def independence_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> Simplici
                 continue
             total += mask.bit_count()
             if total > face_cap:
-                raise CapacityError(
-                    "independence complex exceeds face cap %d" % face_cap)
+                raise CapacityError(over_cap)
             while mask:
                 low = mask & -mask
                 u = low.bit_length() - 1

@@ -27,12 +27,20 @@ the facets of each upper face that are lower faces of the same layer give
 both the cover check and the successor list, and a depth-first search over
 the pairs with successors looks for a gradient cycle.
 
-Residuals are carried from the parent rather than recomputed from the whole
-vertex set.  The root's residual is every vertex.  A Split(v) child that
-excludes v drops v; a child that takes v into A (Split(v) or Match(p, v))
-drops v and N(v); the empty child of a Free step keeps its parent's.  Each
-is the same sorted tuple V minus (A, B and N(A)) would give, because N(A)
-is forced into B along every legal run.
+Each node holds its residual as a vertex bitmask (SigmaNode.residual_mask;
+SigmaNode.residual gives the same vertices as a sorted tuple), carried from
+the parent rather than recomputed from the whole vertex set.  The root's
+residual is every vertex.  A Split(v) child that excludes v drops v; a
+child that takes v into A (Split(v) or Match(p, v)) drops v and N(v); the
+empty child of a Free step keeps its parent's.  Each is the set V minus
+(A, B and N(A)) would give, because N(A) is forced into B along every legal
+run.
+
+Each node also holds the connected components of its residual graph, as
+bitmasks in the order of their lowest vertex (SigmaNode.components), and
+these are carried from the parent too: only the component that holds v
+loses vertices, so a child copies the others and splits that one again.
+The pivot rules read them.
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import (CapacityError, DEFAULT_FACE_CAP, SimplicialComplex,
-                        _above_masks, _count_independent, _neighbour_masks)
+                        _above_masks, _components, _count_independent,
+                        _neighbour_masks)
 from .graphs import Graph
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -68,33 +77,48 @@ class Split:
     v: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SigmaNode:
     id: int
     A: frozenset
     B: frozenset
     parent: int | None
-    residual: tuple
+    residual_mask: int  # V minus (A, B and N(A)), one bit per vertex index
     kind: str | None = None  # root | free-site | matching-site | splitting-site | terminal | empty
     step: object = None
     children: list = field(default_factory=list)
+    components: tuple = ()  # of the residual graph, as bitmasks, lowest vertex first
+
+    @property
+    def residual(self) -> tuple:
+        """The residual vertices as a sorted tuple of indices."""
+        out = []
+        mask = self.residual_mask
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
 
 
 class MatchingTree:
     def __init__(self, g: Graph):
         self.graph = g
-        self.nodes = [SigmaNode(0, frozenset(), frozenset(), None,
-                                tuple(range(len(g))), kind="root")]
+        self.nbr = _neighbour_masks(g)
+        full = (1 << len(g)) - 1
+        self.nodes = [SigmaNode(0, frozenset(), frozenset(), None, full,
+                                kind="root",
+                                components=tuple(_components(self.nbr, full)))]
 
     def node(self, nid: int) -> SigmaNode:
         return self.nodes[nid]
 
-    def _add(self, A, B, residual, parent, kind=None) -> int:
-        if A & B:
+    def _add(self, A, B, mask, components, parent, kind=None) -> int:
+        if not A.isdisjoint(B):
             raise MatchingTreeError("A and B intersect")
         nid = len(self.nodes)
-        node = SigmaNode(nid, A, B, parent, residual, kind=kind)
-        self.nodes.append(node)
+        self.nodes.append(SigmaNode(nid, A, B, parent, mask, kind, None, [],
+                                    components))
         self.nodes[parent].children.append(nid)
         return nid
 
@@ -107,17 +131,18 @@ class MatchingTree:
 
     def to_json(self) -> dict:
         g = self.graph
+        labels = [str(v) for v in g.vertices]
 
         def names(ix):
-            return [str(g.vertices[i]) for i in sorted(ix)]
+            return [labels[i] for i in sorted(ix)]
 
         def step_json(st):
             if isinstance(st, Free):
-                return {"free": str(g.vertices[st.p])}
+                return {"free": labels[st.p]}
             if isinstance(st, Match):
-                return {"match": [str(g.vertices[st.p]), str(g.vertices[st.v])]}
+                return {"match": [labels[st.p], labels[st.v]]}
             if isinstance(st, Split):
-                return {"split": str(g.vertices[st.v])}
+                return {"split": labels[st.v]}
             return None
 
         edges = []
@@ -140,14 +165,23 @@ def residual_vertices(g: Graph, node: SigmaNode) -> set:
 
 def sigma_count(g: Graph, node: SigmaNode) -> int:
     """|Sigma(A, B)| = number of independent sets of the residual graph."""
-    return _count_independent(_neighbour_masks(g),
-                              sum(1 << i for i in node.residual))
+    return _count_independent(_neighbour_masks(g), node.residual_mask)
 
 
-def _taking(g: Graph, res, v):
-    """The residual of a child that puts v into A and N(v) into B."""
-    shadow = g.adjsets[v]
-    return tuple(u for u in res if u != v and u not in shadow)
+def _resplit(nbr, components, v, cut):
+    """The components after the vertices of `cut` leave the residual, where
+    v is residual and `cut` is v, or v and N(v).  Only the component holding
+    v changes: what is left of it is split again, and the order of lowest
+    vertices is kept."""
+    bit = 1 << v
+    for i, comp in enumerate(components):
+        if comp & bit:
+            break
+    parts = tuple(_components(nbr, comp & ~cut))
+    head, tail = components[:i], components[i + 1:]
+    if parts and tail and parts[-1] & -parts[-1] > tail[0] & -tail[0]:
+        return head + tuple(sorted(parts + tail, key=lambda c: c & -c))
+    return head + parts + tail
 
 
 def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
@@ -158,43 +192,51 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
         raise MatchingTreeError("node %d already expanded" % node_id)
     if node.kind == "empty":
         raise MatchingTreeError("cannot expand an empty-labeled leaf")
-    if not node.residual and node.kind != "root":
+    if not node.residual_mask and node.kind != "root":
         raise MatchingTreeError("node %d has |Sigma| = 1; nothing to expand" % node_id)
-    AB = node.A | node.B
-    res = node.residual
+    A, B = node.A, node.B
+    nbr = tree.nbr
+    res = node.residual_mask
+    comps = node.components
 
     if isinstance(step, Free):
         p = step.p
-        if p in AB:
+        if p in A or p in B:
             raise MatchingTreeError("free vertex %s lies in A or B" % g.vertices[p])
-        loose = [u for u in g.adj[p] if u not in AB]
+        loose = [u for u in g.adj[p] if u not in A and u not in B]
         if loose:
             raise MatchingTreeError(
                 "free vertex %s has neighbors outside A and B: %s"
                 % (g.vertices[p], [str(g.vertices[u]) for u in loose]))
-        tree._add(node.A, node.B, res, node_id, kind="empty")
+        tree._add(A, B, res, comps, node_id, kind="empty")
         site = "free-site"
     elif isinstance(step, Match):
         p, v = step.p, step.v
-        if p in AB:
+        if p in A or p in B:
             raise MatchingTreeError("match pivot %s lies in A or B" % g.vertices[p])
         if v not in g.adjsets[p]:
             raise MatchingTreeError(
                 "%s is not a neighbor of %s" % (g.vertices[v], g.vertices[p]))
-        loose = [u for u in g.adj[p] if u not in AB]
+        loose = [u for u in g.adj[p] if u not in A and u not in B]
         if loose != [v]:
             raise MatchingTreeError(
                 "pivot %s must have exactly one neighbor outside A and B (got %s)"
                 % (g.vertices[p], [str(g.vertices[u]) for u in loose]))
-        tree._add(node.A | {v}, node.B | g.adjsets[v], _taking(g, res, v), node_id)
+        cut = (1 << v) | nbr[v]
+        tree._add(A | {v}, B | g.adjsets[v], res & ~cut,
+                  _resplit(nbr, comps, v, cut), node_id)
         site = "matching-site"
     elif isinstance(step, Split):
         v = step.v
-        if v not in res:
+        if v < 0 or not res >> v & 1:
             raise MatchingTreeError(
                 "splitting vertex %s is not residual" % g.vertices[v])
-        tree._add(node.A, node.B | {v}, tuple(u for u in res if u != v), node_id)
-        tree._add(node.A | {v}, node.B | g.adjsets[v], _taking(g, res, v), node_id)
+        bit = 1 << v
+        cut = bit | nbr[v]
+        tree._add(A, B | {v}, res & ~bit,
+                  _resplit(nbr, comps, v, bit), node_id)
+        tree._add(A | {v}, B | g.adjsets[v], res & ~cut,
+                  _resplit(nbr, comps, v, cut), node_id)
         site = "splitting-site"
     else:
         raise MatchingTreeError("unknown step %r" % (step,))
@@ -219,7 +261,7 @@ def run_strategy(g: Graph, strategy, step_budget: int = DEFAULT_STEP_BUDGET) -> 
         node = tree.node(nid)
         if node.kind == "empty":
             continue
-        if not node.residual:
+        if not node.residual_mask:
             if node.kind != "root":
                 node.kind = "terminal"
             continue
@@ -310,7 +352,7 @@ def _site_pairs(tree: MatchingTree, face_cap: int):
     for node in tree.sites():
         step = node.step
         p = step.p
-        ground = sum(1 << u for u in node.residual) & ~(1 << p)
+        ground = node.residual_mask & ~(1 << p)
         if isinstance(step, Match):
             ground &= ~(1 << step.v)
         los, masks = [tuple(sorted(node.A))], [ground]

@@ -92,12 +92,20 @@ def test_census_split_dead_teeth():
 
 
 def test_strategies_are_pure():
-    g = build_graph("delta", m=2, n=3)
-    strat = PIVOT_RULES["delta"]
-    tree = comb_tree(2, 3)
-    for node in tree.nodes:
-        if node.step is not None and node.residual:
-            assert strat(g, node) == node.step
+    # a freshly built equal graph shares no per-graph state with the tree's,
+    # so the rule must recompute every recorded step from the node alone
+    cases = [("path", dict(n=8), path_tree(8)),
+             ("star", dict(m=3, n=5), star_tree(3, 5)),
+             ("theta", dict(m=3, n=4), theta_tree(3, 4))]
+    cases += [("delta", dict(m=m, n=n), comb_tree(m, n))
+              for m in (2, 3, 4) for n in (3, 5)]
+    for fam, kw, tree in cases:
+        g = build_graph(fam, **kw)
+        assert g is not tree.graph
+        strat = PIVOT_RULES[fam]
+        for node in tree.nodes:
+            if node.step is not None and node.residual:
+                assert strat(g, node) == node.step, (fam, kw, node.id)
 
 
 def test_tree_reuse_across_runs_deterministic():

@@ -148,10 +148,16 @@ def test_enumeration_matches_subset_scan_in_order(data):
         want.append(layer)
     assert independence_complex(g).graded == want
     total = sum(map(len, want))
-    if len(g):  # the cap is checked as vertices are added, so never here
-        with pytest.raises(CapacityError):
-            independence_complex(g, face_cap=total - 1)
+    with pytest.raises(CapacityError):
+        independence_complex(g, face_cap=total - 1)
     assert independence_complex(g, face_cap=total).graded == want
+
+
+def test_empty_face_is_charged_against_the_cap():
+    empty = Graph([], [])
+    with pytest.raises(CapacityError):
+        independence_complex(empty, face_cap=0)
+    assert independence_complex(empty, face_cap=1).graded == [[()]]
 
 
 def test_complex_json():

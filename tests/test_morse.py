@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ind_complex
+from gridmorse.complexes import _components, _neighbour_masks
 from gridmorse import (PIVOT_RULES, CapacityError, FacePairing, Free, Graph,
                        Match, MatchingTree, MatchingTreeError, SigmaNode, Split,
                        build_graph, collect_pairing, comb_tree, critical_cells,
@@ -238,6 +239,60 @@ def test_carried_residuals_match_definition(maker):
         assert nd.residual == residual_by_definition(tree.graph, nd), nd.id
 
 
+def generic_step(g, node):
+    """Free the lowest isolated residual vertex, else Match the lowest
+    residual vertex with one residual neighbour, else Split the lowest
+    residual vertex; read from the residual tuple and g.adjsets alone."""
+    res = node.residual
+    inside = {v: [u for u in res if u in g.adjsets[v]] for v in res}
+    for v in res:
+        if not inside[v]:
+            return Free(v)
+    for v in res:
+        if len(inside[v]) == 1:
+            return Match(v, inside[v][0])
+    return Split(res[0])
+
+
+def assert_carried_state(tree):
+    """Every node's residual and components equal those recomputed from
+    scratch: the residual from its definition, the components from the
+    residual's bitmask."""
+    g = tree.graph
+    nbr = _neighbour_masks(g)
+    for nd in tree.nodes:
+        res = residual_by_definition(g, nd)
+        assert nd.residual == res, nd.id
+        mask = sum(1 << v for v in res)
+        assert nd.residual_mask == mask, nd.id
+        assert nd.components == tuple(_components(nbr, mask)), nd.id
+
+
+def sparse_random_graph(size, density, rnd):
+    verts = [plain(i) for i in range(1, size + 1)]
+    return Graph(verts, [(verts[x], verts[y]) for x in range(size)
+                         for y in range(x + 1, size) if rnd.random() < density])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 11), st.floats(0.05, 0.6),
+       st.randoms(use_true_random=False))
+def test_carried_state_matches_recomputation(size, density, rnd):
+    assert_carried_state(run_strategy(sparse_random_graph(size, density, rnd),
+                                      generic_step))
+
+
+def test_carried_state_sweep_sees_every_step_kind():
+    rnd = random.Random(20161018)
+    kinds = set()
+    for _ in range(200):
+        g = sparse_random_graph(rnd.randint(1, 11), rnd.uniform(0.1, 0.6), rnd)
+        tree = run_strategy(g, generic_step)
+        assert_carried_state(tree)
+        kinds.update(type(nd.step) for nd in tree.nodes if nd.step is not None)
+    assert kinds == {Free, Match, Split}
+
+
 @pytest.mark.parametrize("maker,fam,kw", [
     (lambda: path_tree(7), "path", dict(n=7)),
     (lambda: star_tree(3, 2), "star", dict(m=3, n=2)),
@@ -369,8 +424,9 @@ def test_collect_pairing_rejects_sites_covering_one_face(sites):
     # two free sites, built by hand, that no legal growth would produce
     tree = MatchingTree(Graph([plain(1), plain(2)], []))
     for a, residual, p in sites:
+        mask = sum(1 << u for u in residual)
         tree.nodes.append(SigmaNode(len(tree.nodes), frozenset(a), frozenset(),
-                                    0, residual, kind="free-site", step=Free(p)))
+                                    0, mask, kind="free-site", step=Free(p)))
     with pytest.raises(MatchingTreeError, match="paired twice"):
         collect_pairing(tree)
 
