@@ -17,7 +17,8 @@ g = build_graph("theta", m=2, n=2)
 tree = theta_tree(2, 2)
 print("tree nodes:", len(tree.nodes))
 for nd in tree.nodes:
-    labels = lambda ix: "{%s}" % ",".join(str(g.vertices[i]) for i in sorted(ix))
+    labels = lambda mask: "{%s}" % ",".join(
+        str(v) for i, v in enumerate(g.vertices) if mask >> i & 1)
     print("  node %2d %-15s A=%-12s B=%s"
           % (nd.id, nd.kind, labels(nd.A), labels(nd.B)))
 

@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_morse)
 
     p = family_parser("homology", "exact reduced homology of a complex")
-    p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
+    p.add_argument("--face-cap", type=int, default=DEFAULT_HOMOLOGY_FACE_CAP)
     p.set_defaults(func=cmd_homology)
 
     p = table_parser("riordan", "check the m=2 array identities", 30)

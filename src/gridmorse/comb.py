@@ -3,7 +3,7 @@ comb graphs, plus the critical-cell census read off a completed tree.
 
 `PIVOT_RULES` maps a graph family to its rule: `PATH_RULE` for paths and
 `FAMILY_RULE` for the star, theta and comb ("delta") families.  Each is a
-pure function of a node's (A, B) sets, read through the residual bitmask
+pure function of a node's (A, B) bitmasks, read through the residual bitmask
 and the residual's connected components that the node carries from its
 parent (see morse).  The path rule frees an isolated residual vertex if
 there is one and otherwise matches the path's low end: Match(1, 2), then
@@ -42,9 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .complexes import _neighbour_masks
 from .graphs import Graph, build_graph
-from .morse import Free, Match, MatchingTree, Split, run_strategy
+from .morse import Free, Match, MatchingTree, Split, _bits, run_strategy
 
 
 @dataclass(frozen=True)
@@ -82,28 +81,27 @@ class CriticalCensus:
 
 @lru_cache(maxsize=8)
 def _graph_masks(g: Graph):
-    """Bitmasks the pivot rules read, computed once per graph: the
-    neighbourhood of each vertex, all tendril vertices, the tendril vertices
-    of each tooth path in order of its index j, the spine vertices and the
-    right hub; and an empty memo of family-rule steps keyed by component.
-    Graphs hash by identity, so an equal graph built afresh gets its own
-    entry; the cache keeps the last few graphs a tree was grown on."""
-    nbr = _neighbour_masks(g)
+    """Bitmasks the family rule reads, computed once per graph: all
+    tendril vertices, the tendril vertices of each tooth path in order of
+    its index j, the spine vertices and the right hub; and an empty memo of
+    family-rule steps keyed by component.  Graphs hash by identity, so an
+    equal graph built afresh gets its own entry; the cache keeps the last
+    few graphs a tree was grown on."""
     kinds = {}
     paths = {}
     for i, lab in enumerate(g.vertices):
         kinds[lab.kind] = kinds.get(lab.kind, 0) | 1 << i
         if lab.kind == "t":
             paths[lab.args[0]] = paths.get(lab.args[0], 0) | 1 << i
-    return (nbr, kinds.get("t", 0), [paths[j] for j in sorted(paths)],
+    return (kinds.get("t", 0), [paths[j] for j in sorted(paths)],
             kinds.get("s", 0), kinds.get("b", 0), {})
 
 
-def _path_end(g: Graph, nbr, comp, path):
+def _path_end(g: Graph, comp, path):
     """Match step eating a detached tendril interval `path` of the component
     `comp` from its far end."""
     p = path.bit_length() - 1
-    nb = nbr[p] & comp
+    nb = g.nbr[p] & comp
     if not nb or nb & (nb - 1):
         raise RuntimeError("path end %s is not degree one" % g.vertices[p])
     return Match(p, nb.bit_length() - 1)
@@ -120,7 +118,7 @@ def _family_step(g: Graph, node):
     by its number of non-tendril vertices (0, 1, 2, or 3 and more), so the
     node's step is the step of the first component under the lowest rule,
     and that step depends on the component's mask alone."""
-    nbr, tendrils, paths, spines, right, memo = _graph_masks(g)
+    tendrils, paths, spines, right, memo = _graph_masks(g)
     best, best_rank = 0, 4
     for comp in node.components:
         # rule 1: the lowest isolated residual vertex is the first singleton
@@ -137,7 +135,7 @@ def _family_step(g: Graph, node):
     hubs = best & ~tendrils
     if best_rank == 0:
         # rule 2: a detached tendril path
-        step = _path_end(g, nbr, best, best)
+        step = _path_end(g, best, best)
     elif best_rank == 1:
         # rule 3: a star in progress
         intervals = [best & path for path in paths if best & path]
@@ -145,7 +143,7 @@ def _family_step(g: Graph, node):
         if len(lengths) == 1 and lengths.pop() % 3 != 0:
             step = Split(_lowest(hubs))
         else:
-            step = _path_end(g, nbr, best, intervals[0])
+            step = _path_end(g, best, intervals[0])
     elif best_rank == 2:
         # rule 4: a theta joining the acting left hub to b
         if not hubs & right:
@@ -167,7 +165,7 @@ def _path_step(g: Graph, node):
             return Free(comp.bit_length() - 1)
     res = node.residual_mask
     p = _lowest(res)
-    nb = _graph_masks(g)[0][p] & res
+    nb = g.nbr[p] & res
     if not nb or nb & (nb - 1):
         raise RuntimeError("path start %s is not degree one" % g.vertices[p])
     return Match(p, nb.bit_length() - 1)
@@ -185,7 +183,7 @@ def census_from_tree(tree: MatchingTree) -> CriticalCensus:
     """Histogram of critical-cell dimensions from a completed tree."""
     counts = {}
     for nd in tree.critical_leaves():
-        d = len(nd.A) - 1
+        d = nd.A.bit_count() - 1
         counts[d] = counts.get(d, 0) + 1
     params = tree.graph.params
     return CriticalCensus(params.get("m"), params.get("n"), counts)
@@ -197,10 +195,11 @@ def census_split(tree: MatchingTree) -> dict:
     g = tree.graph
     out = {}
     for nd in tree.critical_leaves():
-        spines = [g.vertices[i].args[0] for i in nd.A if g.vertices[i].kind == "s"]
+        spines = [g.vertices[i].args[0] for i in _bits(nd.A)
+                  if g.vertices[i].kind == "s"]
         key = min(spines) if spines else None
         counts = out.setdefault(key, {})
-        d = len(nd.A) - 1
+        d = nd.A.bit_count() - 1
         counts[d] = counts.get(d, 0) + 1
     return out
 

@@ -98,7 +98,7 @@ def independence_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> Simplici
     capped call never builds past the cap.
     """
     over_cap = "independence complex exceeds face cap %d" % face_cap
-    above = _above_masks(_neighbour_masks(g))
+    above = _above_masks(g.nbr)
     graded = [[()]]
     masks = [(1 << len(g)) - 1]
     total = 1
@@ -142,13 +142,8 @@ def count_independent_sets(g: Graph, cap: int | None = None) -> int:
     least cap + 1 too.  A second branch is skipped once the first has
     saturated.
     """
-    return _count_independent(_neighbour_masks(g), (1 << len(g)) - 1,
+    return _count_independent(g.nbr, (1 << len(g)) - 1,
                               None if cap is None else cap + 1)
-
-
-def _neighbour_masks(g: Graph):
-    """The neighbourhood of each vertex of g as a bitmask over vertex indices."""
-    return [sum(1 << u for u in nb) for nb in g.adj]
 
 
 def _above_masks(nbr):

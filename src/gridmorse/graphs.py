@@ -102,7 +102,7 @@ class Graph:
     deterministic.
     """
 
-    __slots__ = ("vertices", "index", "adj", "adjsets", "family", "params")
+    __slots__ = ("vertices", "index", "adj", "adjsets", "nbr", "family", "params")
 
     def __init__(self, vertices: Iterable[VertexLabel], edges, family=None, params=None):
         vertices = tuple(vertices)
@@ -122,14 +122,11 @@ class Graph:
         self.index = index
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self.adjsets = tuple(frozenset(s) for s in nbrs)
+        self.nbr = tuple(sum(1 << u for u in s) for s in nbrs)  # as bitmasks
         self.family = family
         self.params = dict(params) if params else {}
 
     def __len__(self):
-        return len(self.vertices)
-
-    @property
-    def n(self):
         return len(self.vertices)
 
     def edge_count(self) -> int:
@@ -144,9 +141,6 @@ class Graph:
 
     def degree(self, i: int) -> int:
         return len(self.adj[i])
-
-    def label(self, i: int) -> VertexLabel:
-        return self.vertices[i]
 
     def idx(self, v: VertexLabel) -> int:
         try:

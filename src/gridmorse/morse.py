@@ -27,14 +27,13 @@ the facets of each upper face that are lower faces of the same layer give
 both the cover check and the successor list, and a depth-first search over
 the pairs with successors looks for a gradient cycle.
 
-Each node holds its residual as a vertex bitmask (SigmaNode.residual_mask;
-SigmaNode.residual gives the same vertices as a sorted tuple), carried from
-the parent rather than recomputed from the whole vertex set.  The root's
-residual is every vertex.  A Split(v) child that excludes v drops v; a
-child that takes v into A (Split(v) or Match(p, v)) drops v and N(v); the
-empty child of a Free step keeps its parent's.  Each is the set V minus
-(A, B and N(A)) would give, because N(A) is forced into B along every legal
-run.
+A node's A, B and residual (SigmaNode.residual_mask) are vertex bitmasks;
+children take A | bit, B | bit and B | Graph.nbr[v], and the preconditions
+are mask tests.  The residual is carried from the parent: the root's is
+every vertex, a Split(v) child that excludes v drops v, a child that takes
+v into A (Split(v) or Match(p, v)) drops v and N(v), and the empty child of
+a Free step keeps its parent's.  Each is the set V minus (A, B and N(A))
+would give, because N(A) is forced into B along every legal run.
 
 Each node also holds the connected components of its residual graph, as
 bitmasks in the order of their lowest vertex (SigmaNode.components), and
@@ -50,8 +49,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import (CapacityError, DEFAULT_FACE_CAP, SimplicialComplex,
-                        _above_masks, _components, _count_independent,
-                        _neighbour_masks)
+                        _above_masks, _components, _count_independent)
 from .graphs import Graph
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -77,13 +75,23 @@ class Split:
     v: int
 
 
+def _bits(mask: int) -> tuple:
+    """The set bits of a vertex bitmask as a sorted tuple of indices."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(slots=True)
 class SigmaNode:
     id: int
-    A: frozenset
-    B: frozenset
+    A: int  # vertices in every face of the node, one bit per vertex index
+    B: int  # vertices in no face of the node (N(A) among them), as a bitmask
     parent: int | None
-    residual_mask: int  # V minus (A, B and N(A)), one bit per vertex index
+    residual_mask: int  # V minus (A, B and N(A)), as a bitmask
     kind: str | None = None  # root | free-site | matching-site | splitting-site | terminal | empty
     step: object = None
     children: list = field(default_factory=list)
@@ -92,29 +100,21 @@ class SigmaNode:
     @property
     def residual(self) -> tuple:
         """The residual vertices as a sorted tuple of indices."""
-        out = []
-        mask = self.residual_mask
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        return _bits(self.residual_mask)
 
 
 class MatchingTree:
     def __init__(self, g: Graph):
         self.graph = g
-        self.nbr = _neighbour_masks(g)
         full = (1 << len(g)) - 1
-        self.nodes = [SigmaNode(0, frozenset(), frozenset(), None, full,
-                                kind="root",
-                                components=tuple(_components(self.nbr, full)))]
+        self.nodes = [SigmaNode(0, 0, 0, None, full, kind="root",
+                                components=tuple(_components(g.nbr, full)))]
 
     def node(self, nid: int) -> SigmaNode:
         return self.nodes[nid]
 
     def _add(self, A, B, mask, components, parent, kind=None) -> int:
-        if not A.isdisjoint(B):
+        if A & B:
             raise MatchingTreeError("A and B intersect")
         nid = len(self.nodes)
         self.nodes.append(SigmaNode(nid, A, B, parent, mask, kind, None, [],
@@ -133,8 +133,8 @@ class MatchingTree:
         g = self.graph
         labels = [str(v) for v in g.vertices]
 
-        def names(ix):
-            return [labels[i] for i in sorted(ix)]
+        def names(mask):
+            return [labels[i] for i in _bits(mask)]
 
         def step_json(st):
             if isinstance(st, Free):
@@ -165,7 +165,7 @@ def residual_vertices(g: Graph, node: SigmaNode) -> set:
 
 def sigma_count(g: Graph, node: SigmaNode) -> int:
     """|Sigma(A, B)| = number of independent sets of the residual graph."""
-    return _count_independent(_neighbour_masks(g), node.residual_mask)
+    return _count_independent(g.nbr, node.residual_mask)
 
 
 def _resplit(nbr, components, v, cut):
@@ -184,6 +184,14 @@ def _resplit(nbr, components, v, cut):
     return head + parts + tail
 
 
+def _check_range(g: Graph, *vertices):
+    """Step vertices must index g; a negative one would wrap around."""
+    for u in vertices:
+        if not 0 <= u < len(g):
+            raise MatchingTreeError(
+                "step vertex %s is not in range(%d)" % (u, len(g)))
+
+
 def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
     """Apply one growth step at a leaf, after checking its preconditions."""
     g = tree.graph
@@ -195,47 +203,51 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
     if not node.residual_mask and node.kind != "root":
         raise MatchingTreeError("node %d has |Sigma| = 1; nothing to expand" % node_id)
     A, B = node.A, node.B
-    nbr = tree.nbr
+    nbr = g.nbr
     res = node.residual_mask
     comps = node.components
 
     if isinstance(step, Free):
         p = step.p
-        if p in A or p in B:
+        _check_range(g, p)
+        if (A | B) >> p & 1:
             raise MatchingTreeError("free vertex %s lies in A or B" % g.vertices[p])
-        loose = [u for u in g.adj[p] if u not in A and u not in B]
+        loose = nbr[p] & ~(A | B)
         if loose:
             raise MatchingTreeError(
                 "free vertex %s has neighbors outside A and B: %s"
-                % (g.vertices[p], [str(g.vertices[u]) for u in loose]))
+                % (g.vertices[p], [str(g.vertices[u]) for u in _bits(loose)]))
         tree._add(A, B, res, comps, node_id, kind="empty")
         site = "free-site"
     elif isinstance(step, Match):
         p, v = step.p, step.v
-        if p in A or p in B:
+        _check_range(g, p, v)
+        if (A | B) >> p & 1:
             raise MatchingTreeError("match pivot %s lies in A or B" % g.vertices[p])
-        if v not in g.adjsets[p]:
+        bit = 1 << v
+        if not nbr[p] & bit:
             raise MatchingTreeError(
                 "%s is not a neighbor of %s" % (g.vertices[v], g.vertices[p]))
-        loose = [u for u in g.adj[p] if u not in A and u not in B]
-        if loose != [v]:
+        loose = nbr[p] & ~(A | B)
+        if loose != bit:
             raise MatchingTreeError(
                 "pivot %s must have exactly one neighbor outside A and B (got %s)"
-                % (g.vertices[p], [str(g.vertices[u]) for u in loose]))
-        cut = (1 << v) | nbr[v]
-        tree._add(A | {v}, B | g.adjsets[v], res & ~cut,
+                % (g.vertices[p], [str(g.vertices[u]) for u in _bits(loose)]))
+        cut = bit | nbr[v]
+        tree._add(A | bit, B | nbr[v], res & ~cut,
                   _resplit(nbr, comps, v, cut), node_id)
         site = "matching-site"
     elif isinstance(step, Split):
         v = step.v
-        if v < 0 or not res >> v & 1:
+        _check_range(g, v)
+        bit = 1 << v
+        if not res & bit:
             raise MatchingTreeError(
                 "splitting vertex %s is not residual" % g.vertices[v])
-        bit = 1 << v
         cut = bit | nbr[v]
-        tree._add(A, B | {v}, res & ~bit,
+        tree._add(A, B | bit, res & ~bit,
                   _resplit(nbr, comps, v, bit), node_id)
-        tree._add(A | {v}, B | g.adjsets[v], res & ~cut,
+        tree._add(A | bit, B | nbr[v], res & ~cut,
                   _resplit(nbr, comps, v, cut), node_id)
         site = "splitting-site"
     else:
@@ -340,7 +352,7 @@ def _site_pairs(tree: MatchingTree, face_cap: int):
     upper face inserts p the same way.  The pair count is checked against
     the cap per parent, before its children are built.
     """
-    above = _above_masks(_neighbour_masks(tree.graph))
+    above = _above_masks(tree.graph.nbr)
     pairs = 0
 
     def charge(k):
@@ -355,7 +367,7 @@ def _site_pairs(tree: MatchingTree, face_cap: int):
         ground = node.residual_mask & ~(1 << p)
         if isinstance(step, Match):
             ground &= ~(1 << step.v)
-        los, masks = [tuple(sorted(node.A))], [ground]
+        los, masks = [_bits(node.A)], [ground]
         charge(1)
         while los:
             yield los, [lo[:(i := bisect(lo, p))] + (p,) + lo[i:] for lo in los]
@@ -376,7 +388,7 @@ def _site_pairs(tree: MatchingTree, face_cap: int):
 
 def critical_cells(tree: MatchingTree):
     """A-sets of the terminal leaves, as sorted index tuples."""
-    cells = [tuple(sorted(nd.A)) for nd in tree.critical_leaves()]
+    cells = [_bits(nd.A) for nd in tree.critical_leaves()]
     cells.sort(key=lambda f: (len(f), f))
     return cells
 

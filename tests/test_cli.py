@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from gridmorse import cli
 from gridmorse.cli import main
 
 
@@ -64,6 +65,17 @@ def test_homology_subcommand(capsys):
     assert code == 0
     data = json.loads(out)
     assert {"d": 2, "betti": 1, "torsion": []} in data["dims"]
+
+
+def test_homology_default_cap_refuses_before_enumerating(capsys, monkeypatch):
+    # delta(2,10) has 808,395 faces, past the 300,000-face homology cap
+    def enumerate_faces(*args):
+        raise AssertionError("the count gate should refuse first")
+
+    monkeypatch.setattr(cli, "independence_complex", enumerate_faces)
+    code = main(["homology", "--family", "delta", "--m", "2", "--n", "10"])
+    assert code == 3
+    assert "300000" in capsys.readouterr().err
 
 
 def test_riordan_subcommand(capsys):

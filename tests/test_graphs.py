@@ -81,6 +81,14 @@ def test_adjacency_symmetric_loopless():
                 assert i in g.adjsets[j]
 
 
+def test_neighbour_masks_match_adjacency():
+    for fam, kw in [("delta", dict(m=3, n=2)), ("grid2", dict(n=4)),
+                    ("star", dict(m=2, n=3)), ("path", dict(n=1))]:
+        g = build_graph(fam, **kw)
+        assert g.nbr == tuple(sum(1 << j for j in g.adjsets[i])
+                              for i in range(len(g)))
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         Graph([plain(1), plain(1)], [])

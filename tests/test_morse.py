@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ind_complex
-from gridmorse.complexes import _components, _neighbour_masks
+from gridmorse.complexes import _components
 from gridmorse import (PIVOT_RULES, CapacityError, FacePairing, Free, Graph,
                        Match, MatchingTree, MatchingTreeError, SigmaNode, Split,
                        build_graph, collect_pairing, comb_tree, critical_cells,
@@ -31,9 +31,9 @@ def test_split_then_counts():
     tree = MatchingTree(g)
     expand(tree, 0, Split(g.idx(plain(1))))
     excl, incl = tree.node(1), tree.node(2)
-    assert excl.A == frozenset() and excl.B == {g.idx(plain(1))}
-    assert incl.A == {g.idx(plain(1))}
-    assert incl.B == {g.idx(plain(2)), g.idx(plain(4))}
+    assert excl.A == 0 and excl.B == 1 << g.idx(plain(1))
+    assert incl.A == 1 << g.idx(plain(1))
+    assert incl.B == 1 << g.idx(plain(2)) | 1 << g.idx(plain(4))
     assert residual_vertices(g, incl) == {plain(3)}
     assert sigma_count(g, incl) == 2   # {1} and {1,3}
     assert sigma_count(g, tree.node(0)) == 7
@@ -58,8 +58,8 @@ def test_match_records_expected_pairs():
     tree = MatchingTree(g)
     expand(tree, 0, Match(g.idx(plain(1)), g.idx(plain(2))))
     child = tree.node(1)
-    assert child.A == {g.idx(plain(2))}
-    assert child.B == {g.idx(plain(1)), g.idx(plain(3))}
+    assert child.A == 1 << g.idx(plain(2))
+    assert child.B == 1 << g.idx(plain(1)) | 1 << g.idx(plain(3))
     assert not child.residual
     child.kind = "terminal"
     pairing = collect_pairing(tree)
@@ -88,6 +88,27 @@ def test_match_preconditions():
         expand(tree, 0, Match(g.idx(plain(1)), g.idx(plain(2))))
     with pytest.raises(MatchingTreeError, match="not a neighbor"):
         expand(tree, 0, Match(g.idx(plain(1)), g.idx(plain(3))))
+
+
+@pytest.mark.parametrize("split_first,step", [
+    (False, Match(-1, 1)), (True, Free(-1)), (False, Split(-1)),
+    (False, Free(3)), (False, Match(3, 1)), (False, Split(3)),
+], ids=["match-negative", "free-negative-after-split", "split-negative",
+        "free-past-end", "match-past-end", "split-past-end"])
+def test_out_of_range_step_vertices_rejected(split_first, step):
+    # a negative index would read the last vertex of path(3) and pass the
+    # other preconditions; an index past the end would raise IndexError
+    g = build_graph("path", n=3)
+    tree = MatchingTree(g)
+    nid = 0
+    if split_first:
+        expand(tree, 0, Split(1))
+        nid = tree.node(0).children[0]  # v2 excluded: v1 and v3 are free
+    size = len(tree.nodes)
+    with pytest.raises(MatchingTreeError, match=r"not in range\(3\)"):
+        expand(tree, nid, step)
+    assert len(tree.nodes) == size and not tree.node(nid).children
+    assert tree.node(nid).step is None
 
 
 def test_split_precondition_and_reexpansion():
@@ -220,10 +241,15 @@ def test_tree_json():
     assert sorted(map(len, data["critical"])) == [2, 2]
 
 
+def members(mask):
+    """The vertex indices of a bitmask, as a set."""
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 def residual_by_definition(g, node):
     """V minus (A, B and N(A)), computed from the adjacency sets alone."""
-    shadow = set(node.A) | set(node.B)
-    for a in node.A:
+    shadow = members(node.A) | members(node.B)
+    for a in members(node.A):
         shadow |= g.adjsets[a]
     return tuple(i for i in range(len(g)) if i not in shadow)
 
@@ -254,18 +280,40 @@ def generic_step(g, node):
     return Split(res[0])
 
 
-def assert_carried_state(tree):
-    """Every node's residual and components equal those recomputed from
-    scratch: the residual from its definition, the components from the
-    residual's bitmask."""
+def replayed_sets(tree):
+    """A and B of every node as sets, replayed from the root through each
+    node's step and g.adjsets alone: A + v, B + v and B + N(v)."""
     g = tree.graph
-    nbr = _neighbour_masks(g)
+    sets = {0: (set(), set())}
+    for nd in tree.nodes:  # a child's id is above its parent's
+        A, B = sets[nd.id]
+        step = nd.step
+        if isinstance(step, Free):
+            kids = [(A, B)]
+        elif isinstance(step, Match):
+            kids = [(A | {step.v}, B | g.adjsets[step.v])]
+        elif isinstance(step, Split):
+            kids = [(A, B | {step.v}), (A | {step.v}, B | g.adjsets[step.v])]
+        else:
+            kids = []
+        assert len(kids) == len(nd.children), nd.id
+        sets.update(zip(nd.children, kids))
+    return sets
+
+
+def assert_carried_state(tree):
+    """Every node's A, B, residual and components equal those recomputed
+    from scratch: A and B replayed as sets from the root, the residual from
+    its definition, the components from the residual's bitmask."""
+    g = tree.graph
+    sets = replayed_sets(tree)
     for nd in tree.nodes:
+        assert (members(nd.A), members(nd.B)) == sets[nd.id], nd.id
         res = residual_by_definition(g, nd)
         assert nd.residual == res, nd.id
         mask = sum(1 << v for v in res)
         assert nd.residual_mask == mask, nd.id
-        assert nd.components == tuple(_components(nbr, mask)), nd.id
+        assert nd.components == tuple(_components(g.nbr, mask)), nd.id
 
 
 def sparse_random_graph(size, density, rnd):
@@ -303,9 +351,9 @@ def test_carried_state_sweep_sees_every_step_kind():
 def test_sigma_count_matches_face_filter(maker, fam, kw):
     # |Sigma(A, B)| counted straight from the enumerated faces
     tree = maker()
-    faces = [set(f) for f in ind_complex(fam, **kw).all_faces()]
+    faces = [sum(1 << v for v in f) for f in ind_complex(fam, **kw).all_faces()]
     for nd in tree.nodes:
-        want = sum(1 for f in faces if nd.A <= f and not nd.B & f)
+        want = sum(1 for f in faces if f & nd.A == nd.A and not nd.B & f)
         assert sigma_count(tree.graph, nd) == want, nd.id
 
 
@@ -425,7 +473,7 @@ def test_collect_pairing_rejects_sites_covering_one_face(sites):
     tree = MatchingTree(Graph([plain(1), plain(2)], []))
     for a, residual, p in sites:
         mask = sum(1 << u for u in residual)
-        tree.nodes.append(SigmaNode(len(tree.nodes), frozenset(a), frozenset(),
+        tree.nodes.append(SigmaNode(len(tree.nodes), sum(1 << u for u in a), 0,
                                     0, mask, kind="free-site", step=Free(p)))
     with pytest.raises(MatchingTreeError, match="paired twice"):
         collect_pairing(tree)
