@@ -95,9 +95,6 @@ def cmd_morse(args):
 
 def cmd_homology(args):
     g = _build_family(args)
-    count = count_independent_sets(g, cap=args.face_cap)
-    if count > args.face_cap:
-        raise CapacityError("complex has more than %d faces" % args.face_cap)
     report = reduced_homology(independence_complex(g, args.face_cap), args.face_cap)
     _emit_json(report.to_json(), args.out)
     return EXIT_OK

@@ -66,7 +66,6 @@ class CriticalCensus:
     m: int | None
     n: int | None
     counts: dict = field(default_factory=dict)
-    reduced_zero: bool = True
 
     def total(self) -> int:
         return sum(self.counts.values())

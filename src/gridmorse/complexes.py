@@ -2,10 +2,14 @@
 
 Faces are stored as sorted tuples of vertex indices into the ground vertex
 order, graded by size (graded[s] holds the faces with s vertices, so the
-empty face sits at graded[0]).  Enumeration builds one size layer from the
+empty face sits at graded[0]).  One builder, _layers, lists the
+independent subsets of a vertex bitmask, building each size layer from the
 last: each face carries a bitmask of the vertices that can extend it, and
 extending lex-ordered parents in increasing vertex order keeps every layer
 in lex order, so face indices are reproducible run to run.
+independence_complex runs it on all the vertices, and morse._site_pairs on
+the ground set of each pairing site.  Both count their faces exactly first
+and refuse a count over the face cap before any face is built.
 
 count_independent_sets counts faces without listing them.  It applies the
 recursion I(G) = I(G - v) + I(G - N[v]) one connected component at a time,
@@ -13,8 +17,9 @@ with vertex sets held as bitmasks and component counts memoised within a
 call, so no face is visited.  Under a cap the arithmetic saturates at
 cap + 1, which stays exact because every partial count is at least 1 and
 sums and products are monotone.  The same counter gives |Sigma(A, B)| for
-matching-tree nodes (morse.sigma_count).  Enumeration stays the independent
-oracle that tests check it against.
+matching-tree nodes (morse.sigma_count).  The count decides only whether
+enumeration is refused; the faces listed do not depend on it, so
+enumeration stays the independent oracle that tests check it against.
 """
 
 from __future__ import annotations
@@ -51,10 +56,6 @@ class SimplicialComplex:
             graded[len(f)].append(f)
         return cls(labels, graded, None)
 
-    @property
-    def dim(self) -> int:
-        return len(self.graded) - 2
-
     def num_faces(self) -> int:
         return sum(len(fs) for fs in self.graded)
 
@@ -88,40 +89,40 @@ class SimplicialComplex:
 def independence_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     """All independent sets of g, graded by size, each layer in lex order.
 
-    Layer s + 1 is built from layer s.  Each face carries the bitmask of the
-    vertices above its last vertex that are adjacent to none of its
-    vertices; its children are f + (u,) for each bit u of that mask, in
-    increasing u, and a child's mask is the parent's mask cut down to
-    above[u].  Extending lex-ordered parents in increasing u keeps every
-    layer in lex order.  The face cap is checked for the empty face before
-    the first layer, then per parent, before its children are built, so a
-    capped call never builds past the cap.
+    The faces are counted exactly first, without listing them, and a count
+    over face_cap raises CapacityError before any face is built; then
+    _layers builds them.
     """
-    over_cap = "independence complex exceeds face cap %d" % face_cap
-    above = _above_masks(g.nbr)
-    graded = [[()]]
-    masks = [(1 << len(g)) - 1]
-    total = 1
-    if total > face_cap:
-        raise CapacityError(over_cap)
-    while True:
-        faces, next_masks = [], []
-        for f, mask in zip(graded[-1], masks):
-            if not mask:
-                continue
-            total += mask.bit_count()
-            if total > face_cap:
-                raise CapacityError(over_cap)
+    full = (1 << len(g)) - 1
+    if _count_independent(g.nbr, full, face_cap + 1) > face_cap:
+        raise CapacityError("independence complex exceeds face cap %d" % face_cap)
+    return SimplicialComplex(g.vertices, list(_layers(g.nbr, full)), g)
+
+
+def _layers(nbr, ground):
+    """The independent subsets of the vertex bitmask `ground`, as sorted
+    index tuples, one size layer at a time from the empty set, each layer
+    in lex order.
+
+    Layer s + 1 is built from layer s.  Each face carries the bitmask of the
+    ground vertices above its last vertex that are adjacent to none of its
+    vertices; its children are f + (u,) for each bit u of that mask, in
+    increasing u, and a child's mask is what is left of the parent's above
+    u, less N(u).  Extending lex-ordered parents in increasing u keeps every
+    layer in lex order.
+    """
+    faces, masks = [()], [ground]
+    while faces:
+        yield faces
+        next_faces, next_masks = [], []
+        for f, mask in zip(faces, masks):
             while mask:
                 low = mask & -mask
-                u = low.bit_length() - 1
-                faces.append(f + (u,))
-                next_masks.append(mask & above[u])
                 mask ^= low
-        if not faces:
-            return SimplicialComplex(g.vertices, graded, g)
-        graded.append(faces)
-        masks = next_masks
+                u = low.bit_length() - 1
+                next_faces.append(f + (u,))
+                next_masks.append(mask & ~nbr[u])
+        faces, masks = next_faces, next_masks
 
 
 def count_independent_sets(g: Graph, cap: int | None = None) -> int:
@@ -144,13 +145,6 @@ def count_independent_sets(g: Graph, cap: int | None = None) -> int:
     """
     return _count_independent(g.nbr, (1 << len(g)) - 1,
                               None if cap is None else cap + 1)
-
-
-def _above_masks(nbr):
-    """For each vertex u, the vertices above u that are not its neighbours:
-    the candidates that may follow u in a sorted independent set."""
-    n = len(nbr)
-    return [((1 << n) - (2 << u)) & ~nbr[u] for u in range(n)]
 
 
 def _components(nbr, mask):

@@ -17,11 +17,14 @@ Growth steps, applied at a leaf with nonempty residual:
   Split(v)     v residual; two children Sigma(A, B+v) and Sigma(A+v, B+N(v)),
                no pairing.
 
-Leaves whose residual is empty contribute their A-set as a critical cell.
-Pairings are never materialized during growth; collect_pairing rebuilds them
-on demand for oracle comparisons and acyclicity checks.  It builds each
-site's faces one size layer at a time on a bitmask of the site's ground
-set, the way independence_complex builds the complex, and checks in bulk
+Leaves whose residual is empty are marked terminal as they are added, by
+expand or by run_strategy alike, and contribute their A-set as a critical
+cell.  Pairings are never materialized during growth; collect_pairing
+rebuilds them on demand for oracle comparisons and acyclicity checks.  It
+counts the pairs of every site exactly and refuses them over the face cap
+before it builds any face; then complexes._layers, the builder that
+independence_complex uses, lists each site's faces one size layer at a time
+on a bitmask of the site's ground set, and collect_pairing checks in bulk
 that no face is paired twice.  verify_acyclic makes one pass per size layer:
 the facets of each upper face that are lower faces of the same layer give
 both the cover check and the successor list, and a depth-first search over
@@ -44,12 +47,11 @@ The pivot rules read them.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import (CapacityError, DEFAULT_FACE_CAP, SimplicialComplex,
-                        _above_masks, _components, _count_independent)
+                        _components, _count_independent, _layers)
 from .graphs import Graph
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -116,6 +118,8 @@ class MatchingTree:
     def _add(self, A, B, mask, components, parent, kind=None) -> int:
         if A & B:
             raise MatchingTreeError("A and B intersect")
+        if kind is None and not mask:
+            kind = "terminal"
         nid = len(self.nodes)
         self.nodes.append(SigmaNode(nid, A, B, parent, mask, kind, None, [],
                                     components))
@@ -185,9 +189,10 @@ def _resplit(nbr, components, v, cut):
 
 
 def _check_range(g: Graph, *vertices):
-    """Step vertices must index g; a negative one would wrap around."""
+    """Step vertices must be ints that index g; a negative one would wrap
+    around, and a bool or a label is not an index."""
     for u in vertices:
-        if not 0 <= u < len(g):
+        if type(u) is not int or not 0 <= u < len(g):
             raise MatchingTreeError(
                 "step vertex %s is not in range(%d)" % (u, len(g)))
 
@@ -271,11 +276,7 @@ def run_strategy(g: Graph, strategy, step_budget: int = DEFAULT_STEP_BUDGET) -> 
     while stack:
         nid = stack.pop()
         node = tree.node(nid)
-        if node.kind == "empty":
-            continue
-        if not node.residual_mask:
-            if node.kind != "root":
-                node.kind = "terminal"
+        if node.kind == "empty" or not node.residual_mask:
             continue
         steps += 1
         if steps > step_budget:
@@ -302,9 +303,6 @@ class FacePairing:
         self.up[lo] = hi
         self.down[hi] = lo
 
-    def paired(self, face) -> bool:
-        return face in self.up or face in self.down
-
     def pairs(self):
         return sorted(self.up.items())
 
@@ -317,13 +315,14 @@ def collect_pairing(tree: MatchingTree, face_cap: int = DEFAULT_FACE_CAP) -> Fac
 
     At a free site every face of Sigma(A, B) avoiding p pairs with its
     extension by p; at a matching site the same happens within
-    Sigma(A, B + v).  Each site's faces come from _site_pairs one size layer
-    at a time and go into the dicts in bulk.  A face paired twice is an
+    Sigma(A, B + v).  _site_pairs counts every site's pairs before it
+    builds any, so CapacityError is raised before any face is built once
+    2 * pairs would exceed face_cap; then each site's faces come one size
+    layer at a time and go into the dicts in bulk.  A face paired twice is an
     internal invariant violation: it shows as a dict smaller than the number
     of pairs added, or as a face that is both a lower and an upper face, and
     the pairs are then replayed through FacePairing.add, which raises
-    MatchingTreeError at the first repeat.  CapacityError is raised once
-    2 * pairs would exceed face_cap.
+    MatchingTreeError at the first repeat.
     """
     pairing = FacePairing()
     up, down = pairing.up, pairing.down
@@ -345,45 +344,29 @@ def _site_pairs(tree: MatchingTree, face_cap: int):
     layer of a site at a time.
 
     A site's lower faces are A + J for J independent in its ground set (the
-    residual minus p, and minus v at a matching site), built layer by layer
-    on one ground bitmask the way independence_complex builds faces: each
-    face carries the ground vertices above the last vertex of its J that are
-    adjacent to none of J, and a child inserts one of them with bisect.  The
-    upper face inserts p the same way.  The pair count is checked against
-    the cap per parent, before its children are built.
+    residual minus p, and minus v at a matching site); the J come from
+    _layers on the ground bitmask, and the upper face adds p.  The pairs of
+    all sites are counted exactly first, and CapacityError is raised once
+    2 * pairs would exceed face_cap, before any site's faces are built.
     """
-    above = _above_masks(tree.graph.nbr)
+    nbr = tree.graph.nbr
+    sites = []
     pairs = 0
-
-    def charge(k):
-        nonlocal pairs
-        pairs += k
-        if 2 * pairs > face_cap:
-            raise CapacityError("pairing exceeds face cap %d" % face_cap)
-
     for node in tree.sites():
         step = node.step
-        p = step.p
-        ground = node.residual_mask & ~(1 << p)
+        ground = node.residual_mask & ~(1 << step.p)
         if isinstance(step, Match):
             ground &= ~(1 << step.v)
-        los, masks = [_bits(node.A)], [ground]
-        charge(1)
-        while los:
-            yield los, [lo[:(i := bisect(lo, p))] + (p,) + lo[i:] for lo in los]
-            next_los, next_masks = [], []
-            for lo, mask in zip(los, masks):
-                if not mask:
-                    continue
-                charge(mask.bit_count())
-                while mask:
-                    low = mask & -mask
-                    u = low.bit_length() - 1
-                    i = bisect(lo, u)
-                    next_los.append(lo[:i] + (u,) + lo[i:])
-                    next_masks.append(mask & above[u])
-                    mask ^= low
-            los, masks = next_los, next_masks
+        pairs += _count_independent(nbr, ground, face_cap + 1)
+        if 2 * pairs > face_cap:
+            raise CapacityError("pairing exceeds face cap %d" % face_cap)
+        sites.append((_bits(node.A), step.p, ground))
+
+    for a, p, ground in sites:
+        ap = a + (p,)
+        for js in _layers(nbr, ground):
+            yield ([tuple(sorted(a + j)) for j in js],
+                   [tuple(sorted(ap + j)) for j in js])
 
 
 def critical_cells(tree: MatchingTree):

@@ -56,3 +56,9 @@ def theta_profile(m, n):
 
 def ind_complex(family, **kw):
     return independence_complex(build_graph(family, **kw))
+
+
+def unbuilt(*args):
+    """Stands in for the face builder where a capacity check must refuse
+    before any face is built."""
+    raise AssertionError("faces were built before the cap refused them")

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gridmorse import cli
+from gridmorse import cli, complexes
 from gridmorse.cli import main
 
 
@@ -72,7 +72,7 @@ def test_homology_default_cap_refuses_before_enumerating(capsys, monkeypatch):
     def enumerate_faces(*args):
         raise AssertionError("the count gate should refuse first")
 
-    monkeypatch.setattr(cli, "independence_complex", enumerate_faces)
+    monkeypatch.setattr(complexes, "_layers", enumerate_faces)
     code = main(["homology", "--family", "delta", "--m", "2", "--n", "10"])
     assert code == 3
     assert "300000" in capsys.readouterr().err

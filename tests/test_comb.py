@@ -70,7 +70,6 @@ def test_comb_degenerate_sizes():
 def test_census_metadata():
     census = comb_census(3, 2)
     assert (census.m, census.n) == (3, 2)
-    assert census.reduced_zero
     assert census.total() == 1
     assert census.euler() == -1
     assert census.to_json() == {"m": 3, "n": 2, "census": {"3": 1}}

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_f_vector, brute_faces
+from conftest import brute_f_vector, brute_faces, unbuilt
 from gridmorse import (CapacityError, Graph, SimplicialComplex, build_graph,
-                       count_independent_sets, delta2_isomorphism,
+                       complexes, count_independent_sets, delta2_isomorphism,
                        independence_complex, join, line_graph, matching_complex,
                        plain)
+from gridmorse.complexes import _layers
 
 
 def faces_as_index_sets(cx):
@@ -128,7 +129,9 @@ def test_join_euler_multiplicative(data):
     assert join(c1, c2).reduced_euler() == -c1.reduced_euler() * c2.reduced_euler()
 
 
-def test_face_cap():
+def test_face_cap(monkeypatch):
+    # star(3,4) has more than 50 faces; the exact count refuses them first
+    monkeypatch.setattr(complexes, "_layers", unbuilt)
     with pytest.raises(CapacityError):
         independence_complex(build_graph("star", m=3, n=4), face_cap=50)
 
@@ -151,6 +154,12 @@ def test_enumeration_matches_subset_scan_in_order(data):
     with pytest.raises(CapacityError):
         independence_complex(g, face_cap=total - 1)
     assert independence_complex(g, face_cap=total).graded == want
+    # the same builder on part of the vertex set lists the scan's faces
+    # inside it, layer for layer and in order
+    ground = data.draw(st.integers(0, (1 << len(g)) - 1))
+    inside = [[f for f in layer if all(ground >> u & 1 for u in f)]
+              for layer in want]
+    assert list(_layers(g.nbr, ground)) == [layer for layer in inside if layer]
 
 
 def test_empty_face_is_charged_against_the_cap():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ind_complex
+from conftest import ind_complex, unbuilt
 from gridmorse.complexes import _components
+from gridmorse import complexes, morse
 from gridmorse import (PIVOT_RULES, CapacityError, FacePairing, Free, Graph,
                        Match, MatchingTree, MatchingTreeError, SigmaNode, Split,
                        build_graph, collect_pairing, comb_tree, critical_cells,
@@ -61,10 +62,24 @@ def test_match_records_expected_pairs():
     assert child.A == 1 << g.idx(plain(2))
     assert child.B == 1 << g.idx(plain(1)) | 1 << g.idx(plain(3))
     assert not child.residual
-    child.kind = "terminal"
+    assert child.kind == "terminal"
     pairing = collect_pairing(tree)
     i1, i3 = g.idx(plain(1)), g.idx(plain(3))
     assert pairing.pairs() == [((), (i1,)), ((i3,), (i1, i3))]
+
+
+def test_tree_grown_by_expand_reports_critical_cells():
+    # a tree finished by hand, without run_strategy, marks its leaves too
+    g = build_graph("path", n=3)
+    tree = MatchingTree(g)
+    expand(tree, 0, Split(1))
+    excluded, included = tree.node(0).children
+    expand(tree, excluded, Free(0))
+    assert critical_cells(tree) == [(1,)]
+    assert tree.to_json()["nodes"][included]["kind"] == "terminal"
+    paired = collect_pairing(tree).paired_faces()
+    assert paired | {(1,)} == set(independence_complex(g).all_faces())
+    assert (1,) not in paired
 
 
 def test_free_precondition():
@@ -93,11 +108,14 @@ def test_match_preconditions():
 @pytest.mark.parametrize("split_first,step", [
     (False, Match(-1, 1)), (True, Free(-1)), (False, Split(-1)),
     (False, Free(3)), (False, Match(3, 1)), (False, Split(3)),
+    (False, Free(plain(1))), (False, Free(1.0)), (False, Split(True)),
 ], ids=["match-negative", "free-negative-after-split", "split-negative",
-        "free-past-end", "match-past-end", "split-past-end"])
+        "free-past-end", "match-past-end", "split-past-end",
+        "free-label", "free-float", "split-bool"])
 def test_out_of_range_step_vertices_rejected(split_first, step):
     # a negative index would read the last vertex of path(3) and pass the
-    # other preconditions; an index past the end would raise IndexError
+    # other preconditions; an index past the end would raise IndexError;
+    # a label or a float is not an index, and True is not vertex 1
     g = build_graph("path", n=3)
     tree = MatchingTree(g)
     nid = 0
@@ -479,9 +497,13 @@ def test_collect_pairing_rejects_sites_covering_one_face(sites):
         collect_pairing(tree)
 
 
-def test_collect_pairing_face_cap_boundary():
+def test_collect_pairing_face_cap_boundary(monkeypatch):
     tree = comb_tree(2, 3)
     pairs = len(collect_pairing(tree))
+    # the pairs are counted before any site's faces are built
+    monkeypatch.setattr(complexes, "_layers", unbuilt)
+    monkeypatch.setattr(morse, "_layers", unbuilt)
     with pytest.raises(CapacityError):
         collect_pairing(tree, face_cap=2 * pairs - 1)
+    monkeypatch.undo()
     assert len(collect_pairing(tree, face_cap=2 * pairs)) == pairs
