@@ -22,13 +22,13 @@ for nd in tree.nodes:
     print("  node %2d %-15s A=%-12s B=%s"
           % (nd.id, nd.kind, labels(nd.A), labels(nd.B)))
 
+cx = independence_complex(g)
 cells = critical_cells(tree)
 print("critical cells:",
-      [[str(g.vertices[i]) for i in cell] for cell in cells])
+      [[str(v) for v in cx.face_labels(cell)] for cell in cells])
 print("census:", census_from_tree(tree).counts,
       " (two 1-cells: the complex is a wedge of two circles)")
 
-cx = independence_complex(g)
 pairing = collect_pairing(tree)
 ok, _ = verify_acyclic(cx, pairing)
 print("faces %d = paired %d + critical %d; acyclic: %s"

@@ -15,8 +15,7 @@ import sys
 
 from . import census as census_mod
 from . import comb as comb_mod
-from .complexes import (CapacityError, DEFAULT_FACE_CAP, count_independent_sets,
-                        independence_complex)
+from .complexes import CapacityError, DEFAULT_FACE_CAP, independence_complex
 from .graphs import build_graph
 from .homology import (DEFAULT_HOMOLOGY_FACE_CAP, IntegerMatrix,
                        morse_inequality_check, reduced_homology,
@@ -124,22 +123,22 @@ def _check_seed(m):
                for n in range(4))
 
 
-def _instance_checks(m, n, face_cap, hom_cap):
-    """Tree/complex cross-checks for one comb instance.  Top level so that
-    verify can shard instances across worker processes."""
-    g = build_graph("delta", m=m, n=n)
-    count = count_independent_sets(g, cap=hom_cap)
+def _instance_checks(m, n, cap):
+    """Tree/complex cross-checks for one comb instance, all under one face
+    cap, or a SKIP row over it.  Top level so that verify can shard
+    instances across worker processes."""
     name = "acyclic+partition(m=%d,n=%d)" % (m, n)
-    if count > hom_cap:
-        return [(name, None, "more than %d faces" % hom_cap)]
+    try:
+        cx = independence_complex(build_graph("delta", m=m, n=n), cap)
+    except CapacityError:
+        return [(name, None, "more than %d faces" % cap)]
     tree = comb_mod.comb_tree(m, n)
-    cx = independence_complex(g, face_cap)
-    pairing = collect_pairing(tree, face_cap)
+    pairing = collect_pairing(tree, cap)
     paired = pairing.paired_faces()
     crit = set(critical_cells(tree))
     partition = paired | crit == set(cx.all_faces()) and not paired & crit
     acyclic, _ = verify_acyclic(cx, pairing)
-    report = reduced_homology(cx, hom_cap)
+    report = reduced_homology(cx, cap)
     morse_ok = morse_inequality_check(comb_mod.census_from_tree(tree), report)
     return [(name, partition and acyclic, ""),
             ("morse-inequalities(m=%d,n=%d)" % (m, n), morse_ok, "")]
@@ -168,8 +167,6 @@ def _snf_perturbation_check(seed):
 def _verify_checks(args):
     """Produce (name, status, detail) rows for the cross-check suite."""
     m, nmax = args.m, args.nmax
-    face_cap = args.face_cap
-    hom_cap = min(face_cap, DEFAULT_HOMOLOGY_FACE_CAP)
     rows = [("seed-table(m=%d)" % m, _check_seed(m), "")]
 
     table = census_mod.census_table(m, max(nmax, 4))
@@ -207,7 +204,7 @@ def _verify_checks(args):
                 ok = False
     rows.append(("support-bounds(m=%d,n<=%d)" % (m, nmax), ok, ""))
 
-    jobs = [(m, n, face_cap, hom_cap) for n in range(0, nmax + 1)]
+    jobs = [(m, n, args.face_cap) for n in range(0, nmax + 1)]
     if args.jobs > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = table_parser("verify", "run the desk-scale cross-check suite", 5)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
+    p.add_argument("--face-cap", type=int, default=DEFAULT_HOMOLOGY_FACE_CAP)
     p.add_argument("--seed", type=int, default=20160603)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)

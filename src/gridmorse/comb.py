@@ -42,8 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .complexes import _bits
 from .graphs import Graph, build_graph
-from .morse import Free, Match, MatchingTree, Split, _bits, run_strategy
+from .morse import Free, Match, MatchingTree, Split, run_strategy
 
 
 @dataclass(frozen=True)

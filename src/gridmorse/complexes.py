@@ -1,12 +1,13 @@
 """Independence and matching complexes: enumerated explicitly, or counted.
 
-Faces are stored as sorted tuples of vertex indices into the ground vertex
-order, graded by size (graded[s] holds the faces with s vertices, so the
-empty face sits at graded[0]).  One builder, _layers, lists the
-independent subsets of a vertex bitmask, building each size layer from the
-last: each face carries a bitmask of the vertices that can extend it, and
-extending lex-ordered parents in increasing vertex order keeps every layer
-in lex order, so face indices are reproducible run to run.
+A face is a vertex bitmask (bit i for vertex i of the ground order), the
+one face format from matching trees to boundary matrices; _bits decodes it
+where labels are printed.  Faces are graded by size (graded[s] holds the
+faces with s vertices, so the empty face 0 sits at graded[0]).  One builder,
+_layers, lists the independent subsets of a vertex bitmask, building each
+size layer from the last: each face carries a bitmask of the vertices that
+can extend it, and extending lex-ordered parents in increasing vertex order
+keeps every layer in lex order, so face indices are reproducible.
 independence_complex runs it on all the vertices, and morse._site_pairs on
 the ground set of each pairing site.  Both count their faces exactly first
 and refuse a count over the face cap before any face is built.
@@ -33,27 +34,34 @@ class CapacityError(RuntimeError):
     """Raised when an enumeration or matrix would exceed a desk-scale cap."""
 
 
+def _bits(mask: int) -> tuple:
+    """The set bits of a vertex bitmask as a sorted tuple of indices."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class SimplicialComplex:
     __slots__ = ("labels", "graded", "graph")
 
     def __init__(self, labels, graded, graph=None):
         self.labels = tuple(labels)
-        self.graded = graded  # graded[s]: list of index tuples of length s
+        self.graded = graded  # graded[s]: vertex bitmasks of the s-vertex faces
         self.graph = graph
 
     @classmethod
     def from_facets(cls, labels, facets) -> "SimplicialComplex":
         """Downward closure of a facet list; facets are index tuples."""
         from itertools import combinations
-        faces = set()
-        for f in facets:
-            f = tuple(sorted(f))
-            for s in range(len(f) + 1):
-                faces.update(combinations(f, s))
-        top = max((len(f) for f in faces), default=0)
+        faces = {sum(1 << i for i in c) for f in facets
+                 for s in range(len(f) + 1) for c in combinations(f, s)}
+        top = max(map(int.bit_count, faces), default=0)
         graded = [[] for _ in range(top + 1)]
-        for f in sorted(faces, key=lambda t: (len(t), t)):
-            graded[len(f)].append(f)
+        for f in sorted(faces, key=lambda face: (face.bit_count(), _bits(face))):
+            graded[f.bit_count()].append(f)
         return cls(labels, graded, None)
 
     def num_faces(self) -> int:
@@ -68,7 +76,7 @@ class SimplicialComplex:
                    for s, fs in enumerate(self.graded))
 
     def face_labels(self, face):
-        return tuple(self.labels[i] for i in face)
+        return tuple(self.labels[i] for i in _bits(face))
 
     def all_faces(self):
         for fs in self.graded:
@@ -100,18 +108,18 @@ def independence_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> Simplici
 
 
 def _layers(nbr, ground):
-    """The independent subsets of the vertex bitmask `ground`, as sorted
-    index tuples, one size layer at a time from the empty set, each layer
-    in lex order.
+    """The independent subsets of the vertex bitmask `ground`, as vertex
+    bitmasks, one size layer at a time from the empty set, each layer in lex
+    order of the faces' sorted index tuples.
 
     Layer s + 1 is built from layer s.  Each face carries the bitmask of the
-    ground vertices above its last vertex that are adjacent to none of its
-    vertices; its children are f + (u,) for each bit u of that mask, in
+    ground vertices above its top vertex that are adjacent to none of its
+    vertices; its children are f | 1 << u for each bit u of that mask, in
     increasing u, and a child's mask is what is left of the parent's above
     u, less N(u).  Extending lex-ordered parents in increasing u keeps every
     layer in lex order.
     """
-    faces, masks = [()], [ground]
+    faces, masks = [0], [ground]
     while faces:
         yield faces
         next_faces, next_masks = [], []
@@ -119,9 +127,8 @@ def _layers(nbr, ground):
             while mask:
                 low = mask & -mask
                 mask ^= low
-                u = low.bit_length() - 1
-                next_faces.append(f + (u,))
-                next_masks.append(mask & ~nbr[u])
+                next_faces.append(f | low)
+                next_masks.append(mask & ~nbr[low.bit_length() - 1])
         faces, masks = next_faces, next_masks
 
 
@@ -256,8 +263,8 @@ def join(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialComplex:
             bucket = graded[s1 + s2]
             for f1 in faces1:
                 for f2 in faces2:
-                    bucket.append(f1 + tuple(i + shift for i in f2))
+                    bucket.append(f1 | f2 << shift)
     for bucket in graded:
-        bucket.sort()
+        bucket.sort(key=_bits)
     return SimplicialComplex(labels, graded, None)
 

@@ -1,6 +1,7 @@
 """Exact integral simplicial homology via Smith normal form.
 
-Boundary matrices are kept sparse (dict-of-rows with a column index), and
+Boundary matrices are kept sparse (dict-of-rows with a column index); the
+facets of a vertex-bitmask face are the face with one bit cleared.
 smith_normal_form eliminates unit entries greedily with a minimum-fill
 heuristic before falling back to the classical gcd-driven algorithm on the
 (normally tiny) dense remainder.  Unit-pivot elimination and the dense
@@ -26,7 +27,8 @@ import heapq
 from dataclasses import dataclass, field
 from math import gcd
 
-from .complexes import CapacityError, SimplicialComplex
+from .complexes import CapacityError, SimplicialComplex, independence_complex
+from .graphs import build_graph
 
 DEFAULT_HOMOLOGY_FACE_CAP = 300_000
 DEFAULT_ENTRY_CAP = 50_000_000
@@ -67,8 +69,8 @@ class SNFResult:
 def _boundary_matrix(graded, s, cleared=frozenset(), entry_cap=DEFAULT_ENTRY_CAP):
     """d_s from the s-faces to the (s-1)-faces, over the s-faces whose index
     is not in `cleared`.  Kept faces are renumbered 0, 1, ... in order; rows
-    keep the index of the (s-1)-face.  Signs alternate with the position of
-    the omitted vertex, faces being sorted in the ground vertex order."""
+    keep the index of the (s-1)-face.  The facets of a face are face ^ low
+    for its vertex bits low in increasing order, with alternating signs."""
     ncols = len(graded[s]) - len(cleared)
     if s * ncols > entry_cap:
         raise CapacityError("boundary matrix exceeds entry cap")
@@ -78,9 +80,12 @@ def _boundary_matrix(graded, s, cleared=frozenset(), entry_cap=DEFAULT_ENTRY_CAP
     for j, face in enumerate(graded[s]):
         if j in cleared:
             continue
-        for i in range(s):
-            facet = face[:i] + face[i + 1:]
-            entries[(lower_index[facet], col)] = 1 if i % 2 == 0 else -1
+        sign, rest = 1, face
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            entries[(lower_index[face ^ low], col)] = sign
+            sign = -sign
         col += 1
     return IntegerMatrix(len(graded[s - 1]), ncols, entries)
 
@@ -343,16 +348,12 @@ def torsion_scan(m: int, n_range, face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP):
     """Torsion report for the comb-graph complexes over a range of n.
     Returns a list of (n, result) where result is a torsion dict or a
     skip-reason string for instances over the cap."""
-    from .complexes import count_independent_sets, independence_complex
-    from .graphs import build_graph
-
     out = []
     for n in n_range:
-        g = build_graph("delta", m=m, n=n)
-        count = count_independent_sets(g, cap=face_cap)
-        if count > face_cap:
+        try:
+            cx = independence_complex(build_graph("delta", m=m, n=n), face_cap)
+        except CapacityError:
             out.append((n, "skipped: more than %d faces" % face_cap))
             continue
-        report = reduced_homology(independence_complex(g), face_cap)
-        out.append((n, dict(report.torsion)))
+        out.append((n, dict(reduced_homology(cx, face_cap).torsion)))
     return out

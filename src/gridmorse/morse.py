@@ -19,15 +19,16 @@ Growth steps, applied at a leaf with nonempty residual:
 
 Leaves whose residual is empty are marked terminal as they are added, by
 expand or by run_strategy alike, and contribute their A-set as a critical
-cell.  Pairings are never materialized during growth; collect_pairing
-rebuilds them on demand for oracle comparisons and acyclicity checks.  It
-counts the pairs of every site exactly and refuses them over the face cap
-before it builds any face; then complexes._layers, the builder that
-independence_complex uses, lists each site's faces one size layer at a time
-on a bitmask of the site's ground set, and collect_pairing checks in bulk
-that no face is paired twice.  verify_acyclic makes one pass per size layer:
-the facets of each upper face that are lower faces of the same layer give
-both the cover check and the successor list, and a depth-first search over
+cell.  Faces are vertex bitmasks, as in complexes.  Pairings are never
+materialized during growth; collect_pairing rebuilds them on demand for
+oracle comparisons and acyclicity checks.  It counts the pairs of every
+site exactly and refuses them over the face cap before it builds any face;
+then complexes._layers lists the J of each site's faces A | J and A | p | J
+one size layer at a time on a bitmask of the site's ground set, and
+collect_pairing checks in bulk that no face is paired twice.
+verify_acyclic makes one pass per size layer: a pair is a cover when
+hi ^ lo is one bit inside hi, its successors are the facets hi ^ 1 << u
+(u in lo) that are lower faces of the layer, and a depth-first search over
 the pairs with successors looks for a gradient cycle.
 
 A node's A, B and residual (SigmaNode.residual_mask) are vertex bitmasks;
@@ -48,10 +49,9 @@ The pivot rules read them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .complexes import (CapacityError, DEFAULT_FACE_CAP, SimplicialComplex,
-                        _components, _count_independent, _layers)
+                        _bits, _components, _count_independent, _layers)
 from .graphs import Graph
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -75,16 +75,6 @@ class Match:
 @dataclass(frozen=True)
 class Split:
     v: int
-
-
-def _bits(mask: int) -> tuple:
-    """The set bits of a vertex bitmask as a sorted tuple of indices."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 @dataclass(slots=True)
@@ -184,7 +174,7 @@ def _resplit(nbr, components, v, cut):
     parts = tuple(_components(nbr, comp & ~cut))
     head, tail = components[:i], components[i + 1:]
     if parts and tail and parts[-1] & -parts[-1] > tail[0] & -tail[0]:
-        return head + tuple(sorted(parts + tail, key=lambda c: c & -c))
+        return (*head, *sorted(parts + tail, key=lambda c: c & -c))
     return head + parts + tail
 
 
@@ -288,7 +278,7 @@ def run_strategy(g: Graph, strategy, step_budget: int = DEFAULT_STEP_BUDGET) -> 
 
 
 class FacePairing:
-    """A partial matching on the face poset: pairs (face, face + p)."""
+    """A partial matching on the face poset: mask pairs (face, face | 1 << p)."""
 
     def __init__(self):
         self.up = {}    # lower face -> upper face
@@ -299,7 +289,8 @@ class FacePairing:
 
     def add(self, lo, hi):
         if lo in self.up or lo in self.down or hi in self.up or hi in self.down:
-            raise MatchingTreeError("face paired twice: %s / %s" % (lo, hi))
+            raise MatchingTreeError("face paired twice: %s / %s"
+                                    % (_bits(lo), _bits(hi)))
         self.up[lo] = hi
         self.down[hi] = lo
 
@@ -343,7 +334,7 @@ def _site_pairs(tree: MatchingTree, face_cap: int):
     """The pairs of every site as (lower faces, upper faces) lists, one size
     layer of a site at a time.
 
-    A site's lower faces are A + J for J independent in its ground set (the
+    A site's lower faces are A | J for J independent in its ground set (the
     residual minus p, and minus v at a matching site); the J come from
     _layers on the ground bitmask, and the upper face adds p.  The pairs of
     all sites are counted exactly first, and CapacityError is raised once
@@ -360,19 +351,17 @@ def _site_pairs(tree: MatchingTree, face_cap: int):
         pairs += _count_independent(nbr, ground, face_cap + 1)
         if 2 * pairs > face_cap:
             raise CapacityError("pairing exceeds face cap %d" % face_cap)
-        sites.append((_bits(node.A), step.p, ground))
+        sites.append((node.A, node.A | 1 << step.p, ground))
 
-    for a, p, ground in sites:
-        ap = a + (p,)
+    for a, ap, ground in sites:
         for js in _layers(nbr, ground):
-            yield ([tuple(sorted(a + j)) for j in js],
-                   [tuple(sorted(ap + j)) for j in js])
+            yield [a | j for j in js], [ap | j for j in js]
 
 
 def critical_cells(tree: MatchingTree):
-    """A-sets of the terminal leaves, as sorted index tuples."""
-    cells = [_bits(nd.A) for nd in tree.critical_leaves()]
-    cells.sort(key=lambda f: (len(f), f))
+    """A-sets of the terminal leaves, as vertex bitmasks, by size then value."""
+    cells = [nd.A for nd in tree.critical_leaves()]
+    cells.sort(key=lambda f: (f.bit_count(), f))
     return cells
 
 
@@ -385,14 +374,14 @@ def verify_acyclic(complex: SimplicialComplex, pairing: FacePairing):
     own: the pairs (lo, hi) with |lo| = s, with an edge from (lo, hi) to
     (lo', hi') when lo' is a facet of hi other than lo.
 
-    One pass over each layer checks every pair and builds the successor
-    lists: the facets of hi that are lower faces of the layer, from
-    combinations(hi, s).  lo must be among them (and |hi| = s + 1), or the
-    pair is not a cover relation.  The rest, reversed, are the successors in
-    the order hi[0], hi[1], ... is removed.  Every pair is checked before any
-    cycle search.  A depth-first search then runs over the pairs that have
-    successors, started in sorted order; the first gray node it meets
-    closes the witness, so the witness depends only on those two orders.
+    Faces are vertex bitmasks.  One pass over each layer checks every pair
+    and builds the successor lists: hi ^ lo must be one bit inside hi, or
+    the pair is not a cover relation, and the successors of lo are the
+    facets hi ^ 1 << u, for the vertices u of lo in increasing order, that
+    are lower faces of the layer.  Every pair is checked before any cycle
+    search.  A depth-first search then runs over the pairs that have
+    successors, started in increasing mask order; the first gray node it
+    meets closes the witness, so the witness depends only on those orders.
 
     Returns (True, None) or (False, witness) where the witness lists the
     matched (lower, upper) pairs around one cycle.  Raises ValueError if the
@@ -406,20 +395,23 @@ def verify_acyclic(complex: SimplicialComplex, pairing: FacePairing):
 
     by_size = {}
     for lo, hi in pairing.up.items():
-        by_size.setdefault(len(lo), {})[lo] = hi
+        by_size.setdefault(lo.bit_count(), {})[lo] = hi
 
     layers = []
-    for size, layer in sorted(by_size.items()):
+    for _, layer in sorted(by_size.items()):
         succ = {}
-        lower = layer.__contains__
         for lo, hi in layer.items():
-            facets = (list(filter(lower, combinations(hi, size)))
-                      if len(hi) == size + 1 else ())
-            if lo not in facets:
-                raise ValueError("pair (%s, %s) is not a cover relation" % (lo, hi))
-            if len(facets) > 1:
-                facets.remove(lo)
-                facets.reverse()
+            bit = hi ^ lo
+            if bit & (bit - 1) or not bit & hi:
+                raise ValueError("pair (%s, %s) is not a cover relation"
+                                 % (_bits(lo), _bits(hi)))
+            facets, rest = [], lo
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if hi ^ low in layer:
+                    facets.append(hi ^ low)
+            if facets:
                 succ[lo] = facets
         layers.append((layer, succ))
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from conftest import unbuilt
 from gridmorse import cli, complexes
 from gridmorse.cli import main
 
@@ -96,6 +98,71 @@ def test_verify_subcommand(capsys):
     lines = out.strip().splitlines()
     assert all(line.split()[0] in ("PASS", "SKIP") for line in lines[:-1])
     assert lines[-1].endswith("0 failed")
+
+
+def test_verify_runs_every_check_under_the_given_face_cap(capsys, monkeypatch):
+    # a cap above the 300,000-face homology default is used as given, and
+    # the default is that homology cap
+    caps = []
+    real = cli.reduced_homology
+
+    def spy(cx, cap):
+        caps.append(cap)
+        return real(cx, cap)
+
+    monkeypatch.setattr(cli, "reduced_homology", spy)
+    code, _ = run(capsys, "verify", "--m", "2", "--nmax", "2",
+                  "--face-cap", "1000000")
+    assert code == 0 and caps == [1000000] * 3
+    caps.clear()
+    run(capsys, "verify", "--m", "2", "--nmax", "0")
+    assert caps == [300000]
+
+
+def test_instance_checks_count_the_complex_once(monkeypatch):
+    # the one count is independence_complex's; its refusal gives the SKIP,
+    # before any face is built
+    calls = []
+    real = complexes._count_independent
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(complexes, "_count_independent", spy)
+    rows = cli._instance_checks(2, 2, 100)
+    assert [status for _, status, _ in rows] == [True, True]
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(complexes, "_layers", unbuilt)
+    assert cli._instance_checks(2, 3, 100) == [
+        ("acyclic+partition(m=2,n=3)", None, "more than 100 faces")]
+    assert len(calls) == 1
+
+
+# sha256 of stdout and the exit code: the face representation inside the
+# library must not change a byte of what these invocations print
+PINNED_OUTPUT = [
+    ("complex --family delta --m 2 --n 3 --faces", 0,
+     "06ff2ba8af4875a2ec249b0040c701e5dc4d8196610ea1f6266a204ae30fe095"),
+    ("complex --family cycle --n 6 --faces", 0,
+     "88a8690e06f7cc80850b46e37a434d162b8763bf2b5ed1e2dd6941afb1529f05"),
+    ("homology --family delta --m 2 --n 5", 0,
+     "2fff4a731e5b04315373800d7b223f0e1fce590437a7a49944b9d8113e838d2c"),
+    ("morse --family delta --m 2 --n 6", 0,
+     "91b7e6039b0528c3729352375b1cee39fb6ad9e27c50858189e28d5cfd492aa4"),
+    ("verify --m 2 --nmax 4", 0,
+     "84b7e75367e984a904e45f40717686b14e7be96b6287c410beb2b6d52cc6098e"),
+    ("verify --m 2 --nmax 4 --face-cap 100", 0,
+     "934d1ba10cd5753cb34dbef366046704f740eb8210e02fe935ccce7b1e41aa23"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_OUTPUT,
+                         ids=[argv for argv, _, _ in PINNED_OUTPUT])
+def test_pinned_output_digests(argv, code, digest, capsys):
+    got, out = run(capsys, *argv.split())
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 def test_verify_jobs(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import ind_complex
+from gridmorse import complexes
 from gridmorse import (CapacityError, CriticalCensus, Graph, IntegerMatrix,
                        SimplicialComplex, SNFResult, boundary_matrices,
                        build_graph, census_from_tree, comb_tree,
@@ -176,9 +177,20 @@ def test_torsion_scan_m2():
         assert torsion == {}
 
 
-def test_torsion_scan_skips_over_cap():
-    results = torsion_scan(2, [5], face_cap=100)
-    assert results[0][0] == 5 and "skipped" in results[0][1]
+def test_torsion_scan_skips_over_cap(monkeypatch):
+    # each complex is counted once, by independence_complex, whose refusal
+    # gives the SKIP
+    calls = []
+    real = complexes._count_independent
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(complexes, "_count_independent", spy)
+    assert torsion_scan(2, [2, 5], face_cap=100) == [
+        (2, {}), (5, "skipped: more than 100 faces")]
+    assert len(calls) == 2
 
 
 def test_homology_capacity_guard():

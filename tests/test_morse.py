@@ -65,7 +65,7 @@ def test_match_records_expected_pairs():
     assert child.kind == "terminal"
     pairing = collect_pairing(tree)
     i1, i3 = g.idx(plain(1)), g.idx(plain(3))
-    assert pairing.pairs() == [((), (i1,)), ((i3,), (i1, i3))]
+    assert pairing.pairs() == [(0, 1 << i1), (1 << i3, 1 << i1 | 1 << i3)]
 
 
 def test_tree_grown_by_expand_reports_critical_cells():
@@ -75,11 +75,11 @@ def test_tree_grown_by_expand_reports_critical_cells():
     expand(tree, 0, Split(1))
     excluded, included = tree.node(0).children
     expand(tree, excluded, Free(0))
-    assert critical_cells(tree) == [(1,)]
+    assert critical_cells(tree) == [0b010]
     assert tree.to_json()["nodes"][included]["kind"] == "terminal"
     paired = collect_pairing(tree).paired_faces()
-    assert paired | {(1,)} == set(independence_complex(g).all_faces())
-    assert (1,) not in paired
+    assert paired | {0b010} == set(independence_complex(g).all_faces())
+    assert 0b010 not in paired
 
 
 def test_free_precondition():
@@ -145,7 +145,7 @@ def test_point_complex_run():
     tree = run_strategy(g, lambda graph, node: Free(0))
     assert critical_cells(tree) == []
     pairing = collect_pairing(tree)
-    assert pairing.pairs() == [((), (0,))]
+    assert pairing.pairs() == [(0, 0b1)]
 
 
 def test_full_c4_run_partition():
@@ -168,7 +168,7 @@ def test_full_c4_run_partition():
     crit = critical_cells(tree)
     # one critical vertex: the complex is two points up to homotopy, and
     # morse-euler forces dimension 0 for a single leftover cell
-    assert len(crit) == 1 and len(crit[0]) == 1
+    assert len(crit) == 1 and crit[0].bit_count() == 1
     assert len(pairing) * 2 + len(crit) == cx.num_faces() == 7
     ok, witness = verify_acyclic(cx, pairing)
     assert ok and witness is None
@@ -190,9 +190,9 @@ def test_partition_and_cover_shape(maker, fam, kw):
     assert paired | crit == set(cx.all_faces())
     assert not paired & crit
     for lo, hi in pairing.pairs():
-        assert len(hi) == len(lo) + 1 and set(lo) < set(hi)
+        assert hi.bit_count() == lo.bit_count() + 1 and lo & hi == lo
     # the empty face is always matched, never critical
-    assert () in paired
+    assert 0 in paired
 
 
 def test_morse_euler_identity():
@@ -203,7 +203,7 @@ def test_morse_euler_identity():
     ]:
         tree = maker()
         cx = ind_complex(fam, **kw)
-        alt = sum((-1) ** (len(f) - 1) for f in critical_cells(tree))
+        alt = sum((-1) ** (f.bit_count() - 1) for f in critical_cells(tree))
         assert alt == cx.reduced_euler()
 
 
@@ -220,10 +220,10 @@ def test_verify_acyclic_crafted_cycle():
     cx = independence_complex(g)
     assert cx.f_vector() == (1, 4, 4)
     pairing = FacePairing()
-    pairing.add((0,), (0, 1))
-    pairing.add((1,), (1, 2))
-    pairing.add((2,), (2, 3))
-    pairing.add((3,), (0, 3))
+    pairing.add(0b0001, 0b0011)
+    pairing.add(0b0010, 0b0110)
+    pairing.add(0b0100, 0b1100)
+    pairing.add(0b1000, 0b1001)
     ok, witness = verify_acyclic(cx, pairing)
     assert not ok
     assert len(witness) == 4
@@ -233,9 +233,9 @@ def test_verify_acyclic_crafted_cycle():
 
 def test_double_pairing_detected():
     pairing = FacePairing()
-    pairing.add((0,), (0, 1))
+    pairing.add(0b001, 0b011)
     with pytest.raises(MatchingTreeError, match="paired twice"):
-        pairing.add((0,), (0, 2))
+        pairing.add(0b001, 0b101)
 
 
 def test_bad_strategy_rejected():
@@ -369,7 +369,7 @@ def test_carried_state_sweep_sees_every_step_kind():
 def test_sigma_count_matches_face_filter(maker, fam, kw):
     # |Sigma(A, B)| counted straight from the enumerated faces
     tree = maker()
-    faces = [sum(1 << v for v in f) for f in ind_complex(fam, **kw).all_faces()]
+    faces = list(ind_complex(fam, **kw).all_faces())
     for nd in tree.nodes:
         want = sum(1 for f in faces if f & nd.A == nd.A and not nd.B & f)
         assert sigma_count(tree.graph, nd) == want, nd.id
@@ -379,13 +379,13 @@ def kahn_acyclic(cx, pairing):
     """Oracle sharing no code with verify_acyclic: the whole face-poset
     digraph, with every cover as an edge (matched covers up, the rest down),
     peeled by Kahn's algorithm.  Acyclic iff every face gets peeled."""
-    faces = [frozenset(f) for f in cx.all_faces()]
-    matched = {(frozenset(lo), frozenset(hi)) for lo, hi in pairing.up.items()}
+    faces = list(cx.all_faces())
+    matched = set(pairing.up.items())
     succ = {f: [] for f in faces}
     indeg = dict.fromkeys(faces, 0)
     for hi in faces:
-        for x in hi:
-            lo = hi - {x}
+        for x in members(hi):
+            lo = hi ^ 1 << x
             tail, head = (lo, hi) if (lo, hi) in matched else (hi, lo)
             succ[tail].append(head)
             indeg[head] += 1
@@ -405,11 +405,12 @@ def random_pairing(cx, rnd, acyclic):
     """A random partial matching of covers.  With acyclic set, a random part
     of the matching sigma <-> sigma + v for one vertex v (acyclic, so any
     part of it is too); otherwise random covers added greedily."""
-    covers = [(f[:i] + f[i + 1:], f) for fs in cx.graded for f in fs
-              for i in range(len(f))]
+    covers = [(f ^ 1 << u, f) for fs in cx.graded for f in fs
+              for u in sorted(members(f))]
     if acyclic and cx.labels:
         v = rnd.randrange(len(cx.labels))
-        covers = [(lo, hi) for lo, hi in covers if v in hi and v not in lo]
+        covers = [(lo, hi) for lo, hi in covers
+                  if hi >> v & 1 and not lo >> v & 1]
     rnd.shuffle(covers)
     keep = rnd.uniform(0.5, 1.0)  # denser pairings close more cycles
     pairing, used = FacePairing(), set()
@@ -431,7 +432,8 @@ def assert_matches_oracle(cx, pairing):
     for k, (lo, hi) in enumerate(witness):
         assert pairing.up[lo] == hi
         nxt = witness[(k + 1) % len(witness)][0]
-        assert nxt != lo and len(nxt) + 1 == len(hi) and set(nxt) < set(hi)
+        assert nxt != lo and nxt.bit_count() + 1 == hi.bit_count()
+        assert nxt & hi == nxt
     return ok
 
 
@@ -465,12 +467,12 @@ def test_verify_acyclic_oracle_sweep_sees_both_outcomes():
 def test_verify_acyclic_rejects_faces_outside_the_complex():
     cx = ind_complex("path", n=3)  # v2 is adjacent to v1 and v3
     pairing = FacePairing()
-    pairing.add((0,), (0, 1))
+    pairing.add(0b001, 0b011)
     with pytest.raises(ValueError, match="outside the complex"):
         verify_acyclic(cx, pairing)
 
 
-@pytest.mark.parametrize("lo,hi", [((0,), (1, 2)), ((), (0, 2))],
+@pytest.mark.parametrize("lo,hi", [(0b001, 0b110), (0, 0b101)],
                          ids=["not-a-facet", "two-sizes-up"])
 def test_verify_acyclic_rejects_non_covers(lo, hi):
     # the full 2-simplex: every pair here is of two faces of the complex
