@@ -2,8 +2,8 @@
 
 Subcommands: graph, complex, census, morse, homology, riordan, scan, verify.
 Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 capacity exceeded.  Identical
-invocations produce byte-identical output.
+1 verification failure, 2 usage error or unwritable --out, 3 capacity
+exceeded.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print("capacity exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAPACITY
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,12 +2,12 @@
 
 Boundary matrices are kept sparse (dict-of-rows with a column index); the
 facets of a vertex-bitmask face are the face with one bit cleared.
-smith_normal_form eliminates unit entries greedily with a minimum-fill
-heuristic before falling back to the classical gcd-driven algorithm on the
-(normally tiny) dense remainder.  Unit-pivot elimination and the dense
-fallback are both unimodular, so the invariant factors of the whole matrix
-are the eliminated units plus the factors of the remainder, renormalized to
-a divisibility chain at the end.  All arithmetic is exact.
+smith_normal_form is one sparse elimination: it takes unit pivots in
+minimum-fill order from a lazy heap, then finishes whatever the units leave
+with Euclid steps (division with remainder) on the same sparse rows.  Every
+step is unimodular, so the invariant factors of the matrix are the unit
+pivots and the isolated Euclid pivots, renormalized to a divisibility chain
+at the end.  All arithmetic is exact.
 
 reduced_homology reduces the chain complex from the top dimension down and
 clears as it goes (Chen & Kerber's twist, Bauer, Kerber & Reininghaus's
@@ -66,14 +66,15 @@ class SNFResult:
         return len(self.factors)
 
 
-def _boundary_matrix(graded, s, cleared=frozenset(), entry_cap=DEFAULT_ENTRY_CAP):
+def _boundary_matrix(graded, s, cleared=frozenset()):
     """d_s from the s-faces to the (s-1)-faces, over the s-faces whose index
     is not in `cleared`.  Kept faces are renumbered 0, 1, ... in order; rows
     keep the index of the (s-1)-face.  The facets of a face are face ^ low
     for its vertex bits low in increasing order, with alternating signs."""
     ncols = len(graded[s]) - len(cleared)
-    if s * ncols > entry_cap:
-        raise CapacityError("boundary matrix exceeds entry cap")
+    if s * ncols > DEFAULT_ENTRY_CAP:
+        raise CapacityError("boundary matrix with %d entries exceeds entry cap %d"
+                            % (s * ncols, DEFAULT_ENTRY_CAP))
     lower_index = {f: i for i, f in enumerate(graded[s - 1])}
     entries = {}
     col = 0
@@ -90,82 +91,13 @@ def _boundary_matrix(graded, s, cleared=frozenset(), entry_cap=DEFAULT_ENTRY_CAP
     return IntegerMatrix(len(graded[s - 1]), ncols, entries)
 
 
-def boundary_matrices(c: SimplicialComplex, entry_cap: int = DEFAULT_ENTRY_CAP):
+def boundary_matrices(c: SimplicialComplex):
     """Boundary operators of the augmented chain complex, in full.
 
     mats[d] maps d-chains to (d-1)-chains; mats[0] is the augmentation row
     sending every vertex to the empty face.
     """
-    return [_boundary_matrix(c.graded, s, entry_cap=entry_cap)
-            for s in range(1, len(c.graded))]
-
-
-def _dense_snf_diagonal(rows):
-    """Classical Smith reduction of a dense integer matrix; returns the
-    nonzero diagonal entries (not yet normalized to a divisibility chain)."""
-    a = [row[:] for row in rows]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    diag = []
-    t = 0
-    while True:
-        # find a pivot: smallest nonzero magnitude in the remaining block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            p = a[t][t]
-            done = True
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    for j in range(t, nc):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    for i in range(t, nr):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        done = False
-                        break
-            if done:
-                break
-        # pivot now alone in its row and column; make it divide the rest
-        p = a[t][t]
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, nc):
-                a[t][j] += a[offender][j]
-            continue
-        diag.append(abs(p))
-        t += 1
-        if t >= nr or t >= nc:
-            break
-    return diag
+    return [_boundary_matrix(c.graded, s) for s in range(1, len(c.graded))]
 
 
 def _chain_normalize(diag):
@@ -187,15 +119,23 @@ def _chain_normalize(diag):
 
 
 def smith_normal_form(M: IntegerMatrix) -> SNFResult:
-    """Invariant factors of an integer matrix."""
+    """Invariant factors of an integer matrix.
+
+    Unit pivots are eliminated first, taken from a heap by minimum fill.
+    The rest is reduced by Euclid steps: the pivot becomes the smallest entry
+    of its column and clears the column mod itself by row operations, then,
+    alone in its column, clears its row mod itself by column operations.
+    Only the rows of the heap's unit pivots are reported as eliminated_rows,
+    the rows reduced_homology may clear.
+    """
     rows = {}
     cols = {}
     for (r, c), v in M.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
 
     eliminated_rows = []
-    loose_diagonal = []
     heap = []
 
     def score(r, c):
@@ -256,26 +196,46 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
             continue
         eliminate(r, c)
 
-    # peel off entries that are alone in both their row and column
-    for r in list(rows):
-        if r not in rows or len(rows[r]) != 1:
-            continue
-        c, v = next(iter(rows[r].items()))
-        if len(cols[c]) == 1:
-            loose_diagonal.append(abs(v))
-            del rows[r]
-            del cols[c]
-
-    diag = [1] * len(eliminated_rows) + loose_diagonal
-    if rows:
-        live_rows = sorted(rows)
-        live_cols = sorted({c for row in rows.values() for c in row})
-        col_pos = {c: i for i, c in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for i, r in enumerate(live_rows):
-            for c, v in rows[r].items():
-                dense[i][col_pos[c]] = v
-        diag.extend(_dense_snf_diagonal(dense))
+    # Euclid steps on what the heap left.  Column operations by p's column
+    # change only p's row once p is alone in its column.  Each pass takes a
+    # strictly smaller pivot, so p ends isolated: one diagonal entry.
+    diag = [1] * len(eliminated_rows)
+    while rows:
+        r = min(rows)
+        c = min(rows[r], key=lambda c2: abs(rows[r][c2]))
+        while True:
+            r = min(cols[c], key=lambda r2: abs(rows[r2][c]))
+            p = rows[r][c]
+            for r2 in list(cols[c]):
+                if r2 == r:
+                    continue
+                row2 = rows[r2]
+                q = row2[c] // p
+                for c2, v in rows[r].items():
+                    newv = row2.get(c2, 0) - q * v
+                    if newv:
+                        row2[c2] = newv
+                        cols[c2].add(r2)
+                    else:
+                        del row2[c2]
+                        cols[c2].discard(r2)
+                if not row2:
+                    del rows[r2]
+            if len(cols[c]) > 1:
+                continue
+            row = rows[r]
+            for c2 in list(row):
+                if c2 != c:
+                    row[c2] %= p
+                    if not row[c2]:
+                        del row[c2]
+                        cols[c2].discard(r)
+            if len(row) == 1:
+                break
+            c = min((c2 for c2 in row if c2 != c), key=lambda c2: abs(row[c2]))
+        diag.append(abs(p))
+        del rows[r]
+        del cols[c]
     return SNFResult(_chain_normalize(diag), tuple(eliminated_rows))
 
 

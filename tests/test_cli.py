@@ -193,6 +193,15 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["family"] == "path"
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "graph.json"
+    code = main(["graph", "--family", "path", "--n", "3", "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_bad_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["nonesuch"])

@@ -7,12 +7,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import ind_complex
-from gridmorse import complexes
+from gridmorse import complexes, homology
 from gridmorse import (CapacityError, CriticalCensus, Graph, IntegerMatrix,
                        SimplicialComplex, SNFResult, boundary_matrices,
                        build_graph, census_from_tree, comb_tree,
-                       independence_complex, morse_inequality_check, plain,
-                       reduced_homology, smith_normal_form, torsion_scan)
+                       independence_complex, matching_complex,
+                       morse_inequality_check, plain, reduced_homology,
+                       smith_normal_form, torsion_scan)
 
 
 def minor_gcd_snf(rows):
@@ -88,6 +89,64 @@ def test_snf_unimodular_invariance_seeded():
             for r in range(nr):
                 rows[r][i] += s * rows[r][j]
         assert smith_normal_form(IntegerMatrix.from_rows(rows)).factors == base
+
+
+def scrambled_diagonal(diag, size, seed, ops):
+    """A size x size matrix with the given diagonal, hidden by seeded
+    unimodular row and column additions."""
+    rng = random.Random(seed)
+    rows = [[0] * size for _ in range(size)]
+    for i, d in enumerate(diag):
+        rows[i][i] = d
+    for _ in range(ops):
+        i, j = rng.sample(range(size), 2)
+        s = rng.choice((-1, 1))
+        for c in range(size):
+            rows[i][c] += s * rows[j][c]
+        i, j = rng.sample(range(size), 2)
+        s = rng.choice((-1, 1))
+        for r in range(size):
+            rows[r][i] += s * rows[r][j]
+    return rows
+
+
+def test_snf_recovers_scrambled_non_unit_factors():
+    # every entry stays even, so the unit heap takes nothing and the Euclid
+    # steps do all the work on a dense 40 x 40 matrix
+    diag = (2,) * 20 + (6,) * 10 + (30,) * 5
+    rows = scrambled_diagonal(diag, 40, seed=5, ops=120)
+    assert sum(1 for row in rows for v in row if v) > 1000
+    assert all(v % 2 == 0 for row in rows for v in row)
+    snf = smith_normal_form(IntegerMatrix.from_rows(rows))
+    assert snf.factors == diag
+    assert snf.eliminated_rows == ()
+
+
+def test_snf_skips_explicit_zero_entries():
+    M = IntegerMatrix(2, 2, {(0, 0): 0, (1, 0): 0, (1, 1): 4})
+    assert smith_normal_form(M).factors == (4,)
+
+
+def test_snf_leaves_its_input_unchanged():
+    rows = scrambled_diagonal((2, 6, 6, 30), 8, seed=3, ops=30)
+    mats = [IntegerMatrix.from_rows(rows),
+            boundary_matrices(ind_complex("cycle", n=6))[1]]
+    for M in mats:
+        before = dict(M.entries)
+        smith_normal_form(M)
+        assert M.entries == before
+
+
+def complete_graph(k):
+    verts = [plain(i) for i in range(1, k + 1)]
+    return Graph(verts, [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]])
+
+
+def test_matching_complex_k7_torsion():
+    # Bouc (1992): the matching complex of K7 has H~_1 = Z/3, H~_2 = Z^20
+    report = reduced_homology(matching_complex(complete_graph(7)))
+    assert report.betti_profile() == {2: 20}
+    assert report.torsion == {1: (3,)}
 
 
 def test_boundary_of_full_triangle():
@@ -191,6 +250,18 @@ def test_torsion_scan_skips_over_cap(monkeypatch):
     assert torsion_scan(2, [2, 5], face_cap=100) == [
         (2, {}), (5, "skipped: more than 100 faces")]
     assert len(calls) == 2
+
+
+def test_boundary_entry_cap(monkeypatch):
+    # the cap is read at call time; C6's complex has 6 vertices and 2
+    # triangles, so d_1 (built first by boundary_matrices) and d_3 (built
+    # first by reduced_homology) are each charged 6 entries
+    cx = ind_complex("cycle", n=6)
+    monkeypatch.setattr(homology, "DEFAULT_ENTRY_CAP", 5)
+    with pytest.raises(CapacityError, match="6 entries exceeds entry cap 5"):
+        boundary_matrices(cx)
+    with pytest.raises(CapacityError, match="6 entries exceeds entry cap 5"):
+        reduced_homology(cx)
 
 
 def test_homology_capacity_guard():
