@@ -59,19 +59,16 @@ def census_seed(m: int) -> CensusTable:
     """Rows n = 0..3 of the census table."""
     if m < 2:
         raise ValueError("requires m >= 2")
-    if m == 2:
-        rows = [[1], [0, 2], [0, 0, 1], [0, 0, 2]]
-    else:
-        row1 = [0] * m
-        row1[1] = 1
-        row1[m - 1] = 1
-        row2 = [0] * (m + 1)
-        row2[m] = 1
-        row3 = [0] * (m + 1)
-        row3[2] = 1
-        row3[m] = 1
-        rows = [[1], row1, row2, row3]
-    return CensusTable(m, rows)
+    # at m = 2 the two cells of row 1, and of row 3, coincide and add up
+    row1 = [0] * m
+    row1[1] += 1
+    row1[m - 1] += 1
+    row2 = [0] * (m + 1)
+    row2[m] = 1
+    row3 = [0] * (m + 1)
+    row3[2] += 1
+    row3[m] += 1
+    return CensusTable(m, [[1], row1, row2, row3])
 
 
 def census_extend(table: CensusTable, n_max: int) -> CensusTable:

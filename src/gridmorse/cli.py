@@ -70,7 +70,7 @@ def cmd_complex(args):
 
 def cmd_census(args):
     table = census_mod.census_table(args.m, args.nmax)
-    if args.oeis:
+    if args.format == "oeis":
         lines = ["%d %d" % (n, census_mod.euler_from_table(table, n))
                  for n in range(args.nmax + 1)]
         _emit("\n".join(lines), args.out)
@@ -125,8 +125,7 @@ def _check_seed(m):
 
 def _instance_checks(m, n, cap):
     """Tree/complex cross-checks for one comb instance, all under one face
-    cap, or a SKIP row over it.  Top level so that verify can shard
-    instances across worker processes."""
+    cap, or a SKIP row over it."""
     name = "acyclic+partition(m=%d,n=%d)" % (m, n)
     try:
         cx = independence_complex(build_graph("delta", m=m, n=n), cap)
@@ -169,7 +168,7 @@ def _verify_checks(args):
     m, nmax = args.m, args.nmax
     rows = [("seed-table(m=%d)" % m, _check_seed(m), "")]
 
-    table = census_mod.census_table(m, max(nmax, 4))
+    table = census_mod.census_table(m, max(nmax, 12))
     ok = True
     bad = []
     for n in range(0, nmax + 1):
@@ -183,9 +182,8 @@ def _verify_checks(args):
 
     hist = {}
     ok = True
-    full = census_mod.census_table(m, max(nmax, 12))
-    for n in range(0, max(nmax, 12) + 1):
-        e = census_mod.euler_from_table(full, n)
+    for n in range(0, table.n_max + 1):
+        e = census_mod.euler_from_table(table, n)
         hist[n] = e
         if e != census_mod.euler_recursion(m, n, hist) or \
            e != census_mod.euler_closed_form(m, n):
@@ -204,20 +202,8 @@ def _verify_checks(args):
                 ok = False
     rows.append(("support-bounds(m=%d,n<=%d)" % (m, nmax), ok, ""))
 
-    jobs = [(m, n, args.face_cap) for n in range(0, nmax + 1)]
-    if args.jobs > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_instance_checks, *zip(*jobs)))
-        except OSError as exc:
-            print("verify: process pool unavailable (%s); running the checks "
-                  "serially" % exc, file=sys.stderr)
-            results = [_instance_checks(*job) for job in jobs]
-    else:
-        results = [_instance_checks(*job) for job in jobs]
-    for chunk in results:
-        rows.extend(chunk)
+    for n in range(0, nmax + 1):
+        rows.extend(_instance_checks(m, n, args.face_cap))
 
     scan_ok = census_mod.observation_scan(99)[1] == [48, 61, 74, 84, 87, 90, 94, 97]
     rows.append(("rank-excess-scan(n<=99)", scan_ok, ""))
@@ -276,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = table_parser("census", "closed-form critical cell table", 10)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
-    p.add_argument("--oeis", action="store_true",
-                   help="print the Euler characteristic sequence in b-file form")
+    p.add_argument("--format", choices=["csv", "json", "oeis"], default="json",
+                   help="oeis prints the Euler characteristic sequence in b-file form")
     p.set_defaults(func=cmd_census)
 
     p = family_parser("morse", "grow a matching tree and report its census")
@@ -298,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--face-cap", type=int, default=DEFAULT_HOMOLOGY_FACE_CAP)
     p.add_argument("--seed", type=int, default=20160603)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -312,8 +296,6 @@ def main(argv=None) -> int:
         parser.error("--nmax must be nonnegative")
     if getattr(args, "face_cap", 0) < 0:
         parser.error("--face-cap must be nonnegative")
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except CapacityError as exc:

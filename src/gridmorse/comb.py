@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .complexes import _bits
 from .graphs import Graph, build_graph
 from .morse import Free, Match, MatchingTree, Split, run_strategy
 
@@ -187,21 +186,6 @@ def census_from_tree(tree: MatchingTree) -> CriticalCensus:
         counts[d] = counts.get(d, 0) + 1
     params = tree.graph.params
     return CriticalCensus(params.get("m"), params.get("n"), counts)
-
-
-def census_split(tree: MatchingTree) -> dict:
-    """Per-tooth breakdown: critical-cell counts keyed by the smallest spine
-    index in the cell (None for cells from the all-excluded theta branch)."""
-    g = tree.graph
-    out = {}
-    for nd in tree.critical_leaves():
-        spines = [g.vertices[i].args[0] for i in _bits(nd.A)
-                  if g.vertices[i].kind == "s"]
-        key = min(spines) if spines else None
-        counts = out.setdefault(key, {})
-        d = nd.A.bit_count() - 1
-        counts[d] = counts.get(d, 0) + 1
-    return out
 
 
 def path_tree(n: int) -> MatchingTree:

@@ -17,8 +17,8 @@ recursion I(G) = I(G - v) + I(G - N[v]) one connected component at a time,
 with vertex sets held as bitmasks and component counts memoised within a
 call, so no face is visited.  Under a cap the arithmetic saturates at
 cap + 1, which stays exact because every partial count is at least 1 and
-sums and products are monotone.  The same counter gives |Sigma(A, B)| for
-matching-tree nodes (morse.sigma_count).  The count decides only whether
+sums and products are monotone.  morse._site_pairs uses the same counter
+for |Sigma(A, B)| at matching-tree nodes.  The count decides only whether
 enumeration is refused; the faces listed do not depend on it, so
 enumeration stays the independent oracle that tests check it against.
 """

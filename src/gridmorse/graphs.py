@@ -74,26 +74,6 @@ def grid_edge(kind: str, col: int) -> VertexLabel:
     return VertexLabel("ge", (kind, col))
 
 
-def parse_label(text: str) -> VertexLabel:
-    """Inverse of str(label)."""
-    if text == "a":
-        return END_A
-    if text == "b":
-        return END_B
-    if text.startswith("ge"):
-        kind, col = text[2:].split(".")
-        return grid_edge(kind, int(col))
-    head, rest = text[0], text[1:]
-    if head == "s":
-        return spine(int(rest))
-    if head == "v":
-        return plain(int(rest))
-    if head in ("t", "e"):
-        i, j = rest.split(".")
-        return VertexLabel(head, (int(i), int(j)))
-    raise ValueError("cannot parse vertex label %r" % text)
-
-
 class Graph:
     """Immutable simple graph with a fixed vertex order.
 

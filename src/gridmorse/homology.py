@@ -300,8 +300,7 @@ def morse_inequality_check(census, report: HomologyReport) -> bool:
     for d in dims:
         if report.betti.get(d, 0) > census.counts.get(d, 0):
             return False
-    cells_euler = sum(c if d % 2 == 0 else -c for d, c in census.counts.items())
-    return cells_euler == report.euler
+    return census.euler() == report.euler
 
 
 def torsion_scan(m: int, n_range, face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP):

@@ -152,16 +152,6 @@ class MatchingTree:
         }
 
 
-def residual_vertices(g: Graph, node: SigmaNode) -> set:
-    """V minus (A, B and N(A)), as a set of labels."""
-    return {g.vertices[i] for i in node.residual}
-
-
-def sigma_count(g: Graph, node: SigmaNode) -> int:
-    """|Sigma(A, B)| = number of independent sets of the residual graph."""
-    return _count_independent(g.nbr, node.residual_mask)
-
-
 def _resplit(nbr, components, v, cut):
     """The components after the vertices of `cut` leave the residual, where
     v is residual and `cut` is v, or v and N(v).  Only the component holding

@@ -39,7 +39,13 @@ def test_criterion_01_seed_table_fidelity():
     for m, want in expected.items():
         got = {(n, d): c for n, d, c in census_seed(m).nonzero()}
         assert got == want, m
-    report("PASS 01 seed-table fidelity, m in {2,3,4,5}, exact")
+    # one seed formula for every m, m = 2 included: the matching trees'
+    # censuses share no code with it
+    for m in range(2, 9):
+        for n in range(4):
+            assert census_seed(m).row_counts(n) == comb_census(m, n).counts, (m, n)
+    report("PASS 01 seed-table fidelity, m in {2,3,4,5} exact, "
+           "m in 2..8 against the tree census")
 
 
 def test_criterion_02_oracle_equivalence():

@@ -49,7 +49,7 @@ def test_census_csv(capsys):
 
 
 def test_census_oeis_bfile(capsys):
-    code, out = run(capsys, "census", "--m", "2", "--nmax", "4", "--oeis")
+    code, out = run(capsys, "census", "--m", "2", "--nmax", "4", "--format", "oeis")
     assert code == 0
     assert out.strip().splitlines() == ["0 1", "1 -2", "2 1", "3 2", "4 -5"]
 
@@ -165,13 +165,6 @@ def test_pinned_output_digests(argv, code, digest, capsys):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
-def test_verify_jobs(capsys):
-    code1, out1 = run(capsys, "verify", "--m", "2", "--nmax", "2")
-    code2, out2 = run(capsys, "verify", "--m", "2", "--nmax", "2", "--jobs", "2")
-    assert (code1, code2) == (0, 0)
-    assert out1 == out2
-
-
 def test_usage_errors(capsys):
     code, _ = run(capsys, "graph", "--family", "star", "--n", "2")
     assert code == 2
@@ -218,24 +211,6 @@ def test_negative_nmax_exits_2(command, capsys):
     assert "--nmax must be nonnegative" in captured.err
 
 
-def test_verify_jobs_reports_serial_fallback(capsys, monkeypatch):
-    import concurrent.futures
-
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise OSError("no semaphores")
-
-    code1, out1 = run(capsys, "verify", "--m", "2", "--nmax", "2")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-    code2 = main(["verify", "--m", "2", "--nmax", "2", "--jobs", "2"])
-    captured = capsys.readouterr()
-    assert (code1, code2) == (0, 0)
-    assert captured.out == out1
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert "no semaphores" in lines[0] and "serially" in lines[0]
-
-
 def exit_code(argv):
     """main's exit code, whether it returns it or argparse raises it."""
     try:
@@ -252,6 +227,8 @@ def exit_code(argv):
     ["census", "--seed", "1"],
     ["homology", "--n", "2", "--m", "2", "--jobs", "2"],
     ["graph", "--family", "path", "--n", "3", "--m", "2"],
+    ["verify", "--jobs", "2"],
+    ["census", "--oeis"],
 ])
 def test_unread_flags_exit_2(argv, capsys):
     assert exit_code(argv) == 2
@@ -274,8 +251,9 @@ def test_morse_without_pivot_rule(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["verify", "--jobs", "0"], "--jobs must be at least 1"),
-    (["verify", "--jobs", "-4"], "--jobs must be at least 1"),
+    (["verify", "--m", "-1"], "--m must be nonnegative"),
+    (["graph", "--family", "delta", "--m", "-2", "--n", "3"],
+     "--m must be nonnegative"),
     (["complex", "--family", "cycle", "--n", "6", "--face-cap", "-1"],
      "--face-cap must be nonnegative"),
 ])

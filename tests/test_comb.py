@@ -2,8 +2,8 @@ import pytest
 
 from conftest import star_profile, theta_profile
 from gridmorse import (PIVOT_RULES, build_graph, census_from_tree,
-                       census_split, comb_census, comb_tree, path_tree,
-                       star_tree, theta_tree)
+                       comb_census, comb_tree, path_tree, star_tree,
+                       theta_tree)
 
 
 def path_profile(n):
@@ -73,21 +73,6 @@ def test_census_metadata():
     assert census.total() == 1
     assert census.euler() == -1
     assert census.to_json() == {"m": 3, "n": 2, "census": {"3": 1}}
-
-
-def test_census_split_dead_teeth():
-    # teeth whose star factor has length 0 mod 3, and the last tooth,
-    # contribute nothing
-    for m, n in [(2, 4), (2, 5), (3, 4)]:
-        split = census_split(comb_tree(m, n))
-        for k in range(1, n + 1):
-            if (k - 1) % 3 == 0 or k == n:
-                assert k not in split, (m, n, k)
-        total = {}
-        for counts in split.values():
-            for d, c in counts.items():
-                total[d] = total.get(d, 0) + c
-        assert total == comb_census(m, n).counts
 
 
 def test_strategies_are_pure():

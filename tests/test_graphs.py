@@ -1,8 +1,7 @@
 import pytest
 
 from gridmorse import (END_A, END_B, Graph, build_graph, delta2_isomorphism,
-                       line_graph, neighbors, parse_label, plain, spine,
-                       tendril)
+                       line_graph, neighbors, plain, spine, tendril)
 
 
 def degrees(g):
@@ -156,15 +155,6 @@ def test_delta2_isomorphism(n):
     for k in range(1, n + 1):
         assert grid_line.degree(grid_line.idx(mapping[spine(k)])) == 4
         assert comb.degree(comb.idx(spine(k))) == 4
-
-
-def test_label_round_trip():
-    g = build_graph("delta", m=2, n=2)
-    for v in g.vertices:
-        assert parse_label(str(v)) == v
-    lg = line_graph(build_graph("grid2", n=3))
-    for v in lg.vertices:
-        assert parse_label(str(v)) == v
 
 
 def test_graph_json():

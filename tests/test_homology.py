@@ -149,6 +149,17 @@ def test_matching_complex_k7_torsion():
     assert report.torsion == {1: (3,)}
 
 
+def test_matching_complex_k55_torsion():
+    # Shareshian & Wachs (2007): torsion in the chessboard complex M(K5,5)
+    left = [plain(i) for i in range(1, 6)]
+    right = [plain(i) for i in range(6, 11)]
+    report = reduced_homology(matching_complex(
+        Graph(left + right, [(u, v) for u in left for v in right])))
+    assert report.betti_profile() == {3: 56}
+    assert report.torsion == {2: (3,)}
+    assert report.euler == -56
+
+
 def test_boundary_of_full_triangle():
     full = independence_complex(Graph([plain(1), plain(2), plain(3)], []))
     mats = boundary_matrices(full)

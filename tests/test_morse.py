@@ -11,8 +11,8 @@ from gridmorse import (PIVOT_RULES, CapacityError, FacePairing, Free, Graph,
                        Match, MatchingTree, MatchingTreeError, SigmaNode, Split,
                        build_graph, collect_pairing, comb_tree, critical_cells,
                        expand, independence_complex, path_tree, plain,
-                       residual_vertices, run_strategy, sigma_count, spine,
-                       star_tree, theta_tree, verify_acyclic)
+                       run_strategy, spine, star_tree, theta_tree,
+                       verify_acyclic)
 
 
 def fresh(g):
@@ -23,8 +23,9 @@ def test_residual_and_sigma_at_root():
     g = build_graph("cycle", n=4)
     tree = MatchingTree(g)
     root = tree.node(0)
-    assert residual_vertices(g, root) == set(g.vertices)
-    assert sigma_count(g, root) == 7  # empty set, 4 singletons, 2 diagonals
+    assert {g.vertices[i] for i in root.residual} == set(g.vertices)
+    # empty set, 4 singletons, 2 diagonals
+    assert complexes._count_independent(g.nbr, root.residual_mask) == 7
 
 
 def test_split_then_counts():
@@ -35,9 +36,10 @@ def test_split_then_counts():
     assert excl.A == 0 and excl.B == 1 << g.idx(plain(1))
     assert incl.A == 1 << g.idx(plain(1))
     assert incl.B == 1 << g.idx(plain(2)) | 1 << g.idx(plain(4))
-    assert residual_vertices(g, incl) == {plain(3)}
-    assert sigma_count(g, incl) == 2   # {1} and {1,3}
-    assert sigma_count(g, tree.node(0)) == 7
+    assert {g.vertices[i] for i in incl.residual} == {plain(3)}
+    # {1} and {1,3}
+    assert complexes._count_independent(g.nbr, incl.residual_mask) == 2
+    assert complexes._count_independent(g.nbr, tree.node(0).residual_mask) == 7
 
 
 def test_residual_of_backbone_terminus_is_theta():
@@ -48,8 +50,7 @@ def test_residual_of_backbone_terminus_is_theta():
     excl = tree.node(1)
     expand(tree, excl.id, Split(g.idx(spine(2))))
     terminus = tree.node(excl.children[0])
-    res = residual_vertices(g, terminus)
-    kinds = sorted(v.kind for v in res)
+    kinds = sorted(g.vertices[i].kind for i in terminus.residual)
     # hub a, hub b and all nine tendril vertices survive: a theta subgraph
     assert kinds == ["a", "b"] + ["t"] * 9
 
@@ -372,7 +373,8 @@ def test_sigma_count_matches_face_filter(maker, fam, kw):
     faces = list(ind_complex(fam, **kw).all_faces())
     for nd in tree.nodes:
         want = sum(1 for f in faces if f & nd.A == nd.A and not nd.B & f)
-        assert sigma_count(tree.graph, nd) == want, nd.id
+        assert complexes._count_independent(tree.graph.nbr,
+                                            nd.residual_mask) == want, nd.id
 
 
 def kahn_acyclic(cx, pairing):
