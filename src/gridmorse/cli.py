@@ -83,9 +83,7 @@ def cmd_census(args):
 
 def cmd_morse(args):
     g = _build_family(args)
-    if g.family not in comb_mod.PIVOT_RULES:
-        raise ValueError("no pivot script for the %s family" % g.family)
-    tree = run_strategy(g, comb_mod.PIVOT_RULES[g.family])
+    tree = run_strategy(g, comb_mod.PIVOT_RULES.get(g.family, comb_mod.GENERIC_RULE))
     out = tree.to_json()
     out["census"] = comb_mod.census_from_tree(tree).to_json()
     _emit_json(out, args.out)
@@ -238,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def family_parser(name, summary):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--family", default="delta",
                        choices=["path", "cycle", "grid2", "star", "theta", "delta"])
         p.add_argument("--m", type=int, default=None)
@@ -247,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def table_parser(name, summary, nmax):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--nmax", type=int, default=nmax)
         p.add_argument("--out", default=None)
         return p

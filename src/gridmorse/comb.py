@@ -1,15 +1,16 @@
-"""The deterministic pivot rule for paths, extended stars, theta graphs and
-comb graphs, plus the critical-cell census read off a completed tree.
+"""The pivot rules that grow matching trees, the paper's rule and a generic
+rule for every other graph, plus the critical-cell census read off a tree.
 
-`PIVOT_RULES` maps a graph family to its rule: `PATH_RULE` for paths and
-`FAMILY_RULE` for the star, theta and comb ("delta") families.  Each is a
-pure function of a node's (A, B) bitmasks, read through the residual bitmask
-and the residual's connected components that the node carries from its
-parent (see morse).  The path rule frees an isolated residual vertex if
-there is one and otherwise matches the path's low end: Match(1, 2), then
-Match(4, 5), and so on.  The family rule is one decision procedure for all
-phases; it classifies the connected components of the residual graph and
-acts on the first applicable rule:
+`PIVOT_RULES` maps the star, theta and comb ("delta") families to
+`FAMILY_RULE`; every other graph takes `GENERIC_RULE`.  Each is a pure
+function of a node's (A, B) bitmasks, read through the residual bitmask and
+the residual's connected components that the node carries from its parent
+(see morse).  The generic rule frees the lowest isolated residual vertex,
+else matches the lowest one of residual degree one with its neighbour, else
+splits the lowest one: on a path, Match(1, 2), then Match(4, 5), and so on.
+The family rule is one decision procedure for all phases; it classifies the
+connected components of the residual graph and acts on the first rule that
+applies:
 
   1. a residual vertex with no residual neighbors exists -> Free the
      lowest one, the first singleton component.  This kills contractible
@@ -158,24 +159,25 @@ def _family_step(g: Graph, node):
     return step
 
 
-def _path_step(g: Graph, node):
+def _generic_step(g: Graph, node):
     for comp in node.components:
         if comp & (comp - 1) == 0:
             return Free(comp.bit_length() - 1)
-    res = node.residual_mask
-    p = _lowest(res)
-    nb = g.nbr[p] & res
-    if not nb or nb & (nb - 1):
-        raise RuntimeError("path start %s is not degree one" % g.vertices[p])
-    return Match(p, nb.bit_length() - 1)
+    res = rest = node.residual_mask
+    while rest:
+        p = _lowest(rest)
+        nb = g.nbr[p] & res
+        if nb & (nb - 1) == 0:
+            return Match(p, nb.bit_length() - 1)
+        rest ^= 1 << p
+    return Split(_lowest(res))
 
 
-PATH_RULE = StrategyScript("path", _path_step)
+GENERIC_RULE = StrategyScript("generic", _generic_step)
 FAMILY_RULE = StrategyScript("family", _family_step)
 
-# The pivot rule of each graph family, keyed by Graph.family.
-PIVOT_RULES = {"path": PATH_RULE, "star": FAMILY_RULE, "theta": FAMILY_RULE,
-               "delta": FAMILY_RULE}
+# The paper's rule, keyed by Graph.family; other graphs take GENERIC_RULE.
+PIVOT_RULES = {"star": FAMILY_RULE, "theta": FAMILY_RULE, "delta": FAMILY_RULE}
 
 
 def census_from_tree(tree: MatchingTree) -> CriticalCensus:
@@ -189,7 +191,7 @@ def census_from_tree(tree: MatchingTree) -> CriticalCensus:
 
 
 def path_tree(n: int) -> MatchingTree:
-    return run_strategy(build_graph("path", n=n), PATH_RULE)
+    return run_strategy(build_graph("path", n=n), GENERIC_RULE)
 
 
 def star_tree(m: int, n: int) -> MatchingTree:

@@ -244,12 +244,15 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
     return tree
 
 
-def run_strategy(g: Graph, strategy, step_budget: int = DEFAULT_STEP_BUDGET) -> MatchingTree:
+def run_strategy(g: Graph, strategy) -> MatchingTree:
     """Grow a matching tree to completion under a deterministic pivot rule.
 
     strategy(graph, node) must return a legal Free/Match/Split step for every
-    leaf with nonempty residual.
+    leaf with nonempty residual.  Past DEFAULT_STEP_BUDGET steps it raises
+    CapacityError, after growth has started: no cheap exact count of a
+    tree's size exists up front.
     """
+    budget = DEFAULT_STEP_BUDGET
     tree = MatchingTree(g)
     stack = [0]
     steps = 0
@@ -259,8 +262,8 @@ def run_strategy(g: Graph, strategy, step_budget: int = DEFAULT_STEP_BUDGET) -> 
         if node.kind == "empty" or not node.residual_mask:
             continue
         steps += 1
-        if steps > step_budget:
-            raise MatchingTreeError("step budget %d exceeded" % step_budget)
+        if steps > budget:
+            raise CapacityError("step budget %d exceeded" % budget)
         step = strategy(g, node)
         expand(tree, nid, step)
         stack.extend(reversed(node.children))

@@ -7,7 +7,7 @@ profiles are written straight from the closed-form case splits.
 
 from itertools import combinations
 
-from gridmorse import build_graph, independence_complex
+from gridmorse import Graph, build_graph, independence_complex, plain
 
 
 def brute_faces(g):
@@ -52,6 +52,18 @@ def theta_profile(m, n):
     for d in (m * k + 1, m * (k + 1) - 1):
         out[d] = out.get(d, 0) + 1
     return out
+
+
+def complete_multipartite(*sizes):
+    """Parts of the given sizes, every two vertices of different parts
+    adjacent: K7 is seven parts of one, K5,5 two parts of five."""
+    parts, i = [], 1
+    for size in sizes:
+        parts.append([plain(j) for j in range(i, i + size)])
+        i += size
+    return Graph([v for part in parts for v in part],
+                 [(u, v) for a, pa in enumerate(parts) for pb in parts[a + 1:]
+                  for u in pa for v in pb])
 
 
 def ind_complex(family, **kw):

@@ -151,6 +151,12 @@ PINNED_OUTPUT = [
      "2fff4a731e5b04315373800d7b223f0e1fce590437a7a49944b9d8113e838d2c"),
     ("morse --family delta --m 2 --n 6", 0,
      "91b7e6039b0528c3729352375b1cee39fb6ad9e27c50858189e28d5cfd492aa4"),
+    ("morse --family path --n 12", 0,
+     "e383766734adb50035992da24af4bd45e5db91ac2d29997fcc0db6834845eb67"),
+    ("morse --family star --m 3 --n 5", 0,
+     "a00041be644cca342a30d1d186a9f9ac13f3421a75369522850a79331056f168"),
+    ("morse --family cycle --n 6", 0,
+     "6e932b33c668444f5f54539bb6cbdf85731157d111780382a401ecc9d9abcea3"),
     ("verify --m 2 --nmax 4", 0,
      "84b7e75367e984a904e45f40717686b14e7be96b6287c410beb2b6d52cc6098e"),
     ("verify --m 2 --nmax 4 --face-cap 100", 0,
@@ -229,6 +235,8 @@ def exit_code(argv):
     ["graph", "--family", "path", "--n", "3", "--m", "2"],
     ["verify", "--jobs", "2"],
     ["census", "--oeis"],
+    ["census", "--m", "2", "--nmax", "3", "--form", "oeis"],
+    ["verify", "--see", "1"],
 ])
 def test_unread_flags_exit_2(argv, capsys):
     assert exit_code(argv) == 2
@@ -241,13 +249,6 @@ def test_m_rejected_for_families_without_m(family, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--m is not used by the %s family" % family in captured.err
-
-
-def test_morse_without_pivot_rule(capsys):
-    assert main(["morse", "--family", "cycle", "--n", "6"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "no pivot script for the cycle family" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -280,7 +281,7 @@ def readme_commands():
 
 def test_readme_commands_run(capsys):
     commands = readme_commands()
-    assert len(commands) == 9
+    assert len(commands) == 10
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()

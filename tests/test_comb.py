@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import star_profile, theta_profile
-from gridmorse import (PIVOT_RULES, build_graph, census_from_tree,
-                       comb_census, comb_tree, path_tree, star_tree,
-                       theta_tree)
+from gridmorse import (GENERIC_RULE, PIVOT_RULES, build_graph,
+                       census_from_tree, comb_census, comb_tree, path_tree,
+                       run_strategy, star_tree, theta_tree)
 
 
 def path_profile(n):
@@ -79,6 +79,10 @@ def test_strategies_are_pure():
     # a freshly built equal graph shares no per-graph state with the tree's,
     # so the rule must recompute every recorded step from the node alone
     cases = [("path", dict(n=8), path_tree(8)),
+             ("cycle", dict(n=7),
+              run_strategy(build_graph("cycle", n=7), GENERIC_RULE)),
+             ("grid2", dict(n=4),
+              run_strategy(build_graph("grid2", n=4), GENERIC_RULE)),
              ("star", dict(m=3, n=5), star_tree(3, 5)),
              ("theta", dict(m=3, n=4), theta_tree(3, 4))]
     cases += [("delta", dict(m=m, n=n), comb_tree(m, n))
@@ -86,7 +90,7 @@ def test_strategies_are_pure():
     for fam, kw, tree in cases:
         g = build_graph(fam, **kw)
         assert g is not tree.graph
-        strat = PIVOT_RULES[fam]
+        strat = PIVOT_RULES.get(fam, GENERIC_RULE)
         for node in tree.nodes:
             if node.step is not None and node.residual:
                 assert strat(g, node) == node.step, (fam, kw, node.id)

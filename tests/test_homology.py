@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ind_complex
+from conftest import complete_multipartite, ind_complex
 from gridmorse import complexes, homology
 from gridmorse import (CapacityError, CriticalCensus, Graph, IntegerMatrix,
                        SimplicialComplex, SNFResult, boundary_matrices,
@@ -137,24 +137,16 @@ def test_snf_leaves_its_input_unchanged():
         assert M.entries == before
 
 
-def complete_graph(k):
-    verts = [plain(i) for i in range(1, k + 1)]
-    return Graph(verts, [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]])
-
-
 def test_matching_complex_k7_torsion():
     # Bouc (1992): the matching complex of K7 has H~_1 = Z/3, H~_2 = Z^20
-    report = reduced_homology(matching_complex(complete_graph(7)))
+    report = reduced_homology(matching_complex(complete_multipartite(*[1] * 7)))
     assert report.betti_profile() == {2: 20}
     assert report.torsion == {1: (3,)}
 
 
 def test_matching_complex_k55_torsion():
     # Shareshian & Wachs (2007): torsion in the chessboard complex M(K5,5)
-    left = [plain(i) for i in range(1, 6)]
-    right = [plain(i) for i in range(6, 11)]
-    report = reduced_homology(matching_complex(
-        Graph(left + right, [(u, v) for u in left for v in right])))
+    report = reduced_homology(matching_complex(complete_multipartite(5, 5)))
     assert report.betti_profile() == {3: 56}
     assert report.torsion == {2: (3,)}
     assert report.euler == -56

@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ind_complex, unbuilt
+from conftest import complete_multipartite, ind_complex, unbuilt
+from gridmorse.cli import main
 from gridmorse.complexes import _components
 from gridmorse import complexes, morse
-from gridmorse import (PIVOT_RULES, CapacityError, FacePairing, Free, Graph,
+from gridmorse import (GENERIC_RULE, CapacityError, FacePairing, Free, Graph,
                        Match, MatchingTree, MatchingTreeError, SigmaNode, Split,
-                       build_graph, collect_pairing, comb_tree, critical_cells,
-                       expand, independence_complex, path_tree, plain,
-                       run_strategy, spine, star_tree, theta_tree,
-                       verify_acyclic)
+                       build_graph, census_from_tree, collect_pairing,
+                       comb_tree, critical_cells, expand, independence_complex,
+                       line_graph, morse_inequality_check, path_tree, plain,
+                       reduced_homology, run_strategy, spine, star_tree,
+                       theta_tree, verify_acyclic)
 
 
 def fresh(g):
@@ -245,10 +247,14 @@ def test_bad_strategy_rejected():
         run_strategy(g, lambda graph, node: Free(0))  # vertex 1 is not free
 
 
-def test_step_budget():
-    g = build_graph("path", n=9)
-    with pytest.raises(MatchingTreeError, match="budget"):
-        run_strategy(g, PIVOT_RULES["path"], step_budget=2)
+def test_step_budget(monkeypatch, capsys):
+    # a capacity limit, not bad input: exit 3 with nothing on stdout
+    monkeypatch.setattr(morse, "DEFAULT_STEP_BUDGET", 2)
+    with pytest.raises(CapacityError, match="step budget 2 exceeded"):
+        run_strategy(build_graph("path", n=9), GENERIC_RULE)
+    assert main(["morse", "--family", "path", "--n", "9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "step budget 2" in captured.err
 
 
 def test_tree_json():
@@ -347,6 +353,38 @@ def sparse_random_graph(size, density, rnd):
 def test_carried_state_matches_recomputation(size, density, rnd):
     assert_carried_state(run_strategy(sparse_random_graph(size, density, rnd),
                                       generic_step))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 11), st.floats(0.05, 0.6),
+       st.randoms(use_true_random=False))
+def test_generic_rule_matches_set_based_reference(size, density, rnd):
+    g = sparse_random_graph(size, density, rnd)
+    assert (run_strategy(g, GENERIC_RULE).to_json()
+            == run_strategy(g, generic_step).to_json())
+
+
+@pytest.mark.parametrize("g,torsion", [
+    *[(build_graph("cycle", n=n), {}) for n in range(3, 13)],
+    *[(build_graph("grid2", n=n), {}) for n in range(1, 8)],
+    # Bouc (1992) and Shareshian & Wachs (2007): Z/3 in H~_1 of M(K7) and
+    # in H~_2 of M(K5,5), the torsion half of the sample
+    (line_graph(complete_multipartite(*[1] * 7)), {1: (3,)}),
+    (line_graph(complete_multipartite(5, 5)), {2: (3,)}),
+], ids=[*("cycle-%d" % n for n in range(3, 13)),
+        *("grid2-%d" % n for n in range(1, 8)), "M(K7)", "M(K5,5)"])
+def test_generic_rule_certified(g, torsion):
+    # the generic tree's matching partitions the faces, is acyclic, and
+    # its critical cells bound the exact homology
+    tree = run_strategy(g, GENERIC_RULE)
+    cx = independence_complex(g)
+    pairing = collect_pairing(tree)
+    paired, crit = pairing.paired_faces(), set(critical_cells(tree))
+    assert paired | crit == set(cx.all_faces()) and not paired & crit
+    assert verify_acyclic(cx, pairing) == (True, None)
+    report = reduced_homology(cx)
+    assert report.torsion == torsion
+    assert morse_inequality_check(census_from_tree(tree), report)
 
 
 def test_carried_state_sweep_sees_every_step_kind():
