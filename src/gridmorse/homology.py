@@ -3,16 +3,16 @@
 Boundary matrices are kept sparse (dict-of-rows with a column index); the
 facets of a vertex-bitmask face are the face with one bit cleared.
 smith_normal_form is one sparse elimination: it takes unit pivots in
-minimum-fill order from a lazy heap, then finishes whatever the units leave
-with Euclid steps (division with remainder) on the same sparse rows.  Every
-step is unimodular, so the invariant factors of the matrix are the unit
+sweeps over the columns in index order, then finishes whatever the units
+leave with Euclid steps (division with remainder) on the same sparse rows.
+Every step is unimodular, so the invariant factors of the matrix are the unit
 pivots and the isolated Euclid pivots, renormalized to a divisibility chain
 at the end.  All arithmetic is exact.
 
 reduced_homology reduces the chain complex from the top dimension down and
 clears as it goes (Chen & Kerber's twist, Bauer, Kerber & Reininghaus's
 clear-and-compress): d_k is built only over the k-faces that were not rows
-of a unit pivot taken by the heap while reducing d_{k+1}.  This is exact
+of a unit pivot taken by the sweeps while reducing d_{k+1}.  This is exact
 over Z.  The cleared rows R and the pivot columns C of d_{k+1} span a square
 block B whose elimination used only +-1 pivots, so det B = +-1 and B^{-1} is
 integral.  From d_k d_{k+1} = 0 the cleared columns of d_k satisfy
@@ -23,7 +23,6 @@ factors of d_k do not change.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -57,8 +56,8 @@ class IntegerMatrix:
 @dataclass(frozen=True)
 class SNFResult:
     factors: tuple  # positive invariant factors d_1 | d_2 | ... | d_r
-    # rows of the unit pivots taken by the heap, in elimination order; the
-    # rows reduced_homology clears from the next lower boundary matrix
+    # rows of the unit pivots taken by the sweeps, in elimination order;
+    # the rows reduced_homology clears from the next lower boundary matrix
     eliminated_rows: tuple = field(default=(), compare=False)
 
     @property
@@ -121,11 +120,13 @@ def _chain_normalize(diag):
 def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     """Invariant factors of an integer matrix.
 
-    Unit pivots are eliminated first, taken from a heap by minimum fill.
-    The rest is reduced by Euclid steps: the pivot becomes the smallest entry
-    of its column and clears the column mod itself by row operations, then,
-    alone in its column, clears its row mod itself by column operations.
-    Only the rows of the heap's unit pivots are reported as eliminated_rows,
+    Unit pivots are eliminated first, in sweeps over the columns in index
+    order: each column is eliminated at its shortest row holding a +-1,
+    and the sweeps repeat until one takes no pivot.  The rest is reduced
+    by Euclid steps: the pivot becomes the smallest entry of its column and
+    clears the column mod itself by row operations, then, alone in its
+    column, clears its row mod itself by column operations.
+    Only the rows of the swept unit pivots are reported as eliminated_rows,
     the rows reduced_homology may clear.
     """
     rows = {}
@@ -136,15 +137,6 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
             cols.setdefault(c, set()).add(r)
 
     eliminated_rows = []
-    heap = []
-
-    def score(r, c):
-        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
-
-    for r, row in rows.items():
-        for c, v in row.items():
-            if v in (1, -1):
-                heapq.heappush(heap, (score(r, c), r, c))
 
     def eliminate(r, c):
         eps = rows[r][c]  # +1 or -1
@@ -159,11 +151,6 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
                 if newv:
                     if c2 not in row2:
                         cols[c2].add(r2)
-                        if newv in (1, -1):
-                            heapq.heappush(heap, (score(r2, c2), r2, c2))
-                    else:
-                        if newv in (1, -1) and row2[c2] not in (1, -1):
-                            heapq.heappush(heap, (score(r2, c2), r2, c2))
                     row2[c2] = newv
                 else:
                     if c2 in row2:
@@ -181,22 +168,19 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
         del cols[c]
         eliminated_rows.append(r)
 
-    # Lazy heap with slack: a popped pivot is taken unless its current fill
-    # score has drifted well past the heap minimum, which keeps the pivot
-    # order near minimum-fill without endless reinsertion churn.
-    while heap:
-        s0, r, c = heapq.heappop(heap)
-        if r not in rows or c not in rows[r]:
-            continue
-        if rows[r][c] not in (1, -1):
-            continue
-        s = score(r, c)
-        if heap and s > 2 * max(heap[0][0], s0) + 8:
-            heapq.heappush(heap, (s, r, c))
-            continue
-        eliminate(r, c)
+    # Fill can create units in columns already passed, hence the repeats.
+    swept = True
+    while swept:
+        swept = False
+        for c in sorted(cols):
+            if c not in cols:
+                continue
+            units = [r for r in cols[c] if rows[r][c] in (1, -1)]
+            if units:
+                eliminate(min(units, key=lambda r: (len(rows[r]), r)), c)
+                swept = True
 
-    # Euclid steps on what the heap left.  Column operations by p's column
+    # Euclid steps on what the sweeps left.  Column operations by p's column
     # change only p's row once p is alone in its column.  Each pass takes a
     # strictly smaller pivot, so p ends isolated: one diagonal entry.
     diag = [1] * len(eliminated_rows)

@@ -111,7 +111,7 @@ def scrambled_diagonal(diag, size, seed, ops):
 
 
 def test_snf_recovers_scrambled_non_unit_factors():
-    # every entry stays even, so the unit heap takes nothing and the Euclid
+    # every entry stays even, so the unit sweeps take nothing and the Euclid
     # steps do all the work on a dense 40 x 40 matrix
     diag = (2,) * 20 + (6,) * 10 + (30,) * 5
     rows = scrambled_diagonal(diag, 40, seed=5, ops=120)
@@ -137,19 +137,21 @@ def test_snf_leaves_its_input_unchanged():
         assert M.entries == before
 
 
-def test_matching_complex_k7_torsion():
-    # Bouc (1992): the matching complex of K7 has H~_1 = Z/3, H~_2 = Z^20
-    report = reduced_homology(matching_complex(complete_multipartite(*[1] * 7)))
-    assert report.betti_profile() == {2: 20}
-    assert report.torsion == {1: (3,)}
-
-
-def test_matching_complex_k55_torsion():
-    # Shareshian & Wachs (2007): torsion in the chessboard complex M(K5,5)
-    report = reduced_homology(matching_complex(complete_multipartite(5, 5)))
-    assert report.betti_profile() == {3: 56}
-    assert report.torsion == {2: (3,)}
-    assert report.euler == -56
+# Bouc (1992) for M(K7); Shareshian & Wachs (2007) for the Z/3 torsion of
+# the matching and chessboard complexes.  Only the Euclid steps after the
+# unit sweeps can give a factor 3: 8 of them in M(K9), 10 in M(K6,6).
+@pytest.mark.parametrize("parts,betti,torsion,euler", [
+    ((1,) * 7, {2: 20}, {1: (3,)}, 20),
+    ((1,) * 9, {2: 42, 3: 70}, {2: (3,) * 8}, -28),
+    ((5, 5), {3: 56}, {2: (3,)}, -56),
+    ((6, 6), {3: 25, 4: 210}, {3: (3,) * 10}, 185),
+    ((5, 8), {3: 14, 4: 1173}, {}, 1159),
+], ids=["K7", "K9", "K5,5", "K6,6", "K5,8"])
+def test_matching_complex_torsion(parts, betti, torsion, euler):
+    report = reduced_homology(matching_complex(complete_multipartite(*parts)))
+    assert report.betti_profile() == betti
+    assert report.torsion == torsion
+    assert report.euler == euler
 
 
 def test_boundary_of_full_triangle():
@@ -312,9 +314,14 @@ def test_clearing_matches_full_snf_rp2():
     ("star", dict(m=3, n=4)), ("star", dict(m=2, n=5)),
     ("theta", dict(m=3, n=4)), ("theta", dict(m=2, n=5)),
     ("delta", dict(m=2, n=4)), ("delta", dict(m=3, n=3)),
+    ("matching", dict(parts=(5, 5))),  # M(K5,5): odd torsion, H~_2 = Z/3
 ])
 def test_clearing_matches_full_snf_families(fam, kw):
-    assert_clearing_exact(ind_complex(fam, **kw))
+    if fam == "matching":
+        cx = matching_complex(complete_multipartite(*kw["parts"]))
+    else:
+        cx = ind_complex(fam, **kw)
+    assert_clearing_exact(cx)
 
 
 @seed(2011)
