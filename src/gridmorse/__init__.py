@@ -8,15 +8,16 @@ from .census import (CensusTable, DimensionBounds, census_extend, census_seed,
                      observation_scan, riordan_T, riordan_identity_check)
 from .comb import (GENERIC_RULE, PIVOT_RULES, CriticalCensus, StrategyScript,
                    census_from_tree, comb_census, comb_tree, path_tree,
-                   star_tree, theta_tree)
+                   rule_for, star_tree, theta_tree)
 from .complexes import (CapacityError, SimplicialComplex, count_independent_sets,
                         independence_complex, join, matching_complex)
 from .graphs import (END_A, END_B, Graph, VertexLabel, build_graph,
                      delta2_isomorphism, grid_edge, line_graph, neighbors,
                      plain, spine, tendril)
 from .homology import (HomologyReport, IntegerMatrix, SNFResult,
-                       boundary_matrices, morse_inequality_check,
-                       reduced_homology, smith_normal_form, torsion_scan)
+                       boundary_matrices, morse_homology,
+                       morse_inequality_check, reduced_homology,
+                       smith_normal_form, torsion_scan)
 from .morse import (FacePairing, Free, Match, MatchingTree, MatchingTreeError,
                     SigmaNode, Split, collect_pairing, critical_cells, expand,
                     run_strategy, verify_acyclic)

@@ -15,7 +15,8 @@ import sys
 
 from . import census as census_mod
 from . import comb as comb_mod
-from .complexes import CapacityError, DEFAULT_FACE_CAP, independence_complex
+from .complexes import (CapacityError, DEFAULT_FACE_CAP, SimplicialComplex,
+                        independence_complex)
 from .graphs import build_graph
 from .homology import (DEFAULT_HOMOLOGY_FACE_CAP, IntegerMatrix,
                        morse_inequality_check, reduced_homology,
@@ -83,7 +84,7 @@ def cmd_census(args):
 
 def cmd_morse(args):
     g = _build_family(args)
-    tree = run_strategy(g, comb_mod.PIVOT_RULES.get(g.family, comb_mod.GENERIC_RULE))
+    tree = run_strategy(g, comb_mod.rule_for(g))
     out = tree.to_json()
     out["census"] = comb_mod.census_from_tree(tree).to_json()
     _emit_json(out, args.out)
@@ -135,7 +136,9 @@ def _instance_checks(m, n, cap):
     crit = set(critical_cells(tree))
     partition = paired | crit == set(cx.all_faces()) and not paired & crit
     acyclic, _ = verify_acyclic(cx, pairing)
-    report = reduced_homology(cx, cap)
+    # the full SNF route on a graph-less copy, a path that shares no code
+    # with the tree it checks
+    report = reduced_homology(SimplicialComplex(cx.labels, cx.graded), cap)
     morse_ok = morse_inequality_check(comb_mod.census_from_tree(tree), report)
     return [(name, partition and acyclic, ""),
             ("morse-inequalities(m=%d,n=%d)" % (m, n), morse_ok, "")]

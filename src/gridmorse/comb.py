@@ -2,12 +2,13 @@
 rule for every other graph, plus the critical-cell census read off a tree.
 
 `PIVOT_RULES` maps the star, theta and comb ("delta") families to
-`FAMILY_RULE`; every other graph takes `GENERIC_RULE`.  Each is a pure
-function of a node's (A, B) bitmasks, read through the residual bitmask and
-the residual's connected components that the node carries from its parent
-(see morse).  The generic rule frees the lowest isolated residual vertex,
-else matches the lowest one of residual degree one with its neighbour, else
-splits the lowest one: on a path, Match(1, 2), then Match(4, 5), and so on.
+`FAMILY_RULE`; every other graph takes `GENERIC_RULE`; `rule_for(g)` is
+that one lookup.  Each rule is a pure function of a node's (A, B) bitmasks,
+read through the residual bitmask and the residual's connected components
+that the node carries from its parent (see morse).  The generic rule frees
+the lowest isolated residual vertex, else matches the lowest one of
+residual degree one with its neighbour, else splits the lowest one: on a
+path, Match(1, 2), then Match(4, 5), and so on.
 The family rule is one decision procedure for all phases; it classifies the
 connected components of the residual graph and acts on the first rule that
 applies:
@@ -25,7 +26,7 @@ applies:
   4. a component with two non-tendril vertices is a theta; split at its
      right hub.
   5. otherwise the component is a comb awaiting its backbone; split the
-     smallest spine vertex other than the component's acting left hub.
+     earliest spine vertex other than the component's acting left hub.
 
 Rule order matters: teeth are resolved (rules 2 and 3) before the nested
 comb continues (rule 5), so the script stays a function of (A, B) alone.
@@ -36,6 +37,10 @@ n = 0 and n = -1 resolve through the theta and free-vertex rules.
 A component is classified by bitmask tests against tendril, spine and
 right-hub masks computed once per graph.  Its step depends on its mask
 alone, so the family rule memoises the steps per graph, keyed by component.
+The rule accepts any vertex order: the acting left hub, the backbone spine
+and a path's far end are picked by each vertex's construction position
+(a, s1..sn, b, then t_{j,k} by j and k), also computed once per graph, not
+by bit index.  In construction order the two agree.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .complexes import _bits
 from .graphs import Graph, build_graph
 from .morse import Free, Match, MatchingTree, Split, run_strategy
 
@@ -79,28 +85,37 @@ class CriticalCensus:
                 "census": {str(d): c for d, c in sorted(self.counts.items())}}
 
 
+_KIND_ORDER = {"a": 0, "s": 1, "b": 2}  # then the tendrils "t"
+
+
 @lru_cache(maxsize=8)
 def _graph_masks(g: Graph):
-    """Bitmasks the family rule reads, computed once per graph: all
-    tendril vertices, the tendril vertices of each tooth path in order of
-    its index j, the spine vertices and the right hub; and an empty memo of
-    family-rule steps keyed by component.  Graphs hash by identity, so an
-    equal graph built afresh gets its own entry; the cache keeps the last
-    few graphs a tree was grown on."""
+    """What the family rule reads, computed once per graph: the bitmasks of
+    all tendril vertices, of the tendril vertices of each tooth path in
+    order of its index j, of the spine vertices and of the right hub; each
+    vertex's construction position (a, s1..sn, b, t_{j,k} by j then k),
+    indexed by vertex; and an empty memo of family-rule steps keyed by
+    component.  Graphs hash by identity, so an equal graph built afresh gets
+    its own entry; the cache keeps the last few graphs a tree was grown on."""
     kinds = {}
     paths = {}
     for i, lab in enumerate(g.vertices):
         kinds[lab.kind] = kinds.get(lab.kind, 0) | 1 << i
         if lab.kind == "t":
             paths[lab.args[0]] = paths.get(lab.args[0], 0) | 1 << i
+    order = sorted(range(len(g)), key=lambda i: (
+        _KIND_ORDER.get(g.vertices[i].kind, 3), g.vertices[i].args))
+    pos = [0] * len(g)
+    for rank, i in enumerate(order):
+        pos[i] = rank
     return (kinds.get("t", 0), [paths[j] for j in sorted(paths)],
-            kinds.get("s", 0), kinds.get("b", 0), {})
+            kinds.get("s", 0), kinds.get("b", 0), pos, {})
 
 
-def _path_end(g: Graph, comp, path):
+def _path_end(g: Graph, comp, path, pos):
     """Match step eating a detached tendril interval `path` of the component
-    `comp` from its far end."""
-    p = path.bit_length() - 1
+    `comp` from its far end, the vertex latest in construction order."""
+    p = max(_bits(path), key=pos.__getitem__)
     nb = g.nbr[p] & comp
     if not nb or nb & (nb - 1):
         raise RuntimeError("path end %s is not degree one" % g.vertices[p])
@@ -111,6 +126,11 @@ def _lowest(mask):
     return (mask & -mask).bit_length() - 1
 
 
+def _first(mask, pos):
+    """The vertex of `mask` earliest in construction order."""
+    return min(_bits(mask), key=pos.__getitem__)
+
+
 def _family_step(g: Graph, node):
     """Shared decision procedure for star, theta and comb graphs.
 
@@ -118,7 +138,7 @@ def _family_step(g: Graph, node):
     by its number of non-tendril vertices (0, 1, 2, or 3 and more), so the
     node's step is the step of the first component under the lowest rule,
     and that step depends on the component's mask alone."""
-    tendrils, paths, spines, right, memo = _graph_masks(g)
+    tendrils, paths, spines, right, pos, memo = _graph_masks(g)
     best, best_rank = 0, 4
     for comp in node.components:
         # rule 1: the lowest isolated residual vertex is the first singleton
@@ -135,7 +155,7 @@ def _family_step(g: Graph, node):
     hubs = best & ~tendrils
     if best_rank == 0:
         # rule 2: a detached tendril path
-        step = _path_end(g, best, best)
+        step = _path_end(g, best, best, pos)
     elif best_rank == 1:
         # rule 3: a star in progress
         intervals = [best & path for path in paths if best & path]
@@ -143,18 +163,18 @@ def _family_step(g: Graph, node):
         if len(lengths) == 1 and lengths.pop() % 3 != 0:
             step = Split(_lowest(hubs))
         else:
-            step = _path_end(g, best, intervals[0])
+            step = _path_end(g, best, intervals[0], pos)
     elif best_rank == 2:
         # rule 4: a theta joining the acting left hub to b
         if not hubs & right:
             raise RuntimeError("two-hub component without a right hub")
         step = Split(_lowest(hubs & right))
     else:
-        # rule 5: comb backbone; the lowest hub is the acting left hub
-        backbone = hubs & (hubs - 1) & spines
+        # rule 5: comb backbone; the earliest hub is the acting left hub
+        backbone = hubs & ~(1 << _first(hubs, pos)) & spines
         if not backbone:
             raise RuntimeError("comb component without backbone spines")
-        step = Split(_lowest(backbone))
+        step = Split(_first(backbone, pos))
     memo[best] = step
     return step
 
@@ -178,6 +198,12 @@ FAMILY_RULE = StrategyScript("family", _family_step)
 
 # The paper's rule, keyed by Graph.family; other graphs take GENERIC_RULE.
 PIVOT_RULES = {"star": FAMILY_RULE, "theta": FAMILY_RULE, "delta": FAMILY_RULE}
+
+
+def rule_for(g: Graph) -> StrategyScript:
+    """The pivot rule that grows g's matching tree: the paper's rule for its
+    family, else the generic rule."""
+    return PIVOT_RULES.get(g.family, GENERIC_RULE)
 
 
 def census_from_tree(tree: MatchingTree) -> CriticalCensus:

@@ -79,7 +79,11 @@ class Graph:
 
     The vertex order is the construction order; it is used downstream for
     face sorting and boundary-matrix orientation, so builders must be
-    deterministic.
+    deterministic.  A graph built with its vertices in another order is
+    just as valid: the matching-tree rules, the paper's family rule
+    included, accept any vertex order.  A complex holds its graph only when
+    independence_complex built it, and then reduced_homology takes the
+    Morse route.
     """
 
     __slots__ = ("vertices", "index", "adj", "adjsets", "nbr", "family", "params")

@@ -1,5 +1,19 @@
 """Exact integral simplicial homology via Smith normal form.
 
+There are two routes to a complex's reduced homology, and the report names
+the one taken.  A complex with a graph (every independence and matching
+complex) takes the Morse route, "morse-tree": a matching tree is grown on
+the graph, by the paper's rule for star, theta and comb graphs and the
+generic rule otherwise, and morse_homology builds the Morse complex on its
+critical cells.  A face's partner comes from one walk down the compiled
+tree (Split goes to the child given by the split vertex, Free and Match
+toggle their pivot, a leaf means critical), and the Morse boundary is the
+simplicial boundary pushed through the gradient flow, memoised per
+dimension pair, with the incidence signs (-1)^popcount(face & (u - 1)) of
+the boundary matrices below.  Its matrices, a few critical cells wide, go
+to the same smith_normal_form.  A complex without a graph (from_facets,
+join) takes the full route, "full-snf", over every face.
+
 Boundary matrices are kept sparse (dict-of-rows with a column index); the
 facets of a vertex-bitmask face are the face with one bit cleared.
 smith_normal_form is one sparse elimination: it takes unit pivots in
@@ -9,7 +23,7 @@ Every step is unimodular, so the invariant factors of the matrix are the unit
 pivots and the isolated Euclid pivots, renormalized to a divisibility chain
 at the end.  All arithmetic is exact.
 
-reduced_homology reduces the chain complex from the top dimension down and
+The full route reduces the chain complex from the top dimension down and
 clears as it goes (Chen & Kerber's twist, Bauer, Kerber & Reininghaus's
 clear-and-compress): d_k is built only over the k-faces that were not rows
 of a unit pivot taken by the sweeps while reducing d_{k+1}.  This is exact
@@ -26,8 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .complexes import CapacityError, SimplicialComplex, independence_complex
+from .comb import rule_for
+from .complexes import (CapacityError, SimplicialComplex, _bits,
+                        independence_complex)
 from .graphs import build_graph
+from .morse import (Free, Match, MatchingTree, MatchingTreeError, Split,
+                    critical_cells, run_strategy)
 
 DEFAULT_HOMOLOGY_FACE_CAP = 300_000
 DEFAULT_ENTRY_CAP = 50_000_000
@@ -228,13 +246,15 @@ class HomologyReport:
     betti: dict     # dimension -> reduced Betti rank
     torsion: dict   # dimension -> tuple of invariant factors > 1
     euler: int
+    route: str = "full-snf"   # or "morse-tree"
+    rule: str | None = None   # the pivot rule that grew the tree, by name
 
     def to_json(self) -> dict:
         dims = sorted(set(self.betti) | set(self.torsion))
         return {"dims": [{"d": d, "betti": self.betti.get(d, 0),
                           "torsion": list(self.torsion.get(d, ()))}
                          for d in dims],
-                "euler": self.euler}
+                "euler": self.euler, "route": self.route, "rule": self.rule}
 
     def betti_profile(self) -> dict:
         return {d: b for d, b in self.betti.items() if b}
@@ -247,34 +267,219 @@ def reduced_homology(c: SimplicialComplex,
                      face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP) -> HomologyReport:
     """Reduced Betti ranks and torsion of every dimension of c.
 
-    b~_d = f_d - rank d_d - rank d_{d+1}, torsion in dimension d from the
-    invariant factors of d_{d+1} exceeding one.  The boundary matrices are
-    reduced from the top dimension down, each built without the columns
-    cleared by the unit pivots of the one above it; clearing keeps every
-    rank and invariant factor exact (see the module docstring).
+    A complex with a graph (an independence or matching complex) takes the
+    Morse route: a matching tree is grown on c.graph by the paper's rule
+    for its family, else the generic rule, and morse_homology reads the
+    homology off its critical cells; the report lists every dimension of c,
+    as the full route does.  A complex without a graph takes the full
+    route: b~_d = f_d - rank d_d - rank d_{d+1}, torsion in dimension d
+    from the invariant factors of d_{d+1} exceeding one.  The boundary
+    matrices are reduced from the top dimension down, each built without
+    the columns cleared by the unit pivots of the one above it; clearing
+    keeps every rank and invariant factor exact (see the module docstring).
+    Either way a complex of more than face_cap faces is refused.
     """
     total = c.num_faces()
     if total > face_cap:
         raise CapacityError("complex with %d faces exceeds homology cap %d"
                             % (total, face_cap))
     graded = c.graded
-    snfs = [None] * (len(graded) - 1)  # snfs[s - 1] reduces d_s
+    if c.graph is not None:
+        rule = rule_for(c.graph)
+        report = morse_homology(run_strategy(c.graph, rule), face_cap)
+        betti = {d: report.betti.get(d, 0) for d in range(len(graded) - 1)}
+        return HomologyReport(betti, report.torsion, report.euler,
+                              report.route, rule.name)
+    snfs = {}  # snfs[s - 1] reduces d_s, from the (s-1)-dimensional faces
     cleared = frozenset()
     for s in range(len(graded) - 1, 0, -1):
         snfs[s - 1] = smith_normal_form(_boundary_matrix(graded, s, cleared))
         cleared = frozenset(snfs[s - 1].eliminated_rows)
-    ranks = [snf.rank for snf in snfs] + [0]
+    return _report([len(fs) for fs in graded[1:]], snfs, "full-snf")
+
+
+def _report(counts, snfs, route):
+    """The groups of a chain complex with counts[d] cells in dimension d,
+    from d = 0 up, and snfs[d] reducing the boundary from dimension d where
+    it is nonzero: b~_d = c_d - rank d_d - rank d_{d+1}, and the torsion in
+    dimension d is the invariant factors of d_{d+1} exceeding one."""
+    rank = {d: snf.rank for d, snf in snfs.items()}
     betti, torsion = {}, {}
-    top = len(graded) - 2
-    for d in range(0, top + 1):
-        f_d = len(graded[d + 1])
-        betti[d] = f_d - ranks[d] - ranks[d + 1]
-        if d + 1 < len(snfs):
+    for d, c in enumerate(counts):
+        betti[d] = c - rank.get(d, 0) - rank.get(d + 1, 0)
+        if d + 1 in snfs:
             tors = tuple(x for x in snfs[d + 1].factors if x > 1)
             if tors:
                 torsion[d] = tors
     euler = sum(b if d % 2 == 0 else -b for d, b in betti.items())
-    return HomologyReport(betti, torsion, euler)
+    return HomologyReport(betti, torsion, euler, route)
+
+
+_SPLIT, _PAIR, _LEAF = 0, 1, 2
+
+
+def _partner_walk(tree: MatchingTree):
+    """The partner function of a completed tree's matching: face -> the
+    face it is paired with, or None for a critical face.
+
+    The tree is compiled once into flat records (kind, pivot bit, second
+    bit, out child, in child), one per node, indexed like tree.nodes.  A
+    Split(v) record holds v's bit second, its child without v out and its
+    child with v in; a Match(p, v) record holds p's and v's bits and its
+    child in; a Free(p) record holds p's bit and 0, so no face goes in; a
+    node without a step is a leaf.  The walk starts at the root and costs
+    one step per tree level.  Raises MatchingTreeError on a leaf that is
+    not complete."""
+    recs = []
+    for nd in tree.nodes:
+        st = nd.step
+        if isinstance(st, Split):
+            recs.append((_SPLIT, 0, 1 << st.v, nd.children[0], nd.children[1]))
+        elif isinstance(st, Match):
+            recs.append((_PAIR, 1 << st.p, 1 << st.v, -1, nd.children[0]))
+        elif isinstance(st, Free):
+            recs.append((_PAIR, 1 << st.p, 0, -1, -1))
+        elif nd.residual_mask and nd.kind != "empty":
+            raise MatchingTreeError("node %d is an unexpanded leaf" % nd.id)
+        else:
+            recs.append((_LEAF, 0, 0, -1, -1))
+
+    def partner(face):
+        kind, p, v, out, inn = recs[0]
+        while kind != _LEAF:
+            if face & v:
+                kind, p, v, out, inn = recs[inn]
+            elif kind == _SPLIT:
+                kind, p, v, out, inn = recs[out]
+            else:
+                return face ^ p
+        return None
+    return partner
+
+
+def _incidence(face, u):
+    """[face : face ^ u] for a vertex bit u of face: (-1) to the number of
+    vertices of face below u, as in _boundary_matrix."""
+    return -1 if (face & (u - 1)).bit_count() & 1 else 1
+
+
+def morse_homology(tree: MatchingTree,
+                   face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP) -> HomologyReport:
+    """Reduced homology of the independence complex of tree.graph, read off
+    the Morse complex of the completed matching tree (Forman 1998;
+    Skoldberg 2006), without enumerating the complex.
+
+    The chain groups are spanned by the critical cells, the A-sets of the
+    terminal leaves.  The partner of a face comes from one walk down the compiled
+    tree: Split(v) goes to the child given by whether v is in the face,
+    Free(p) returns face ^ 1 << p, Match(p, v) goes to its child if v is in
+    the face and otherwise returns face ^ 1 << p, and a leaf means the face
+    is critical.  The Morse boundary of a critical d-cell s is
+    sum [s : t] flow(t) over its facets t, where flow(t) is t for a
+    critical t, 0 for an upper face t, and for t paired up with s' the sum
+    of -[s' : r][s' : t] flow(r) over the other facets r of s'.  Incidences
+    are [f : f ^ u] = (-1)^popcount(f & (u - 1)), the convention of
+    _boundary_matrix.  flow is memoised per dimension pair on an explicit
+    stack; the memo entries are charged against face_cap (CapacityError
+    past it) and dropped after each pair.  The Morse boundary matrices then
+    go to smith_normal_form, whose ranks and invariant factors give the
+    groups as in reduced_homology.  The report lists dimensions 0 up to
+    the top critical dimension; a critical empty face counts in dimension
+    -1, which is not reported, as in the full route.
+
+    The gradient paths are finite, so the recursion ends, because the
+    matching is acyclic.  Each Split(v), and each Match(p, v) as it sends
+    the faces with v to its child, is a poset map from the faces below it
+    to {0 < 1} (is v in the face?).  Each Free(p) site, and each Match site
+    on its faces without v, is an element matching: it pairs a face with
+    the face ^ 1 << p, and expand checks that this stays in the fibre, for
+    p lies outside A and B and has no neighbour outside them but v.  Those
+    are exactly the hypotheses of Jonsson's cluster lemma (Simplicial
+    Complexes of Graphs, 2008), so the union of the element matchings is
+    acyclic.  verify_acyclic checks it on the face poset up to the face
+    caps, and a gradient cycle met on the stack raises MatchingTreeError.
+    """
+    partner = _partner_walk(tree)
+    cells = {}
+    for face in critical_cells(tree):
+        cells.setdefault(face.bit_count() - 1, []).append(face)
+    top = max(cells, default=-1)
+    snfs = {}
+    for d in range(top, -1, -1):
+        if d in cells and d - 1 in cells:
+            snfs[d] = smith_normal_form(_morse_boundary(
+                cells[d], cells[d - 1], partner, face_cap))
+    return _report([len(cells.get(d, ())) for d in range(top + 1)], snfs,
+                   "morse-tree")
+
+
+def _morse_boundary(upper, lower, partner, face_cap):
+    """The Morse boundary matrix from the critical cells `upper` (columns)
+    to the critical cells `lower` (rows) one dimension down."""
+    row = {f: i for i, f in enumerate(lower)}
+    memo = {}
+    opened = {}  # faces whose flow waits on the flows of their partner's facets
+    zero = {}    # the one zero chain, shared and never written
+
+    def flow(tau):
+        stack = [tau]
+        while stack:
+            t = stack[-1]
+            if t in memo:
+                stack.pop()
+                continue
+            up = opened.pop(t, None)
+            if up is not None:
+                # every other facet r of up has its flow now
+                s0 = _incidence(up, up ^ t)
+                chain = {}
+                rest = t
+                while rest:
+                    u = rest & -rest
+                    rest ^= u
+                    c = -s0 * _incidence(up, u)
+                    for k, x in memo[up ^ u].items():
+                        chain[k] = chain.get(k, 0) + c * x
+                value = {k: x for k, x in chain.items() if x} or zero
+            else:
+                up = partner(t)
+                if up is None:
+                    value = {t: 1}
+                elif up < t:
+                    value = zero
+                else:
+                    opened[t] = up
+                    rest = t
+                    while rest:
+                        u = rest & -rest
+                        rest ^= u
+                        r = up ^ u
+                        if r in opened:
+                            raise MatchingTreeError("gradient cycle through %s"
+                                                    % (_bits(r),))
+                        if r not in memo:
+                            stack.append(r)
+                    continue
+            memo[t] = value
+            if len(memo) > face_cap:
+                raise CapacityError("Morse flow memo exceeds face cap %d" % face_cap)
+            stack.pop()
+        return memo[tau]
+
+    entries = {}
+    for col, sigma in enumerate(upper):
+        chain = {}
+        rest = sigma
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            c = _incidence(sigma, u)
+            for k, x in flow(sigma ^ u).items():
+                chain[k] = chain.get(k, 0) + c * x
+        for k, x in chain.items():
+            if x:
+                entries[(row[k], col)] = x
+    return IntegerMatrix(len(lower), len(upper), entries)
 
 
 def morse_inequality_check(census, report: HomologyReport) -> bool:

@@ -8,12 +8,12 @@ do not fit under the desk-scale face caps, with the reason).  Run with
 
 import pytest
 
-from conftest import star_profile, theta_profile
+from conftest import graphless, groups, star_profile, theta_profile
 from gridmorse import (build_graph, census_from_tree, census_seed,
                        census_table, collect_pairing, comb_census, comb_tree,
                        count_independent_sets, critical_cells,
                        dimension_bounds, euler_closed_form, euler_from_table,
-                       euler_recursion, independence_complex,
+                       euler_recursion, independence_complex, morse_homology,
                        morse_inequality_check, observation_scan, path_tree,
                        reduced_homology, riordan_T, riordan_identity_check,
                        star_tree, theta_tree, torsion_scan, verify_acyclic)
@@ -27,6 +27,20 @@ def report(line):
 
 def fits(g, cap=HOMOLOGY_CAP):
     return count_independent_sets(g, cap=cap) <= cap
+
+
+def full_route_torsion(m, n_range):
+    """The torsion of the m-comb complexes by full SNF on graph-less copies,
+    a path independent of the matching trees, checked against torsion_scan
+    (the Morse route)."""
+    out = []
+    for n in n_range:
+        cx = independence_complex(build_graph("delta", m=m, n=n), HOMOLOGY_CAP)
+        rep = reduced_homology(graphless(cx), HOMOLOGY_CAP)
+        assert rep.route == "full-snf"
+        out.append((n, rep.torsion))
+    assert torsion_scan(m, n_range, HOMOLOGY_CAP) == out
+    return out
 
 
 def test_criterion_01_seed_table_fidelity():
@@ -94,9 +108,10 @@ def test_criterion_03_acyclicity():
 
 
 def test_criterion_04_homology_vs_census():
+    # full-SNF homology, which shares no code with the trees
     for n in range(0, 6):
         cx = independence_complex(build_graph("delta", m=2, n=n))
-        rep = reduced_homology(cx, HOMOLOGY_CAP)
+        rep = reduced_homology(graphless(cx), HOMOLOGY_CAP)
         census = census_from_tree(comb_tree(2, n))
         assert morse_inequality_check(census, rep), n
         if n == 1:
@@ -203,34 +218,50 @@ def test_criterion_10_observation_scan():
 
 
 def test_criterion_11_torsion_scan():
-    results = torsion_scan(2, range(0, 6), HOMOLOGY_CAP)
+    results = full_route_torsion(2, range(0, 6))
     for n, torsion in results:
         assert torsion == {}, (n, torsion)
-    report("PASS 11 no torsion for m=2, n<=5, exact")
+    report("PASS 11 no torsion for m=2, n<=5 by full SNF, equal to the Morse "
+           "route, exact")
 
 
 def test_full_scale_skips_reported():
-    # larger rows are attempted through n=9; n>=10 and the wedge-decomposition
-    # question are out of desk-scale reach and reported, not silently dropped
-    extended = torsion_scan(2, range(6, 9), HOMOLOGY_CAP)
+    # full SNF reaches n=9 and is the oracle for the Morse route through
+    # there; the Morse route reads n=10 and n=11 off the trees without
+    # building a face
+    extended = full_route_torsion(2, range(6, 9))
     for n, torsion in extended:
         assert torsion == {}, (n, torsion)
-    report("PASS -- extended torsion scan m=2, n in 6..8: none found")
+    report("PASS -- extended torsion scan m=2, n in 6..8: none found by full "
+           "SNF or the Morse route")
     g = build_graph("delta", m=2, n=9)
     faces = count_independent_sets(g, cap=HOMOLOGY_CAP)
     assert faces <= HOMOLOGY_CAP
-    rep = reduced_homology(independence_complex(g), HOMOLOGY_CAP)
+    cx = independence_complex(g)
+    rep = reduced_homology(graphless(cx), HOMOLOGY_CAP)
+    assert rep.route == "full-snf"
     assert not rep.has_torsion(), rep.torsion
     census = census_from_tree(comb_tree(2, 9))
     assert morse_inequality_check(census, rep)
     assert rep.betti_profile() == census.counts
+    assert groups(reduced_homology(cx, HOMOLOGY_CAP)) == groups(rep)
     report("PASS -- homology of the m=2 comb complex at n=9 (%d faces): no "
-           "torsion, Betti profile %s equals the tree census, exact"
-           % (faces, rep.betti_profile()))
+           "torsion, Betti profile %s equals the tree census and the Morse "
+           "route, exact" % (faces, rep.betti_profile()))
     for n in (10, 11):
         faces = count_independent_sets(build_graph("delta", m=2, n=n))
         assert faces > HOMOLOGY_CAP
-        report("SKIP -- homology of the m=2 comb complex at n=%d: %d faces "
-               "exceed the %d-face cap" % (n, faces, HOMOLOGY_CAP))
-    report("SKIP -- wedge-of-spheres verification at n=11: homology alone "
-           "cannot certify a wedge decomposition")
+        tree = comb_tree(2, n)
+        census = census_from_tree(tree)
+        rep = morse_homology(tree, HOMOLOGY_CAP)
+        assert not rep.has_torsion(), rep.torsion
+        assert rep.betti_profile() == census.counts
+        report("PASS -- homology of the m=2 comb complex at n=%d (%d faces) "
+               "by the Morse route: no torsion, Betti profile %s equals the "
+               "tree census, exact" % (n, faces, rep.betti_profile()))
+    assert census.counts == {8: 38}
+    # Forman: the complex is homotopy equivalent to a CW complex with one
+    # 0-cell (the vertex paired with the empty face) and one d-cell per
+    # critical d-cell; 38 cells all of dimension 8 attach to the point
+    report("PASS -- wedge of spheres at n=11: all 38 critical cells lie in "
+           "dimension 8, so the complex is a wedge of 38 8-spheres")

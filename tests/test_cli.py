@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import unbuilt
-from gridmorse import cli, complexes
+from gridmorse import cli, comb, complexes, homology
 from gridmorse.cli import main
 
 
@@ -140,15 +140,40 @@ def test_instance_checks_count_the_complex_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_instance_checks_test_the_tree_against_the_full_route(monkeypatch):
+    # the morse-inequalities row holds the tree's census against the full
+    # SNF route, never against homology read off a matching tree, so a
+    # census the complex does not bear fails it
+    def no_tree_route(*args):
+        raise AssertionError("homology was read off a matching tree")
+
+    monkeypatch.setattr(homology, "morse_homology", no_tree_route)
+    assert [status for _, status, _ in cli._instance_checks(2, 3, 1000)] == \
+        [True, True]
+    real = comb.census_from_tree
+
+    def one_cell_short(tree):
+        census = real(tree)
+        counts = dict(census.counts)
+        counts[max(counts)] -= 1
+        return comb.CriticalCensus(census.m, census.n, counts)
+
+    monkeypatch.setattr(comb, "census_from_tree", one_cell_short)
+    assert cli._instance_checks(2, 3, 1000)[1] == \
+        ("morse-inequalities(m=2,n=3)", False, "")
+
+
 # sha256 of stdout and the exit code: the face representation inside the
-# library must not change a byte of what these invocations print
+# library must not change a byte of what these invocations print.  The
+# homology digest took the report's "route" and "rule" fields, the only
+# change to its bytes since the full-SNF output 2fff4a73...
 PINNED_OUTPUT = [
     ("complex --family delta --m 2 --n 3 --faces", 0,
      "06ff2ba8af4875a2ec249b0040c701e5dc4d8196610ea1f6266a204ae30fe095"),
     ("complex --family cycle --n 6 --faces", 0,
      "88a8690e06f7cc80850b46e37a434d162b8763bf2b5ed1e2dd6941afb1529f05"),
     ("homology --family delta --m 2 --n 5", 0,
-     "2fff4a731e5b04315373800d7b223f0e1fce590437a7a49944b9d8113e838d2c"),
+     "bbe9a291ca056f07946a7c47b96d0e3bceb0686047fe0c472e15d0d057c8f801"),
     ("morse --family delta --m 2 --n 6", 0,
      "91b7e6039b0528c3729352375b1cee39fb6ad9e27c50858189e28d5cfd492aa4"),
     ("morse --family path --n 12", 0,
@@ -281,7 +306,7 @@ def readme_commands():
 
 def test_readme_commands_run(capsys):
     commands = readme_commands()
-    assert len(commands) == 10
+    assert len(commands) == 11
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()

@@ -1,9 +1,16 @@
+import hashlib
+import json
+import random
+
 import pytest
 
-from conftest import star_profile, theta_profile
-from gridmorse import (GENERIC_RULE, PIVOT_RULES, build_graph,
-                       census_from_tree, comb_census, comb_tree, path_tree,
-                       run_strategy, star_tree, theta_tree)
+from conftest import graphless, groups, star_profile, theta_profile
+from gridmorse import (GENERIC_RULE, PIVOT_RULES, Graph, build_graph,
+                       census_from_tree, collect_pairing, comb_census,
+                       comb_tree, count_independent_sets, critical_cells,
+                       independence_complex, path_tree, reduced_homology,
+                       rule_for, run_strategy, star_tree, theta_tree,
+                       verify_acyclic)
 
 
 def path_profile(n):
@@ -90,7 +97,7 @@ def test_strategies_are_pure():
     for fam, kw, tree in cases:
         g = build_graph(fam, **kw)
         assert g is not tree.graph
-        strat = PIVOT_RULES.get(fam, GENERIC_RULE)
+        strat = rule_for(g)
         for node in tree.nodes:
             if node.step is not None and node.residual:
                 assert strat(g, node) == node.step, (fam, kw, node.id)
@@ -100,3 +107,58 @@ def test_tree_reuse_across_runs_deterministic():
     one = comb_tree(3, 3).to_json()
     two = comb_tree(3, 3).to_json()
     assert one == two
+
+
+FAMILY_SIZES = {"star": [(m, n) for m in range(1, 5) for n in range(1, 9)],
+                "theta": [(m, n) for m in range(2, 5) for n in range(1, 9)],
+                "delta": [(m, n) for m in range(2, 5) for n in range(-1, 9)]}
+MAKERS = {"star": star_tree, "theta": theta_tree, "delta": comb_tree}
+
+
+def shuffled(g, rng):
+    """The same graph, family and parameters with its vertex order shuffled."""
+    order = list(g.vertices)
+    rng.shuffle(order)
+    return Graph(order, [(g.vertices[i], g.vertices[j]) for i, j in g.edges()],
+                 g.family, g.params)
+
+
+@pytest.mark.parametrize("fam", sorted(FAMILY_SIZES))
+def test_family_rule_accepts_any_vertex_order(fam):
+    # expand checks every step, so each tree is legal; the census must not
+    # depend on the order, and complexes of at most 5,000 faces are
+    # certified and their Morse-route homology checked against full SNF
+    rng = random.Random(20160603)
+    for m, n in FAMILY_SIZES[fam]:
+        want = census_from_tree(MAKERS[fam](m, n)).counts
+        for _ in range(2):
+            g = shuffled(build_graph(fam, m=m, n=n), rng)
+            tree = run_strategy(g, PIVOT_RULES[fam])
+            assert census_from_tree(tree).counts == want, (m, n)
+            if count_independent_sets(g, cap=5000) > 5000:
+                continue
+            cx = independence_complex(g)
+            pairing = collect_pairing(tree)
+            assert verify_acyclic(cx, pairing) == (True, None)
+            assert (pairing.paired_faces() | set(critical_cells(tree))
+                    == set(cx.all_faces()))
+            report = reduced_homology(cx)
+            assert report.rule == "family"
+            assert groups(report) == groups(reduced_homology(graphless(cx))), (m, n)
+
+
+# sha256 of the JSON of every tree of FAMILY_SIZES in construction order, in
+# the order of the list: the rule's order-free picks leave them unchanged
+TREE_DIGESTS = {
+    "star": "4bc9bbeabbb64294c2af601c8206e087aa4650a334b2df9e1f9299ff4048a715",
+    "theta": "c9820ddc08f9f473c1344c1c9e0e79e94f6dc11d56d8c8ffc11501b5206432a3",
+    "delta": "f852d946b80a8913d0674424468acaea7b8b23deb79dffbe2bfc80e384d5c5d7",
+}
+
+
+@pytest.mark.parametrize("fam", sorted(TREE_DIGESTS))
+def test_family_trees_in_construction_order_pinned(fam):
+    h = hashlib.sha256()
+    for m, n in FAMILY_SIZES[fam]:
+        h.update(json.dumps(MAKERS[fam](m, n).to_json(), sort_keys=True).encode())
+    assert h.hexdigest() == TREE_DIGESTS[fam]

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import complete_multipartite, ind_complex
+from conftest import (complete_multipartite, graphless, groups, ind_complex,
+                      unbuilt)
 from gridmorse import complexes, homology
-from gridmorse import (CapacityError, CriticalCensus, Graph, IntegerMatrix,
-                       SimplicialComplex, SNFResult, boundary_matrices,
-                       build_graph, census_from_tree, comb_tree,
-                       independence_complex, matching_complex,
-                       morse_inequality_check, plain, reduced_homology,
-                       smith_normal_form, torsion_scan)
+from gridmorse import (GENERIC_RULE, PIVOT_RULES, CapacityError,
+                       CriticalCensus, Graph, IntegerMatrix, MatchingTree,
+                       MatchingTreeError, SimplicialComplex, SNFResult,
+                       boundary_matrices, build_graph, census_from_tree,
+                       collect_pairing, comb_tree, critical_cells,
+                       independence_complex, line_graph, matching_complex,
+                       morse_homology, morse_inequality_check, plain,
+                       reduced_homology, run_strategy, smith_normal_form,
+                       torsion_scan)
 
 
 def minor_gcd_snf(rows):
@@ -148,10 +152,14 @@ def test_snf_leaves_its_input_unchanged():
     ((5, 8), {3: 14, 4: 1173}, {}, 1159),
 ], ids=["K7", "K9", "K5,5", "K6,6", "K5,8"])
 def test_matching_complex_torsion(parts, betti, torsion, euler):
-    report = reduced_homology(matching_complex(complete_multipartite(*parts)))
+    # the Morse route (generic rule), with the full SNF route as its oracle
+    cx = matching_complex(complete_multipartite(*parts))
+    report = reduced_homology(cx)
+    assert (report.route, report.rule) == ("morse-tree", "generic")
     assert report.betti_profile() == betti
     assert report.torsion == torsion
     assert report.euler == euler
+    assert groups(report) == groups(reduced_homology(graphless(cx)))
 
 
 def test_boundary_of_full_triangle():
@@ -223,11 +231,12 @@ def test_euler_agreement():
 
 
 def test_morse_inequalities():
+    # full-route homology, which shares no code with the trees
     tree = comb_tree(2, 2)
-    report = reduced_homology(ind_complex("delta", m=2, n=2))
+    report = reduced_homology(graphless(ind_complex("delta", m=2, n=2)))
     assert morse_inequality_check(census_from_tree(tree), report)
     tree1 = comb_tree(2, 1)
-    report1 = reduced_homology(ind_complex("delta", m=2, n=1))
+    report1 = reduced_homology(graphless(ind_complex("delta", m=2, n=1)))
     assert report1.betti_profile() == {1: 2}
     assert morse_inequality_check(census_from_tree(tree1), report1)
     fake = CriticalCensus(2, 1, {1: 0})
@@ -260,8 +269,8 @@ def test_torsion_scan_skips_over_cap(monkeypatch):
 def test_boundary_entry_cap(monkeypatch):
     # the cap is read at call time; C6's complex has 6 vertices and 2
     # triangles, so d_1 (built first by boundary_matrices) and d_3 (built
-    # first by reduced_homology) are each charged 6 entries
-    cx = ind_complex("cycle", n=6)
+    # first by reduced_homology's full route) are each charged 6 entries
+    cx = graphless(ind_complex("cycle", n=6))
     monkeypatch.setattr(homology, "DEFAULT_ENTRY_CAP", 5)
     with pytest.raises(CapacityError, match="6 entries exceeds entry cap 5"):
         boundary_matrices(cx)
@@ -276,10 +285,16 @@ def test_homology_capacity_guard():
 
 
 def test_report_json():
-    report = reduced_homology(ind_complex("cycle", n=6))
-    data = report.to_json()
+    cx = ind_complex("cycle", n=6)
+    data = reduced_homology(cx).to_json()
     assert {"d": 1, "betti": 2, "torsion": []} in data["dims"]
     assert data["euler"] == -2
+    assert (data["route"], data["rule"]) == ("morse-tree", "generic")
+    full = reduced_homology(graphless(cx)).to_json()
+    assert (full["route"], full["rule"]) == ("full-snf", None)
+    assert full["dims"] == data["dims"]
+    delta = reduced_homology(ind_complex("delta", m=2, n=2)).to_json()
+    assert (delta["route"], delta["rule"]) == ("morse-tree", "family")
 
 
 def unclear_homology(cx):
@@ -300,7 +315,7 @@ def unclear_homology(cx):
 
 
 def assert_clearing_exact(cx):
-    report = reduced_homology(cx)
+    report = reduced_homology(graphless(cx))
     assert (report.betti, report.torsion) == unclear_homology(cx)
 
 
@@ -341,3 +356,77 @@ def test_snf_equality_ignores_eliminated_rows():
     assert a.eliminated_rows and a.factors == b.factors
     assert a == b and hash(a) == hash(b)
     assert a == SNFResult((1, 1))
+
+
+def test_partner_walk_matches_collect_pairing():
+    # face by face, on a family tree, a generic tree and a torsion example
+    for g, rule in [(build_graph("delta", m=3, n=3), PIVOT_RULES["delta"]),
+                    (build_graph("grid2", n=5), GENERIC_RULE),
+                    (line_graph(complete_multipartite(*[1] * 7)), GENERIC_RULE)]:
+        tree = run_strategy(g, rule)
+        partner = homology._partner_walk(tree)
+        pairing = collect_pairing(tree)
+        crit = set(critical_cells(tree))
+        for face in independence_complex(g).all_faces():
+            want = pairing.up.get(face, pairing.down.get(face))
+            assert partner(face) == want, (g.family, face)
+            assert (want is None) == (face in crit)
+
+
+@pytest.mark.parametrize("g", [
+    Graph([], []),
+    Graph([plain(1)], []),
+    Graph([plain(i) for i in range(1, 5)], []),
+    build_graph("delta", m=2, n=-1),
+    build_graph("delta", m=2, n=0),
+    build_graph("delta", m=3, n=0),
+], ids=["empty", "one-vertex", "edgeless-4", "delta-2-minus1", "delta-2-0",
+        "delta-3-0"])
+def test_morse_route_edge_cases(g):
+    # the dims list and the Euler number too, not only the nonzero groups
+    cx = independence_complex(g)
+    morse, full = reduced_homology(cx), reduced_homology(graphless(cx))
+    assert morse.route == "morse-tree" and full.route == "full-snf"
+    assert groups(morse) == groups(full)
+    assert morse.to_json()["dims"] == full.to_json()["dims"]
+
+
+def test_morse_route_matches_full_route_on_random_graphs():
+    # seeded graphs on 3..11 vertices under the generic rule; the sample
+    # must exercise the flow: a nonzero Morse differential shows as more
+    # critical cells than the Betti numbers add up to
+    rng = random.Random(20061115)
+    nonzero = 0
+    for _ in range(300):
+        size = rng.randint(3, 11)
+        density = rng.uniform(0.15, 0.6)
+        verts = [plain(i) for i in range(1, size + 1)]
+        g = Graph(verts, [(verts[x], verts[y]) for x in range(size)
+                          for y in range(x + 1, size) if rng.random() < density])
+        cx = independence_complex(g)
+        report = reduced_homology(cx)
+        assert groups(report) == groups(reduced_homology(graphless(cx))), g.to_json()
+        cells = critical_cells(run_strategy(g, GENERIC_RULE))
+        nonzero += len(cells) > sum(report.betti.values())
+    assert nonzero >= 1
+
+
+def test_morse_homology_reads_the_tree_alone(monkeypatch):
+    # no face list is built: (2,10) has 808,395 faces, past the homology cap
+    monkeypatch.setattr(complexes, "_layers", unbuilt)
+    report = morse_homology(comb_tree(2, 10))
+    assert report.betti_profile() == census_from_tree(comb_tree(2, 10)).counts
+    assert report.torsion == {} and report.route == "morse-tree"
+    assert report.rule is None
+
+
+def test_morse_homology_charges_the_flow_memo():
+    # (2,9) takes 12,866 flow visits
+    with pytest.raises(CapacityError, match="memo exceeds face cap 100"):
+        morse_homology(comb_tree(2, 9), face_cap=100)
+
+
+def test_morse_homology_refuses_an_unfinished_tree():
+    tree = MatchingTree(build_graph("path", n=3))
+    with pytest.raises(MatchingTreeError, match="unexpanded leaf"):
+        morse_homology(tree)
