@@ -15,9 +15,9 @@ from .graphs import (END_A, END_B, Graph, VertexLabel, build_graph,
                      delta2_isomorphism, grid_edge, line_graph, neighbors,
                      plain, spine, tendril)
 from .homology import (HomologyReport, IntegerMatrix, SNFResult,
-                       boundary_matrices, morse_homology,
+                       boundary_matrices, full_homology, morse_homology,
                        morse_inequality_check, reduced_homology,
-                       smith_normal_form, torsion_scan)
+                       smith_normal_form)
 from .morse import (FacePairing, Free, Match, MatchingTree, MatchingTreeError,
                     SigmaNode, Split, collect_pairing, critical_cells, expand,
                     run_strategy, verify_acyclic)

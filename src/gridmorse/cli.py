@@ -15,12 +15,11 @@ import sys
 
 from . import census as census_mod
 from . import comb as comb_mod
-from .complexes import (CapacityError, DEFAULT_FACE_CAP, SimplicialComplex,
-                        independence_complex)
+from .complexes import CapacityError, DEFAULT_FACE_CAP, independence_complex
 from .graphs import build_graph
 from .homology import (DEFAULT_HOMOLOGY_FACE_CAP, IntegerMatrix,
-                       morse_inequality_check, reduced_homology,
-                       smith_normal_form)
+                       full_homology, morse_inequality_check,
+                       reduced_homology, smith_normal_form)
 from .morse import (collect_pairing, critical_cells, run_strategy,
                     verify_acyclic)
 
@@ -136,9 +135,8 @@ def _instance_checks(m, n, cap):
     crit = set(critical_cells(tree))
     partition = paired | crit == set(cx.all_faces()) and not paired & crit
     acyclic, _ = verify_acyclic(cx, pairing)
-    # the full SNF route on a graph-less copy, a path that shares no code
-    # with the tree it checks
-    report = reduced_homology(SimplicialComplex(cx.labels, cx.graded), cap)
+    # the full route, a path that shares no code with the tree it checks
+    report = full_homology(cx, cap)
     morse_ok = morse_inequality_check(comb_mod.census_from_tree(tree), report)
     return [(name, partition and acyclic, ""),
             ("morse-inequalities(m=%d,n=%d)" % (m, n), morse_ok, "")]

@@ -48,10 +48,8 @@ class SimplicialComplex:
     """Faces graded by size, as vertex bitmasks over `labels`.
 
     Only independence_complex (and so matching_complex) sets `graph`, the
-    graph the faces are the independent sets of; reduced_homology then
-    takes the Morse route through a matching tree grown on it.  from_facets
-    and join leave it None, and so does a copy made without it, which
-    sends reduced_homology down the full SNF route."""
+    graph the faces are the independent sets of; from_facets and join
+    leave it None."""
 
     __slots__ = ("labels", "graded", "graph")
 

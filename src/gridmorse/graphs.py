@@ -81,9 +81,7 @@ class Graph:
     face sorting and boundary-matrix orientation, so builders must be
     deterministic.  A graph built with its vertices in another order is
     just as valid: the matching-tree rules, the paper's family rule
-    included, accept any vertex order.  A complex holds its graph only when
-    independence_complex built it, and then reduced_homology takes the
-    Morse route.
+    included, accept any vertex order.
     """
 
     __slots__ = ("vertices", "index", "adj", "adjsets", "nbr", "family", "params")

@@ -1,18 +1,21 @@
 """Exact integral simplicial homology via Smith normal form.
 
 There are two routes to a complex's reduced homology, and the report names
-the one taken.  A complex with a graph (every independence and matching
-complex) takes the Morse route, "morse-tree": a matching tree is grown on
-the graph, by the paper's rule for star, theta and comb graphs and the
-generic rule otherwise, and morse_homology builds the Morse complex on its
-critical cells.  A face's partner comes from one walk down the compiled
-tree (Split goes to the child given by the split vertex, Free and Match
-toggle their pivot, a leaf means critical), and the Morse boundary is the
-simplicial boundary pushed through the gradient flow, memoised per
-dimension pair, with the incidence signs (-1)^popcount(face & (u - 1)) of
-the boundary matrices below.  Its matrices, a few critical cells wide, go
-to the same smith_normal_form.  A complex without a graph (from_facets,
-join) takes the full route, "full-snf", over every face.
+the one taken.  The full route, "full-snf" (full_homology), reduces the
+boundary matrices over every face of a complex; it shares no code with the
+matching trees and is the oracle for the other route.  The Morse route,
+"morse-tree" (morse_homology), grows a matching tree on a graph, by the
+paper's rule for star, theta and comb graphs and the generic rule
+otherwise, and builds the Morse complex on its critical cells.  A face's
+partner comes from one walk down the compiled tree (Split goes to the child
+given by the split vertex, Free and Match toggle their pivot, a leaf means
+critical), and the Morse boundary is the simplicial boundary pushed through
+the gradient flow, memoised per dimension pair, with the incidence signs
+(-1)^popcount(face & (u - 1)) of the boundary matrices below.  Its
+matrices, a few critical cells wide, go to the same smith_normal_form.
+reduced_homology takes the Morse route for a complex with a graph (every
+independence and matching complex) and the full route for one without
+(from_facets, join).
 
 Boundary matrices are kept sparse (dict-of-rows with a column index); the
 facets of a vertex-bitmask face are the face with one bit cleared.
@@ -41,9 +44,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .comb import rule_for
-from .complexes import (CapacityError, SimplicialComplex, _bits,
-                        independence_complex)
-from .graphs import build_graph
+from .complexes import CapacityError, SimplicialComplex, _bits
 from .morse import (Free, Match, MatchingTree, MatchingTreeError, Split,
                     critical_cells, run_strategy)
 
@@ -75,7 +76,7 @@ class IntegerMatrix:
 class SNFResult:
     factors: tuple  # positive invariant factors d_1 | d_2 | ... | d_r
     # rows of the unit pivots taken by the sweeps, in elimination order;
-    # the rows reduced_homology clears from the next lower boundary matrix
+    # the rows full_homology clears from the next lower boundary matrix
     eliminated_rows: tuple = field(default=(), compare=False)
 
     @property
@@ -118,20 +119,18 @@ def boundary_matrices(c: SimplicialComplex):
 
 
 def _chain_normalize(diag):
-    """Fix up a diagonal multiset into the divisibility chain d_1 | d_2 | ..."""
+    """Fix up a diagonal multiset into the divisibility chain d_1 | d_2 | ...
+
+    One ordered sweep of (d_i, d_j) <- (gcd, lcm) over i < j suffices: d_i
+    only shrinks to a divisor of itself, and every later pair it is not in
+    is replaced by the gcd and lcm of two multiples of d_i."""
     ones = sum(1 for x in diag if x == 1)
     d = sorted(x for x in diag if x > 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = gcd(d[i], d[j])
-                    l = d[i] * d[j] // g
-                    d[i], d[j] = g, l
-                    changed = True
-        d.sort()
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] * d[j] // g
     return (1,) * ones + tuple(d)
 
 
@@ -145,7 +144,7 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     clears the column mod itself by row operations, then, alone in its
     column, clears its row mod itself by column operations.
     Only the rows of the swept unit pivots are reported as eliminated_rows,
-    the rows reduced_homology may clear.
+    the rows full_homology may clear.
     """
     rows = {}
     cols = {}
@@ -271,31 +270,47 @@ def reduced_homology(c: SimplicialComplex,
     Morse route: a matching tree is grown on c.graph by the paper's rule
     for its family, else the generic rule, and morse_homology reads the
     homology off its critical cells; the report lists every dimension of c,
-    as the full route does.  A complex without a graph takes the full
-    route: b~_d = f_d - rank d_d - rank d_{d+1}, torsion in dimension d
-    from the invariant factors of d_{d+1} exceeding one.  The boundary
-    matrices are reduced from the top dimension down, each built without
-    the columns cleared by the unit pivots of the one above it; clearing
-    keeps every rank and invariant factor exact (see the module docstring).
-    Either way a complex of more than face_cap faces is refused.
+    as the full route does.  A complex without a graph goes to
+    full_homology.  Either way a complex of more than face_cap faces is
+    refused.
     """
-    total = c.num_faces()
-    if total > face_cap:
-        raise CapacityError("complex with %d faces exceeds homology cap %d"
-                            % (total, face_cap))
+    if c.graph is None:
+        return full_homology(c, face_cap)
+    _check_face_cap(c, face_cap)
+    rule = rule_for(c.graph)
+    report = morse_homology(run_strategy(c.graph, rule), face_cap)
+    betti = {d: report.betti.get(d, 0) for d in range(len(c.graded) - 1)}
+    return HomologyReport(betti, report.torsion, report.euler,
+                          report.route, rule.name)
+
+
+def full_homology(c: SimplicialComplex,
+                  face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP) -> HomologyReport:
+    """Reduced homology of c by the full route, "full-snf", over every face,
+    graph or no graph: b~_d = f_d - rank d_d - rank d_{d+1}, torsion in
+    dimension d from the invariant factors of d_{d+1} exceeding one.  The
+    boundary matrices are reduced from the top dimension down, each built
+    without the columns cleared by the unit pivots of the one above it;
+    clearing keeps every rank and invariant factor exact (see the module
+    docstring).  It shares no code with the matching trees, so it is the
+    oracle for the Morse route.  A complex of more than face_cap faces is
+    refused.
+    """
+    _check_face_cap(c, face_cap)
     graded = c.graded
-    if c.graph is not None:
-        rule = rule_for(c.graph)
-        report = morse_homology(run_strategy(c.graph, rule), face_cap)
-        betti = {d: report.betti.get(d, 0) for d in range(len(graded) - 1)}
-        return HomologyReport(betti, report.torsion, report.euler,
-                              report.route, rule.name)
     snfs = {}  # snfs[s - 1] reduces d_s, from the (s-1)-dimensional faces
     cleared = frozenset()
     for s in range(len(graded) - 1, 0, -1):
         snfs[s - 1] = smith_normal_form(_boundary_matrix(graded, s, cleared))
         cleared = frozenset(snfs[s - 1].eliminated_rows)
     return _report([len(fs) for fs in graded[1:]], snfs, "full-snf")
+
+
+def _check_face_cap(c, face_cap):
+    total = c.num_faces()
+    if total > face_cap:
+        raise CapacityError("complex with %d faces exceeds homology cap %d"
+                            % (total, face_cap))
 
 
 def _report(counts, snfs, route):
@@ -383,7 +398,7 @@ def morse_homology(tree: MatchingTree,
     stack; the memo entries are charged against face_cap (CapacityError
     past it) and dropped after each pair.  The Morse boundary matrices then
     go to smith_normal_form, whose ranks and invariant factors give the
-    groups as in reduced_homology.  The report lists dimensions 0 up to
+    groups as in full_homology.  The report lists dimensions 0 up to
     the top critical dimension; a critical empty face counts in dimension
     -1, which is not reported, as in the full route.
 
@@ -490,18 +505,3 @@ def morse_inequality_check(census, report: HomologyReport) -> bool:
         if report.betti.get(d, 0) > census.counts.get(d, 0):
             return False
     return census.euler() == report.euler
-
-
-def torsion_scan(m: int, n_range, face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP):
-    """Torsion report for the comb-graph complexes over a range of n.
-    Returns a list of (n, result) where result is a torsion dict or a
-    skip-reason string for instances over the cap."""
-    out = []
-    for n in n_range:
-        try:
-            cx = independence_complex(build_graph("delta", m=m, n=n), face_cap)
-        except CapacityError:
-            out.append((n, "skipped: more than %d faces" % face_cap))
-            continue
-        out.append((n, dict(reduced_homology(cx, face_cap).torsion)))
-    return out

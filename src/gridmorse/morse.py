@@ -82,7 +82,6 @@ class SigmaNode:
     id: int
     A: int  # vertices in every face of the node, one bit per vertex index
     B: int  # vertices in no face of the node (N(A) among them), as a bitmask
-    parent: int | None
     residual_mask: int  # V minus (A, B and N(A)), as a bitmask
     kind: str | None = None  # root | free-site | matching-site | splitting-site | terminal | empty
     step: object = None
@@ -99,7 +98,7 @@ class MatchingTree:
     def __init__(self, g: Graph):
         self.graph = g
         full = (1 << len(g)) - 1
-        self.nodes = [SigmaNode(0, 0, 0, None, full, kind="root",
+        self.nodes = [SigmaNode(0, 0, 0, full, kind="root",
                                 components=tuple(_components(g.nbr, full)))]
 
     def node(self, nid: int) -> SigmaNode:
@@ -111,8 +110,7 @@ class MatchingTree:
         if kind is None and not mask:
             kind = "terminal"
         nid = len(self.nodes)
-        self.nodes.append(SigmaNode(nid, A, B, parent, mask, kind, None, [],
-                                    components))
+        self.nodes.append(SigmaNode(nid, A, B, mask, kind, None, [], components))
         self.nodes[parent].children.append(nid)
         return nid
 
@@ -367,8 +365,10 @@ def verify_acyclic(complex: SimplicialComplex, pairing: FacePairing):
     own: the pairs (lo, hi) with |lo| = s, with an edge from (lo, hi) to
     (lo', hi') when lo' is a facet of hi other than lo.
 
-    Faces are vertex bitmasks.  One pass over each layer checks every pair
-    and builds the successor lists: hi ^ lo must be one bit inside hi, or
+    Faces are vertex bitmasks.  One pass over the complex's size layers
+    finds every face of the pairing and groups the pairs by layer.  One
+    pass over each layer then checks every pair and builds the successor
+    lists: hi ^ lo must be one bit inside hi, or
     the pair is not a cover relation, and the successors of lo are the
     facets hi ^ 1 << u, for the vertices u of lo in increasing order, that
     are lower faces of the layer.  Every pair is checked before any cycle
@@ -381,17 +381,16 @@ def verify_acyclic(complex: SimplicialComplex, pairing: FacePairing):
     pairing mentions a face outside the complex or a pair that is not a
     cover relation.
     """
-    face_set = set(complex.all_faces())
-    if not (face_set.issuperset(pairing.up) and face_set.issuperset(pairing.down)):
+    up, down = pairing.up, pairing.down
+    by_size, found_down = [], 0
+    for faces in complex.graded:
+        by_size.append({lo: up[lo] for lo in faces if lo in up})
+        found_down += sum(map(down.__contains__, faces))
+    if sum(map(len, by_size)) < len(up) or found_down < len(down):
         raise ValueError("pairing mentions a face outside the complex")
-    del face_set
-
-    by_size = {}
-    for lo, hi in pairing.up.items():
-        by_size.setdefault(lo.bit_count(), {})[lo] = hi
 
     layers = []
-    for _, layer in sorted(by_size.items()):
+    for layer in by_size:
         succ = {}
         for lo, hi in layer.items():
             bit = hi ^ lo

@@ -7,8 +7,7 @@ profiles are written straight from the closed-form case splits.
 
 from itertools import combinations
 
-from gridmorse import (Graph, SimplicialComplex, build_graph,
-                       independence_complex, plain)
+from gridmorse import Graph, build_graph, independence_complex, plain
 
 
 def brute_faces(g):
@@ -75,13 +74,6 @@ def unbuilt(*args):
     """Stands in for the face builder where a capacity check must refuse
     before any face is built."""
     raise AssertionError("faces were built before the cap refused them")
-
-
-def graphless(cx):
-    """The same faces without a graph, so reduced_homology takes the full
-    SNF route: the oracle for the Morse route, and the input of the tests
-    that pin the full route."""
-    return SimplicialComplex(cx.labels, cx.graded)
 
 
 def groups(report):

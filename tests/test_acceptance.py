@@ -8,15 +8,16 @@ do not fit under the desk-scale face caps, with the reason).  Run with
 
 import pytest
 
-from conftest import graphless, groups, star_profile, theta_profile
+from conftest import groups, star_profile, theta_profile
 from gridmorse import (build_graph, census_from_tree, census_seed,
                        census_table, collect_pairing, comb_census, comb_tree,
                        count_independent_sets, critical_cells,
                        dimension_bounds, euler_closed_form, euler_from_table,
-                       euler_recursion, independence_complex, morse_homology,
-                       morse_inequality_check, observation_scan, path_tree,
-                       reduced_homology, riordan_T, riordan_identity_check,
-                       star_tree, theta_tree, torsion_scan, verify_acyclic)
+                       euler_recursion, full_homology, independence_complex,
+                       morse_homology, morse_inequality_check,
+                       observation_scan, path_tree, reduced_homology,
+                       riordan_T, riordan_identity_check, star_tree,
+                       theta_tree, verify_acyclic)
 
 HOMOLOGY_CAP = 300_000
 
@@ -30,16 +31,16 @@ def fits(g, cap=HOMOLOGY_CAP):
 
 
 def full_route_torsion(m, n_range):
-    """The torsion of the m-comb complexes by full SNF on graph-less copies,
-    a path independent of the matching trees, checked against torsion_scan
-    (the Morse route)."""
+    """The torsion of the m-comb complexes by full SNF, a path independent
+    of the matching trees, with the Morse route asserted to give the same
+    groups."""
     out = []
     for n in n_range:
         cx = independence_complex(build_graph("delta", m=m, n=n), HOMOLOGY_CAP)
-        rep = reduced_homology(graphless(cx), HOMOLOGY_CAP)
+        rep = full_homology(cx, HOMOLOGY_CAP)
         assert rep.route == "full-snf"
+        assert groups(reduced_homology(cx, HOMOLOGY_CAP)) == groups(rep), n
         out.append((n, rep.torsion))
-    assert torsion_scan(m, n_range, HOMOLOGY_CAP) == out
     return out
 
 
@@ -111,7 +112,7 @@ def test_criterion_04_homology_vs_census():
     # full-SNF homology, which shares no code with the trees
     for n in range(0, 6):
         cx = independence_complex(build_graph("delta", m=2, n=n))
-        rep = reduced_homology(graphless(cx), HOMOLOGY_CAP)
+        rep = full_homology(cx, HOMOLOGY_CAP)
         census = census_from_tree(comb_tree(2, n))
         assert morse_inequality_check(census, rep), n
         if n == 1:
@@ -217,7 +218,7 @@ def test_criterion_10_observation_scan():
            "{48,61,74,84,87,90,94,97}, exact")
 
 
-def test_criterion_11_torsion_scan():
+def test_criterion_11_no_torsion():
     results = full_route_torsion(2, range(0, 6))
     for n, torsion in results:
         assert torsion == {}, (n, torsion)
@@ -238,7 +239,7 @@ def test_full_scale_skips_reported():
     faces = count_independent_sets(g, cap=HOMOLOGY_CAP)
     assert faces <= HOMOLOGY_CAP
     cx = independence_complex(g)
-    rep = reduced_homology(graphless(cx), HOMOLOGY_CAP)
+    rep = full_homology(cx, HOMOLOGY_CAP)
     assert rep.route == "full-snf"
     assert not rep.has_torsion(), rep.torsion
     census = census_from_tree(comb_tree(2, 9))

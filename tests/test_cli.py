@@ -104,13 +104,13 @@ def test_verify_runs_every_check_under_the_given_face_cap(capsys, monkeypatch):
     # a cap above the 300,000-face homology default is used as given, and
     # the default is that homology cap
     caps = []
-    real = cli.reduced_homology
+    real = cli.full_homology
 
     def spy(cx, cap):
         caps.append(cap)
         return real(cx, cap)
 
-    monkeypatch.setattr(cli, "reduced_homology", spy)
+    monkeypatch.setattr(cli, "full_homology", spy)
     code, _ = run(capsys, "verify", "--m", "2", "--nmax", "2",
                   "--face-cap", "1000000")
     assert code == 0 and caps == [1000000] * 3
@@ -310,3 +310,21 @@ def test_readme_commands_run(capsys):
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def readme_quick_start():
+    """README's "Library quick start" block, and the value that the
+    trailing comment of each of its print lines says it prints."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library quick start", 1)[1].split("```")[1]
+    block = block.removeprefix("python\n")
+    expected = [line.split("#", 1)[1].split(" - ")[0].strip()
+                for line in block.splitlines() if line.startswith("print(")]
+    return block, expected
+
+
+def test_readme_quick_start_prints_what_it_says(capsys):
+    block, expected = readme_quick_start()
+    assert len(expected) == 3
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from conftest import graphless, groups, star_profile, theta_profile
+from conftest import groups, star_profile, theta_profile
 from gridmorse import (GENERIC_RULE, PIVOT_RULES, Graph, build_graph,
                        census_from_tree, collect_pairing, comb_census,
                        comb_tree, count_independent_sets, critical_cells,
-                       independence_complex, path_tree, reduced_homology,
-                       rule_for, run_strategy, star_tree, theta_tree,
-                       verify_acyclic)
+                       full_homology, independence_complex, path_tree,
+                       reduced_homology, rule_for, run_strategy, star_tree,
+                       theta_tree, verify_acyclic)
 
 
 def path_profile(n):
@@ -144,7 +144,7 @@ def test_family_rule_accepts_any_vertex_order(fam):
                     == set(cx.all_faces()))
             report = reduced_homology(cx)
             assert report.rule == "family"
-            assert groups(report) == groups(reduced_homology(graphless(cx))), (m, n)
+            assert groups(report) == groups(full_homology(cx)), (m, n)
 
 
 # sha256 of the JSON of every tree of FAMILY_SIZES in construction order, in

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import (complete_multipartite, graphless, groups, ind_complex,
-                      unbuilt)
+from conftest import complete_multipartite, groups, ind_complex, unbuilt
 from gridmorse import complexes, homology
 from gridmorse import (GENERIC_RULE, PIVOT_RULES, CapacityError,
                        CriticalCensus, Graph, IntegerMatrix, MatchingTree,
                        MatchingTreeError, SimplicialComplex, SNFResult,
                        boundary_matrices, build_graph, census_from_tree,
                        collect_pairing, comb_tree, critical_cells,
-                       independence_complex, line_graph, matching_complex,
-                       morse_homology, morse_inequality_check, plain,
-                       reduced_homology, run_strategy, smith_normal_form,
-                       torsion_scan)
+                       full_homology, independence_complex, line_graph,
+                       matching_complex, morse_homology,
+                       morse_inequality_check, plain, reduced_homology,
+                       run_strategy, smith_normal_form)
 
 
 def minor_gcd_snf(rows):
@@ -54,6 +53,8 @@ def test_snf_basic_cases():
     assert smith_normal_form(IntegerMatrix(3, 4, {})).factors == ()
     assert smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])).factors == (2, 4)
     assert smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]])).factors == (1, 6)
+    assert smith_normal_form(IntegerMatrix.from_rows(
+        [[4, 0, 0], [0, 6, 0], [0, 0, 10]])).factors == (2, 2, 60)
     assert smith_normal_form(IntegerMatrix.from_rows([[6]])).factors == (6,)
 
 
@@ -159,7 +160,7 @@ def test_matching_complex_torsion(parts, betti, torsion, euler):
     assert report.betti_profile() == betti
     assert report.torsion == torsion
     assert report.euler == euler
-    assert groups(report) == groups(reduced_homology(graphless(cx)))
+    assert groups(report) == groups(full_homology(cx))
 
 
 def test_boundary_of_full_triangle():
@@ -233,49 +234,26 @@ def test_euler_agreement():
 def test_morse_inequalities():
     # full-route homology, which shares no code with the trees
     tree = comb_tree(2, 2)
-    report = reduced_homology(graphless(ind_complex("delta", m=2, n=2)))
+    report = full_homology(ind_complex("delta", m=2, n=2))
     assert morse_inequality_check(census_from_tree(tree), report)
     tree1 = comb_tree(2, 1)
-    report1 = reduced_homology(graphless(ind_complex("delta", m=2, n=1)))
+    report1 = full_homology(ind_complex("delta", m=2, n=1))
     assert report1.betti_profile() == {1: 2}
     assert morse_inequality_check(census_from_tree(tree1), report1)
     fake = CriticalCensus(2, 1, {1: 0})
     assert not morse_inequality_check(fake, report1)
 
 
-def test_torsion_scan_m2():
-    results = torsion_scan(2, range(0, 6))
-    assert [n for n, _ in results] == list(range(6))
-    for _, torsion in results:
-        assert torsion == {}
-
-
-def test_torsion_scan_skips_over_cap(monkeypatch):
-    # each complex is counted once, by independence_complex, whose refusal
-    # gives the SKIP
-    calls = []
-    real = complexes._count_independent
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(complexes, "_count_independent", spy)
-    assert torsion_scan(2, [2, 5], face_cap=100) == [
-        (2, {}), (5, "skipped: more than 100 faces")]
-    assert len(calls) == 2
-
-
 def test_boundary_entry_cap(monkeypatch):
     # the cap is read at call time; C6's complex has 6 vertices and 2
     # triangles, so d_1 (built first by boundary_matrices) and d_3 (built
-    # first by reduced_homology's full route) are each charged 6 entries
-    cx = graphless(ind_complex("cycle", n=6))
+    # first by full_homology) are each charged 6 entries
+    cx = ind_complex("cycle", n=6)
     monkeypatch.setattr(homology, "DEFAULT_ENTRY_CAP", 5)
     with pytest.raises(CapacityError, match="6 entries exceeds entry cap 5"):
         boundary_matrices(cx)
     with pytest.raises(CapacityError, match="6 entries exceeds entry cap 5"):
-        reduced_homology(cx)
+        full_homology(cx)
 
 
 def test_homology_capacity_guard():
@@ -290,7 +268,7 @@ def test_report_json():
     assert {"d": 1, "betti": 2, "torsion": []} in data["dims"]
     assert data["euler"] == -2
     assert (data["route"], data["rule"]) == ("morse-tree", "generic")
-    full = reduced_homology(graphless(cx)).to_json()
+    full = full_homology(cx).to_json()
     assert (full["route"], full["rule"]) == ("full-snf", None)
     assert full["dims"] == data["dims"]
     delta = reduced_homology(ind_complex("delta", m=2, n=2)).to_json()
@@ -315,7 +293,7 @@ def unclear_homology(cx):
 
 
 def assert_clearing_exact(cx):
-    report = reduced_homology(graphless(cx))
+    report = full_homology(cx)
     assert (report.betti, report.torsion) == unclear_homology(cx)
 
 
@@ -385,7 +363,7 @@ def test_partner_walk_matches_collect_pairing():
 def test_morse_route_edge_cases(g):
     # the dims list and the Euler number too, not only the nonzero groups
     cx = independence_complex(g)
-    morse, full = reduced_homology(cx), reduced_homology(graphless(cx))
+    morse, full = reduced_homology(cx), full_homology(cx)
     assert morse.route == "morse-tree" and full.route == "full-snf"
     assert groups(morse) == groups(full)
     assert morse.to_json()["dims"] == full.to_json()["dims"]
@@ -405,7 +383,7 @@ def test_morse_route_matches_full_route_on_random_graphs():
                           for y in range(x + 1, size) if rng.random() < density])
         cx = independence_complex(g)
         report = reduced_homology(cx)
-        assert groups(report) == groups(reduced_homology(graphless(cx))), g.to_json()
+        assert groups(report) == groups(full_homology(cx)), g.to_json()
         cells = critical_cells(run_strategy(g, GENERIC_RULE))
         nonzero += len(cells) > sum(report.betti.values())
     assert nonzero >= 1

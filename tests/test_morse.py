@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_multipartite, graphless, ind_complex, unbuilt
+from conftest import complete_multipartite, ind_complex, unbuilt
 from gridmorse.cli import main
 from gridmorse.complexes import _components
 from gridmorse import complexes, morse
 from gridmorse import (GENERIC_RULE, CapacityError, FacePairing, Free, Graph,
                        Match, MatchingTree, MatchingTreeError, SigmaNode, Split,
                        build_graph, census_from_tree, collect_pairing,
-                       comb_tree, critical_cells, expand, independence_complex,
-                       line_graph, morse_inequality_check, path_tree, plain,
-                       reduced_homology, run_strategy, spine, star_tree,
-                       theta_tree, verify_acyclic)
+                       comb_tree, critical_cells, expand, full_homology,
+                       independence_complex, line_graph, morse_inequality_check,
+                       path_tree, plain, reduced_homology, run_strategy, spine,
+                       star_tree, theta_tree, verify_acyclic)
 
 
 def fresh(g):
@@ -383,7 +383,7 @@ def test_generic_rule_certified(g, torsion):
     paired, crit = pairing.paired_faces(), set(critical_cells(tree))
     assert paired | crit == set(cx.all_faces()) and not paired & crit
     assert verify_acyclic(cx, pairing) == (True, None)
-    report = reduced_homology(graphless(cx))
+    report = full_homology(cx)
     assert report.torsion == torsion
     assert morse_inequality_check(census_from_tree(tree), report)
 
@@ -534,8 +534,9 @@ def test_collect_pairing_rejects_sites_covering_one_face(sites):
     tree = MatchingTree(Graph([plain(1), plain(2)], []))
     for a, residual, p in sites:
         mask = sum(1 << u for u in residual)
-        tree.nodes.append(SigmaNode(len(tree.nodes), sum(1 << u for u in a), 0,
-                                    0, mask, kind="free-site", step=Free(p)))
+        tree.nodes.append(SigmaNode(id=len(tree.nodes), A=sum(1 << u for u in a),
+                                    B=0, residual_mask=mask, kind="free-site",
+                                    step=Free(p)))
     with pytest.raises(MatchingTreeError, match="paired twice"):
         collect_pairing(tree)
 
