@@ -84,7 +84,7 @@ class Graph:
     included, accept any vertex order.
     """
 
-    __slots__ = ("vertices", "index", "adj", "adjsets", "nbr", "family", "params")
+    __slots__ = ("vertices", "index", "adjsets", "nbr", "family", "params")
 
     def __init__(self, vertices: Iterable[VertexLabel], edges, family=None, params=None):
         vertices = tuple(vertices)
@@ -102,7 +102,6 @@ class Graph:
             nbrs[iv].add(iu)
         self.vertices = vertices
         self.index = index
-        self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self.adjsets = tuple(frozenset(s) for s in nbrs)
         self.nbr = tuple(sum(1 << u for u in s) for s in nbrs)  # as bitmasks
         self.family = family
@@ -112,17 +111,17 @@ class Graph:
         return len(self.vertices)
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.adjsets)) // 2
 
     def edges(self):
         """Edges as index pairs (i, j) with i < j, in lexicographic order."""
-        for i in range(len(self.vertices)):
-            for j in self.adj[i]:
+        for i, s in enumerate(self.adjsets):
+            for j in sorted(s):
                 if i < j:
                     yield (i, j)
 
     def degree(self, i: int) -> int:
-        return len(self.adj[i])
+        return len(self.adjsets[i])
 
     def idx(self, v: VertexLabel) -> int:
         try:
@@ -142,7 +141,7 @@ class Graph:
 
 def neighbors(g: Graph, v: VertexLabel) -> set:
     """Open neighborhood of v, as a set of labels."""
-    return {g.vertices[u] for u in g.adj[g.idx(v)]}
+    return {g.vertices[u] for u in g.adjsets[g.idx(v)]}
 
 
 def build_graph(family: str, *, n: int, m: int | None = None) -> Graph:
@@ -181,46 +180,37 @@ def build_graph(family: str, *, n: int, m: int | None = None) -> Graph:
             edges.append((plain(2 * c), plain(2 * c + 2)))
         return Graph(verts, edges, "grid2", {"n": n})
 
+    def arms(length, end=None):
+        """The tendrils t<j>.1 .. t<j>.<length> for j = 1..m, in that order,
+        and the edges of each path a - t<j>.1 - ... - t<j>.<length>, ending
+        at `end` when one is given."""
+        verts, edges = [], []
+        for j in range(1, m + 1):
+            path = [tendril(j, k) for k in range(1, length + 1)]
+            verts += path
+            walk = [END_A, *path] if end is None else [END_A, *path, end]
+            edges += zip(walk, walk[1:])
+        return verts, edges
+
     if family == "star":
         if m is None or m < 1 or n < 1:
             raise ValueError("star requires m >= 1 and n >= 1")
-        verts = [END_A]
-        verts += [tendril(j, k) for j in range(1, m + 1) for k in range(1, n + 1)]
-        edges = []
-        for j in range(1, m + 1):
-            edges.append((END_A, tendril(j, 1)))
-            for k in range(1, n):
-                edges.append((tendril(j, k), tendril(j, k + 1)))
-        return Graph(verts, edges, "star", {"m": m, "n": n})
+        verts, edges = arms(n)
+        return Graph([END_A, *verts], edges, "star", {"m": m, "n": n})
 
     if family == "theta":
         if m is None or m < 2 or n < 1:
             raise ValueError("theta requires m >= 2 and n >= 1")
-        verts = [END_A, END_B]
-        verts += [tendril(j, k) for j in range(1, m + 1) for k in range(1, n + 1)]
-        edges = []
-        for j in range(1, m + 1):
-            edges.append((END_A, tendril(j, 1)))
-            for k in range(1, n):
-                edges.append((tendril(j, k), tendril(j, k + 1)))
-            edges.append((tendril(j, n), END_B))
-        return Graph(verts, edges, "theta", {"m": m, "n": n})
+        verts, edges = arms(n, END_B)
+        return Graph([END_A, END_B, *verts], edges, "theta", {"m": m, "n": n})
 
     if family == "delta":
         if m is None or m < 2 or n < -1:
             raise ValueError("delta requires m >= 2 and n >= -1")
         if n == -1:
             return Graph([plain(1)], [], "delta", {"m": m, "n": n})
-        verts = [END_A]
-        verts += [spine(k) for k in range(1, n + 1)]
-        verts.append(END_B)
-        verts += [tendril(j, k) for j in range(1, m + 1) for k in range(1, n + 2)]
-        edges = []
-        for j in range(1, m + 1):
-            edges.append((END_A, tendril(j, 1)))
-            for k in range(1, n + 1):
-                edges.append((tendril(j, k), tendril(j, k + 1)))
-            edges.append((tendril(j, n + 1), END_B))
+        tendrils, edges = arms(n + 1, END_B)
+        verts = [END_A, *(spine(k) for k in range(1, n + 1)), END_B, *tendrils]
         for k in range(1, n + 1):
             for j in range(1, m + 1):
                 edges.append((spine(k), tendril(j, k)))

@@ -7,12 +7,12 @@ matching trees and is the oracle for the other route.  The Morse route,
 "morse-tree" (morse_homology), grows a matching tree on a graph, by the
 paper's rule for star, theta and comb graphs and the generic rule
 otherwise, and builds the Morse complex on its critical cells.  A face's
-partner comes from one walk down the compiled tree (Split goes to the child
-given by the split vertex, Free and Match toggle their pivot, a leaf means
-critical), and the Morse boundary is the simplicial boundary pushed through
-the gradient flow, memoised per dimension pair, with the incidence signs
-(-1)^popcount(face & (u - 1)) of the boundary matrices below.  Its
-matrices, a few critical cells wide, go to the same smith_normal_form.
+partner comes from morse's partner walk down the compiled tree (morse owns
+the meaning of each Free, Match and Split step), and the Morse boundary is
+the simplicial boundary pushed through the gradient flow, memoised per
+dimension pair, with the incidence signs (-1)^popcount(face & (u - 1)) of
+the boundary matrices below.  Its matrices, a few critical cells wide, go
+to the same smith_normal_form.
 reduced_homology takes the Morse route for a complex with a graph (every
 independence and matching complex) and the full route for one without
 (from_facets, join).
@@ -45,7 +45,7 @@ from math import gcd
 
 from .comb import rule_for
 from .complexes import CapacityError, SimplicialComplex, _bits
-from .morse import (Free, Match, MatchingTree, MatchingTreeError, Split,
+from .morse import (MatchingTree, MatchingTreeError, _partner_walk,
                     critical_cells, run_strategy)
 
 DEFAULT_HOMOLOGY_FACE_CAP = 300_000
@@ -142,9 +142,10 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     and the sweeps repeat until one takes no pivot.  The rest is reduced
     by Euclid steps: the pivot becomes the smallest entry of its column and
     clears the column mod itself by row operations, then, alone in its
-    column, clears its row mod itself by column operations.
-    Only the rows of the swept unit pivots are reported as eliminated_rows,
-    the rows full_homology may clear.
+    column, clears its row mod itself by column operations.  Both phases
+    clear a column by the same row step, clear_column; a unit pivot's row
+    is then dropped.  Only the rows of the swept unit pivots are reported
+    as eliminated_rows, the rows full_homology may clear.
     """
     rows = {}
     cols = {}
@@ -155,35 +156,27 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
 
     eliminated_rows = []
 
-    def eliminate(r, c):
-        eps = rows[r][c]  # +1 or -1
-        pivot_row = [(c2, v2) for c2, v2 in rows[r].items() if c2 != c]
+    def clear_column(r, c):
+        """Leave every other row of column c its remainder mod rows[r][c]
+        (zero for a unit pivot) by subtracting multiples of row r."""
+        p = rows[r][c]
+        pivot_row = list(rows[r].items())
         for r2 in list(cols[c]):
             if r2 == r:
                 continue
-            mult = rows[r2][c] * eps
             row2 = rows[r2]
-            for c2, v2 in pivot_row:
-                newv = row2.get(c2, 0) - mult * v2
+            q = row2[c] // p  # nonzero, since |p| <= |row2[c]|
+            for c2, v in pivot_row:
+                newv = row2.get(c2, 0) - q * v
                 if newv:
                     if c2 not in row2:
                         cols[c2].add(r2)
                     row2[c2] = newv
                 else:
-                    if c2 in row2:
-                        del row2[c2]
-                        cols[c2].discard(r2)
-            del row2[c]
-            cols[c].discard(r2)
+                    del row2[c2]
+                    cols[c2].discard(r2)
             if not row2:
                 del rows[r2]
-        for c2, _ in pivot_row:
-            cols[c2].discard(r)
-            if not cols[c2]:
-                del cols[c2]
-        del rows[r]
-        del cols[c]
-        eliminated_rows.append(r)
 
     # Fill can create units in columns already passed, hence the repeats.
     swept = True
@@ -194,7 +187,13 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
                 continue
             units = [r for r in cols[c] if rows[r][c] in (1, -1)]
             if units:
-                eliminate(min(units, key=lambda r: (len(rows[r]), r)), c)
+                r = min(units, key=lambda r2: (len(rows[r2]), r2))
+                clear_column(r, c)
+                for c2 in rows.pop(r):
+                    cols[c2].discard(r)
+                    if not cols[c2]:
+                        del cols[c2]
+                eliminated_rows.append(r)
                 swept = True
 
     # Euclid steps on what the sweeps left.  Column operations by p's column
@@ -207,21 +206,7 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
         while True:
             r = min(cols[c], key=lambda r2: abs(rows[r2][c]))
             p = rows[r][c]
-            for r2 in list(cols[c]):
-                if r2 == r:
-                    continue
-                row2 = rows[r2]
-                q = row2[c] // p
-                for c2, v in rows[r].items():
-                    newv = row2.get(c2, 0) - q * v
-                    if newv:
-                        row2[c2] = newv
-                        cols[c2].add(r2)
-                    else:
-                        del row2[c2]
-                        cols[c2].discard(r2)
-                if not row2:
-                    del rows[r2]
+            clear_column(r, c)
             if len(cols[c]) > 1:
                 continue
             row = rows[r]
@@ -330,48 +315,6 @@ def _report(counts, snfs, route):
     return HomologyReport(betti, torsion, euler, route)
 
 
-_SPLIT, _PAIR, _LEAF = 0, 1, 2
-
-
-def _partner_walk(tree: MatchingTree):
-    """The partner function of a completed tree's matching: face -> the
-    face it is paired with, or None for a critical face.
-
-    The tree is compiled once into flat records (kind, pivot bit, second
-    bit, out child, in child), one per node, indexed like tree.nodes.  A
-    Split(v) record holds v's bit second, its child without v out and its
-    child with v in; a Match(p, v) record holds p's and v's bits and its
-    child in; a Free(p) record holds p's bit and 0, so no face goes in; a
-    node without a step is a leaf.  The walk starts at the root and costs
-    one step per tree level.  Raises MatchingTreeError on a leaf that is
-    not complete."""
-    recs = []
-    for nd in tree.nodes:
-        st = nd.step
-        if isinstance(st, Split):
-            recs.append((_SPLIT, 0, 1 << st.v, nd.children[0], nd.children[1]))
-        elif isinstance(st, Match):
-            recs.append((_PAIR, 1 << st.p, 1 << st.v, -1, nd.children[0]))
-        elif isinstance(st, Free):
-            recs.append((_PAIR, 1 << st.p, 0, -1, -1))
-        elif nd.residual_mask and nd.kind != "empty":
-            raise MatchingTreeError("node %d is an unexpanded leaf" % nd.id)
-        else:
-            recs.append((_LEAF, 0, 0, -1, -1))
-
-    def partner(face):
-        kind, p, v, out, inn = recs[0]
-        while kind != _LEAF:
-            if face & v:
-                kind, p, v, out, inn = recs[inn]
-            elif kind == _SPLIT:
-                kind, p, v, out, inn = recs[out]
-            else:
-                return face ^ p
-        return None
-    return partner
-
-
 def _incidence(face, u):
     """[face : face ^ u] for a vertex bit u of face: (-1) to the number of
     vertices of face below u, as in _boundary_matrix."""
@@ -385,14 +328,12 @@ def morse_homology(tree: MatchingTree,
     Skoldberg 2006), without enumerating the complex.
 
     The chain groups are spanned by the critical cells, the A-sets of the
-    terminal leaves.  The partner of a face comes from one walk down the compiled
-    tree: Split(v) goes to the child given by whether v is in the face,
-    Free(p) returns face ^ 1 << p, Match(p, v) goes to its child if v is in
-    the face and otherwise returns face ^ 1 << p, and a leaf means the face
-    is critical.  The Morse boundary of a critical d-cell s is
-    sum [s : t] flow(t) over its facets t, where flow(t) is t for a
-    critical t, 0 for an upper face t, and for t paired up with s' the sum
-    of -[s' : r][s' : t] flow(r) over the other facets r of s'.  Incidences
+    terminal leaves.  The partner of a face comes from one walk down the
+    compiled tree, morse._partner_walk.  The Morse boundary of a critical
+    d-cell s is sum [s : t] flow(t) over its facets t, where flow(t) is t
+    for a critical t, 0 for an upper face t, and for t paired up with s' the
+    sum of -[s' : r][s' : t] flow(r) over the other facets r of s'; both
+    sums are one facet_sum over the memoised flows.  Incidences
     are [f : f ^ u] = (-1)^popcount(f & (u - 1)), the convention of
     _boundary_matrix.  flow is memoised per dimension pair on an explicit
     stack; the memo entries are charged against face_cap (CapacityError
@@ -436,7 +377,20 @@ def _morse_boundary(upper, lower, partner, face_cap):
     opened = {}  # faces whose flow waits on the flows of their partner's facets
     zero = {}    # the one zero chain, shared and never written
 
+    def facet_sum(cell, bits, scale):
+        """The nonzero terms of the sum of scale * [cell : cell ^ u] times
+        the memoised flow of cell ^ u, over the vertex bits u of bits."""
+        chain = {}
+        while bits:
+            u = bits & -bits
+            bits ^= u
+            c = scale * _incidence(cell, u)
+            for k, x in memo[cell ^ u].items():
+                chain[k] = chain.get(k, 0) + c * x
+        return {k: x for k, x in chain.items() if x}
+
     def flow(tau):
+        """Memoise the flow of tau and of every face it waits on."""
         stack = [tau]
         while stack:
             t = stack[-1]
@@ -445,17 +399,8 @@ def _morse_boundary(upper, lower, partner, face_cap):
                 continue
             up = opened.pop(t, None)
             if up is not None:
-                # every other facet r of up has its flow now
-                s0 = _incidence(up, up ^ t)
-                chain = {}
-                rest = t
-                while rest:
-                    u = rest & -rest
-                    rest ^= u
-                    c = -s0 * _incidence(up, u)
-                    for k, x in memo[up ^ u].items():
-                        chain[k] = chain.get(k, 0) + c * x
-                value = {k: x for k, x in chain.items() if x} or zero
+                # every other facet up ^ u of up has its flow now
+                value = facet_sum(up, t, -_incidence(up, up ^ t)) or zero
             else:
                 up = partner(t)
                 if up is None:
@@ -479,21 +424,16 @@ def _morse_boundary(upper, lower, partner, face_cap):
             if len(memo) > face_cap:
                 raise CapacityError("Morse flow memo exceeds face cap %d" % face_cap)
             stack.pop()
-        return memo[tau]
 
     entries = {}
     for col, sigma in enumerate(upper):
-        chain = {}
         rest = sigma
         while rest:
             u = rest & -rest
             rest ^= u
-            c = _incidence(sigma, u)
-            for k, x in flow(sigma ^ u).items():
-                chain[k] = chain.get(k, 0) + c * x
-        for k, x in chain.items():
-            if x:
-                entries[(row[k], col)] = x
+            flow(sigma ^ u)
+        for k, x in facet_sum(sigma, sigma, 1).items():
+            entries[(row[k], col)] = x
     return IntegerMatrix(len(lower), len(upper), entries)
 
 

@@ -26,6 +26,12 @@ site exactly and refuses them over the face cap before it builds any face;
 then complexes._layers lists the J of each site's faces A | J and A | p | J
 one size layer at a time on a bitmask of the site's ground set, and
 collect_pairing checks in bulk that no face is paired twice.
+_partner_walk finds the same partners one face at a time, for the Morse
+route in homology: it compiles the tree once to flat records and walks a
+face down from the root.  Split(v) goes to the child given by whether v is
+in the face, Free(p) returns face ^ 1 << p, Match(p, v) goes to its child
+if v is in the face and otherwise returns face ^ 1 << p, and a leaf means
+the face is critical.
 verify_acyclic makes one pass per size layer: a pair is a cover when
 hi ^ lo is one bit inside hi, its successors are the facets hi ^ 1 << u
 (u in lo) that are lower faces of the layer, and a depth-first search over
@@ -354,6 +360,48 @@ def critical_cells(tree: MatchingTree):
     cells = [nd.A for nd in tree.critical_leaves()]
     cells.sort(key=lambda f: (f.bit_count(), f))
     return cells
+
+
+_SPLIT, _PAIR, _LEAF = 0, 1, 2
+
+
+def _partner_walk(tree: MatchingTree):
+    """The partner function of a completed tree's matching: face -> the
+    face it is paired with, or None for a critical face.
+
+    The tree is compiled once into flat records (kind, pivot bit, second
+    bit, out child, in child), one per node, indexed like tree.nodes.  A
+    Split(v) record holds v's bit second, its child without v out and its
+    child with v in; a Match(p, v) record holds p's and v's bits and its
+    child in; a Free(p) record holds p's bit and 0, so no face goes in; a
+    node without a step is a leaf.  The walk starts at the root and costs
+    one step per tree level.  Raises MatchingTreeError on a leaf that is
+    not complete."""
+    recs = []
+    for nd in tree.nodes:
+        st = nd.step
+        if isinstance(st, Split):
+            recs.append((_SPLIT, 0, 1 << st.v, nd.children[0], nd.children[1]))
+        elif isinstance(st, Match):
+            recs.append((_PAIR, 1 << st.p, 1 << st.v, -1, nd.children[0]))
+        elif isinstance(st, Free):
+            recs.append((_PAIR, 1 << st.p, 0, -1, -1))
+        elif nd.residual_mask and nd.kind != "empty":
+            raise MatchingTreeError("node %d is an unexpanded leaf" % nd.id)
+        else:
+            recs.append((_LEAF, 0, 0, -1, -1))
+
+    def partner(face):
+        kind, p, v, out, inn = recs[0]
+        while kind != _LEAF:
+            if face & v:
+                kind, p, v, out, inn = recs[inn]
+            elif kind == _SPLIT:
+                kind, p, v, out, inn = recs[out]
+            else:
+                return face ^ p
+        return None
+    return partner
 
 
 def verify_acyclic(complex: SimplicialComplex, pairing: FacePairing):

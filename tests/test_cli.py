@@ -261,7 +261,8 @@ def exit_code(argv):
     ["verify", "--jobs", "2"],
     ["census", "--oeis"],
     ["census", "--m", "2", "--nmax", "3", "--form", "oeis"],
-    ["verify", "--see", "1"],
+    ["verify", "--seed", "1"],
+    ["verify", "--face", "100"],
 ])
 def test_unread_flags_exit_2(argv, capsys):
     assert exit_code(argv) == 2

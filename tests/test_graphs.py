@@ -19,7 +19,7 @@ def is_cycle_graph(g):
     seen = {0}
     todo = [0]
     while todo:
-        for u in g.adj[todo.pop()]:
+        for u in g.adjsets[todo.pop()]:
             if u not in seen:
                 seen.add(u)
                 todo.append(u)
@@ -76,7 +76,7 @@ def test_adjacency_symmetric_loopless():
         g = build_graph(fam, **kw)
         for i in range(len(g)):
             assert i not in g.adjsets[i]
-            for j in g.adj[i]:
+            for j in g.adjsets[i]:
                 assert i in g.adjsets[j]
 
 
@@ -149,7 +149,7 @@ def test_delta2_isomorphism(n):
     # independent re-check of adjacency preservation, both directions
     for u in comb.vertices:
         iu = comb.idx(u)
-        image_nbrs = {mapping[comb.vertices[w]] for w in comb.adj[iu]}
+        image_nbrs = {mapping[comb.vertices[w]] for w in comb.adjsets[iu]}
         assert image_nbrs == neighbors(grid_line, mapping[u])
     # spine images keep degree 2m = 4
     for k in range(1, n + 1):

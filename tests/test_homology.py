@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import complete_multipartite, groups, ind_complex, unbuilt
 from gridmorse import complexes, homology
-from gridmorse import (GENERIC_RULE, PIVOT_RULES, CapacityError,
-                       CriticalCensus, Graph, IntegerMatrix, MatchingTree,
-                       MatchingTreeError, SimplicialComplex, SNFResult,
-                       boundary_matrices, build_graph, census_from_tree,
-                       collect_pairing, comb_tree, critical_cells,
-                       full_homology, independence_complex, line_graph,
+from gridmorse import (GENERIC_RULE, CapacityError, CriticalCensus, Graph,
+                       IntegerMatrix, MatchingTree, MatchingTreeError,
+                       SimplicialComplex, SNFResult, boundary_matrices,
+                       build_graph, census_from_tree, comb_tree,
+                       critical_cells, full_homology, independence_complex,
                        matching_complex, morse_homology,
                        morse_inequality_check, plain, reduced_homology,
                        run_strategy, smith_normal_form)
@@ -334,21 +333,6 @@ def test_snf_equality_ignores_eliminated_rows():
     assert a.eliminated_rows and a.factors == b.factors
     assert a == b and hash(a) == hash(b)
     assert a == SNFResult((1, 1))
-
-
-def test_partner_walk_matches_collect_pairing():
-    # face by face, on a family tree, a generic tree and a torsion example
-    for g, rule in [(build_graph("delta", m=3, n=3), PIVOT_RULES["delta"]),
-                    (build_graph("grid2", n=5), GENERIC_RULE),
-                    (line_graph(complete_multipartite(*[1] * 7)), GENERIC_RULE)]:
-        tree = run_strategy(g, rule)
-        partner = homology._partner_walk(tree)
-        pairing = collect_pairing(tree)
-        crit = set(critical_cells(tree))
-        for face in independence_complex(g).all_faces():
-            want = pairing.up.get(face, pairing.down.get(face))
-            assert partner(face) == want, (g.family, face)
-            assert (want is None) == (face in crit)
 
 
 @pytest.mark.parametrize("g", [

@@ -8,13 +8,14 @@ from conftest import complete_multipartite, ind_complex, unbuilt
 from gridmorse.cli import main
 from gridmorse.complexes import _components
 from gridmorse import complexes, morse
-from gridmorse import (GENERIC_RULE, CapacityError, FacePairing, Free, Graph,
-                       Match, MatchingTree, MatchingTreeError, SigmaNode, Split,
-                       build_graph, census_from_tree, collect_pairing,
-                       comb_tree, critical_cells, expand, full_homology,
-                       independence_complex, line_graph, morse_inequality_check,
-                       path_tree, plain, reduced_homology, run_strategy, spine,
-                       star_tree, theta_tree, verify_acyclic)
+from gridmorse import (GENERIC_RULE, PIVOT_RULES, CapacityError, FacePairing,
+                       Free, Graph, Match, MatchingTree, MatchingTreeError,
+                       SigmaNode, Split, build_graph, census_from_tree,
+                       collect_pairing, comb_tree, critical_cells, expand,
+                       full_homology, independence_complex, line_graph,
+                       morse_inequality_check, path_tree, plain,
+                       reduced_homology, run_strategy, spine, star_tree,
+                       theta_tree, verify_acyclic)
 
 
 def fresh(g):
@@ -157,10 +158,10 @@ def test_full_c4_run_partition():
     def split_then_finish(graph, node):
         rset = set(node.residual)
         for v in node.residual:
-            if all(u not in rset for u in graph.adj[v]):
+            if all(u not in rset for u in graph.adjsets[v]):
                 return Free(v)
         for v in node.residual:
-            nbr = [u for u in graph.adj[v] if u in rset]
+            nbr = [u for u in graph.adjsets[v] if u in rset]
             if len(nbr) == 1:
                 return Match(v, nbr[0])
         return Split(node.residual[0])
@@ -539,6 +540,21 @@ def test_collect_pairing_rejects_sites_covering_one_face(sites):
                                     step=Free(p)))
     with pytest.raises(MatchingTreeError, match="paired twice"):
         collect_pairing(tree)
+
+
+def test_partner_walk_matches_collect_pairing():
+    # face by face, on a family tree, a generic tree and a torsion example
+    for g, rule in [(build_graph("delta", m=3, n=3), PIVOT_RULES["delta"]),
+                    (build_graph("grid2", n=5), GENERIC_RULE),
+                    (line_graph(complete_multipartite(*[1] * 7)), GENERIC_RULE)]:
+        tree = run_strategy(g, rule)
+        partner = morse._partner_walk(tree)
+        pairing = collect_pairing(tree)
+        crit = set(critical_cells(tree))
+        for face in independence_complex(g).all_faces():
+            want = pairing.up.get(face, pairing.down.get(face))
+            assert partner(face) == want, (g.family, face)
+            assert (want is None) == (face in crit)
 
 
 def test_collect_pairing_face_cap_boundary(monkeypatch):
