@@ -195,21 +195,18 @@ def dimension_bounds(m: int, n: int) -> DimensionBounds:
     return DimensionBounds(d_min, d_max)
 
 
-def low_homology_prediction(m: int, n: int, table: CensusTable | None = None):
+def low_homology_prediction(m: int, n: int):
     """Predicted rank of the lowest potentially nonzero homology group, at
     dimension floor((2n+2)/3): rank one when n = 3k or 3k+1, zero when
     n = 3k+2.  The supporting census facts (a single cell at that dimension
-    and none right above it, or none at all) are re-derived from the table
-    and checked before returning (dimension, rank)."""
+    and none right above it, or none at all) are re-derived from
+    census_table(m, n) and checked before returning (dimension, rank)."""
     if m < 4:
         raise ValueError("requires m >= 4")
     if n < 0:
         raise ValueError("requires n >= 0")
     d_n = (2 * n + 2) // 3
-    if table is None:
-        table = census_table(m, n)
-    if table.m != m or table.n_max < n:
-        raise ValueError("table does not cover (m=%d, n=%d)" % (m, n))
+    table = census_table(m, n)
     if n % 3 in (0, 1):
         rank = 1
         if table.value(n, d_n) != 1 or table.value(n, d_n + 1) != 0:

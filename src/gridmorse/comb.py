@@ -3,12 +3,11 @@ rule for every other graph, plus the critical-cell census read off a tree.
 
 `PIVOT_RULES` maps the star, theta and comb ("delta") families to
 `FAMILY_RULE`; every other graph takes `GENERIC_RULE`; `rule_for(g)` is
-that one lookup.  Each rule is a pure function of a node's (A, B) bitmasks,
-read through the residual bitmask and the residual's connected components
-that the node carries from its parent (see morse).  The generic rule frees
-the lowest isolated residual vertex, else matches the lowest one of
-residual degree one with its neighbour, else splits the lowest one: on a
-path, Match(1, 2), then Match(4, 5), and so on.
+that one lookup.  Each rule is a pure function of a node's residual
+bitmask (see morse) and computes from it whatever else it reads.  The
+generic rule frees the lowest isolated residual vertex, else matches the
+lowest one of residual degree one with its neighbour, else splits the
+lowest one: on a path, Match(1, 2), then Match(4, 5), and so on.
 The family rule is one decision procedure for all phases; it classifies the
 connected components of the residual graph and acts on the first rule that
 applies:
@@ -29,14 +28,17 @@ applies:
      earliest spine vertex other than the component's acting left hub.
 
 Rule order matters: teeth are resolved (rules 2 and 3) before the nested
-comb continues (rule 5), so the script stays a function of (A, B) alone.
-On a comb the backbone splits run along the spine, each tooth consumes its
-star factor, and the all-excluded leaf is a theta; the degenerate sizes
-n = 0 and n = -1 resolve through the theta and free-vertex rules.
+comb continues (rule 5), so the script stays a function of the residual
+alone.  On a comb the backbone splits run along the spine, each tooth
+consumes its star factor, and the all-excluded leaf is a theta; the
+degenerate sizes n = 0 and n = -1 resolve through the theta and
+free-vertex rules.
 
 A component is classified by bitmask tests against tendril, spine and
-right-hub masks computed once per graph.  Its step depends on its mask
-alone, so the family rule memoises the steps per graph, keyed by component.
+right-hub masks computed once per graph.  A node's step depends on its
+residual alone, and most nodes of a tree repeat a residual seen earlier
+in it, so the family rule memoises the steps per graph, keyed by
+residual, and splits a residual into its components only on a miss.
 The rule accepts any vertex order: the acting left hub, the backbone spine
 and a path's far end are picked by each vertex's construction position
 (a, s1..sn, b, then t_{j,k} by j and k), also computed once per graph, not
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .complexes import _bits
+from .complexes import _bits, _components
 from .graphs import Graph, build_graph
 from .morse import Free, Match, MatchingTree, Split, run_strategy
 
@@ -88,15 +90,17 @@ class CriticalCensus:
 _KIND_ORDER = {"a": 0, "s": 1, "b": 2}  # then the tendrils "t"
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _graph_masks(g: Graph):
     """What the family rule reads, computed once per graph: the bitmasks of
     all tendril vertices, of the tendril vertices of each tooth path in
     order of its index j, of the spine vertices and of the right hub; each
     vertex's construction position (a, s1..sn, b, t_{j,k} by j then k),
     indexed by vertex; and an empty memo of family-rule steps keyed by
-    component.  Graphs hash by identity, so an equal graph built afresh gets
-    its own entry; the cache keeps the last few graphs a tree was grown on."""
+    residual.  Graphs hash by identity, so an equal graph built afresh gets
+    its own entry.  run_strategy grows one tree on one graph at a time, so
+    the cache keeps that graph only: a larger one would just keep the memos
+    of finished trees alive."""
     kinds = {}
     paths = {}
     for i, lab in enumerate(g.vertices):
@@ -134,24 +138,27 @@ def _first(mask, pos):
 def _family_step(g: Graph, node):
     """Shared decision procedure for star, theta and comb graphs.
 
-    Every component but a singleton falls under exactly one of rules 2..5,
-    by its number of non-tendril vertices (0, 1, 2, or 3 and more), so the
-    node's step is the step of the first component under the lowest rule,
-    and that step depends on the component's mask alone."""
+    Every component of the residual but a singleton falls under exactly one
+    of rules 2..5, by its number of non-tendril vertices (0, 1, 2, or 3 and
+    more), so the node's step is the step of the first component under the
+    lowest rule.  The step depends on the residual alone and is memoised by
+    it, Free steps included."""
     tendrils, paths, spines, right, pos, memo = _graph_masks(g)
+    res = node.residual_mask
+    step = memo.get(res)
+    if step is not None:
+        return step
     best, best_rank = 0, 4
-    for comp in node.components:
+    for comp in _components(g.nbr, res):
         # rule 1: the lowest isolated residual vertex is the first singleton
         if comp & (comp - 1) == 0:
-            return Free(comp.bit_length() - 1)
+            memo[res] = step = Free(comp.bit_length() - 1)
+            return step
         rank = min((comp & ~tendrils).bit_count(), 3)
         if rank < best_rank:
             best, best_rank = comp, rank
     if not best:
         raise RuntimeError("no rule applies at node %d" % node.id)
-    step = memo.get(best)
-    if step is not None:
-        return step
     hubs = best & ~tendrils
     if best_rank == 0:
         # rule 2: a detached tendril path
@@ -175,22 +182,21 @@ def _family_step(g: Graph, node):
         if not backbone:
             raise RuntimeError("comb component without backbone spines")
         step = Split(_first(backbone, pos))
-    memo[best] = step
+    memo[res] = step
     return step
 
 
 def _generic_step(g: Graph, node):
-    for comp in node.components:
-        if comp & (comp - 1) == 0:
-            return Free(comp.bit_length() - 1)
-    res = rest = node.residual_mask
-    while rest:
-        p = _lowest(rest)
+    res = node.residual_mask
+    verts = _bits(res)
+    for p in verts:
+        if not g.nbr[p] & res:
+            return Free(p)
+    for p in verts:
         nb = g.nbr[p] & res
         if nb & (nb - 1) == 0:
             return Match(p, nb.bit_length() - 1)
-        rest ^= 1 << p
-    return Split(_lowest(res))
+    return Split(verts[0])
 
 
 GENERIC_RULE = StrategyScript("generic", _generic_step)

@@ -198,14 +198,21 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
 
     # Euclid steps on what the sweeps left.  Column operations by p's column
     # change only p's row once p is alone in its column.  Each pass takes a
-    # strictly smaller pivot, so p ends isolated: one diagonal entry.
+    # strictly smaller pivot, so p ends isolated: one diagonal entry.  A
+    # pass that does not shrink the pivot is a broken row step, and raises
+    # rather than loop.
     diag = [1] * len(eliminated_rows)
     while rows:
         r = min(rows)
         c = min(rows[r], key=lambda c2: abs(rows[r][c2]))
+        bound = abs(rows[r][c]) + 1
         while True:
             r = min(cols[c], key=lambda r2: abs(rows[r2][c]))
             p = rows[r][c]
+            if abs(p) >= bound:
+                raise RuntimeError("Euclid pivot %d did not shrink below %d"
+                                   % (abs(p), bound))
+            bound = abs(p)
             clear_column(r, c)
             if len(cols[c]) > 1:
                 continue

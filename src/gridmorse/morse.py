@@ -44,12 +44,6 @@ every vertex, a Split(v) child that excludes v drops v, a child that takes
 v into A (Split(v) or Match(p, v)) drops v and N(v), and the empty child of
 a Free step keeps its parent's.  Each is the set V minus (A, B and N(A))
 would give, because N(A) is forced into B along every legal run.
-
-Each node also holds the connected components of its residual graph, as
-bitmasks in the order of their lowest vertex (SigmaNode.components), and
-these are carried from the parent too: only the component that holds v
-loses vertices, so a child copies the others and splits that one again.
-The pivot rules read them.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import (CapacityError, DEFAULT_FACE_CAP, SimplicialComplex,
-                        _bits, _components, _count_independent, _layers)
+                        _bits, _count_independent, _layers)
 from .graphs import Graph
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -92,7 +86,6 @@ class SigmaNode:
     kind: str | None = None  # root | free-site | matching-site | splitting-site | terminal | empty
     step: object = None
     children: list = field(default_factory=list)
-    components: tuple = ()  # of the residual graph, as bitmasks, lowest vertex first
 
     @property
     def residual(self) -> tuple:
@@ -104,19 +97,18 @@ class MatchingTree:
     def __init__(self, g: Graph):
         self.graph = g
         full = (1 << len(g)) - 1
-        self.nodes = [SigmaNode(0, 0, 0, full, kind="root",
-                                components=tuple(_components(g.nbr, full)))]
+        self.nodes = [SigmaNode(0, 0, 0, full, kind="root")]
 
     def node(self, nid: int) -> SigmaNode:
         return self.nodes[nid]
 
-    def _add(self, A, B, mask, components, parent, kind=None) -> int:
+    def _add(self, A, B, mask, parent, kind=None) -> int:
         if A & B:
             raise MatchingTreeError("A and B intersect")
         if kind is None and not mask:
             kind = "terminal"
         nid = len(self.nodes)
-        self.nodes.append(SigmaNode(nid, A, B, mask, kind, None, [], components))
+        self.nodes.append(SigmaNode(nid, A, B, mask, kind))
         self.nodes[parent].children.append(nid)
         return nid
 
@@ -156,22 +148,6 @@ class MatchingTree:
         }
 
 
-def _resplit(nbr, components, v, cut):
-    """The components after the vertices of `cut` leave the residual, where
-    v is residual and `cut` is v, or v and N(v).  Only the component holding
-    v changes: what is left of it is split again, and the order of lowest
-    vertices is kept."""
-    bit = 1 << v
-    for i, comp in enumerate(components):
-        if comp & bit:
-            break
-    parts = tuple(_components(nbr, comp & ~cut))
-    head, tail = components[:i], components[i + 1:]
-    if parts and tail and parts[-1] & -parts[-1] > tail[0] & -tail[0]:
-        return (*head, *sorted(parts + tail, key=lambda c: c & -c))
-    return head + parts + tail
-
-
 def _check_range(g: Graph, *vertices):
     """Step vertices must be ints that index g; a negative one would wrap
     around, and a bool or a label is not an index."""
@@ -194,7 +170,6 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
     A, B = node.A, node.B
     nbr = g.nbr
     res = node.residual_mask
-    comps = node.components
 
     if isinstance(step, Free):
         p = step.p
@@ -206,7 +181,7 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
             raise MatchingTreeError(
                 "free vertex %s has neighbors outside A and B: %s"
                 % (g.vertices[p], [str(g.vertices[u]) for u in _bits(loose)]))
-        tree._add(A, B, res, comps, node_id, kind="empty")
+        tree._add(A, B, res, node_id, kind="empty")
         site = "free-site"
     elif isinstance(step, Match):
         p, v = step.p, step.v
@@ -222,9 +197,7 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
             raise MatchingTreeError(
                 "pivot %s must have exactly one neighbor outside A and B (got %s)"
                 % (g.vertices[p], [str(g.vertices[u]) for u in _bits(loose)]))
-        cut = bit | nbr[v]
-        tree._add(A | bit, B | nbr[v], res & ~cut,
-                  _resplit(nbr, comps, v, cut), node_id)
+        tree._add(A | bit, B | nbr[v], res & ~(bit | nbr[v]), node_id)
         site = "matching-site"
     elif isinstance(step, Split):
         v = step.v
@@ -233,11 +206,8 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
         if not res & bit:
             raise MatchingTreeError(
                 "splitting vertex %s is not residual" % g.vertices[v])
-        cut = bit | nbr[v]
-        tree._add(A, B | bit, res & ~bit,
-                  _resplit(nbr, comps, v, bit), node_id)
-        tree._add(A | bit, B | nbr[v], res & ~cut,
-                  _resplit(nbr, comps, v, cut), node_id)
+        tree._add(A, B | bit, res & ~bit, node_id)
+        tree._add(A | bit, B | nbr[v], res & ~(bit | nbr[v]), node_id)
         site = "splitting-site"
     else:
         raise MatchingTreeError("unknown step %r" % (step,))

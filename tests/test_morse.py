@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from conftest import complete_multipartite, ind_complex, unbuilt
 from gridmorse.cli import main
-from gridmorse.complexes import _components
 from gridmorse import complexes, morse
 from gridmorse import (GENERIC_RULE, PIVOT_RULES, CapacityError, FacePairing,
                        Free, Graph, Match, MatchingTree, MatchingTreeError,
@@ -328,9 +327,9 @@ def replayed_sets(tree):
 
 
 def assert_carried_state(tree):
-    """Every node's A, B, residual and components equal those recomputed
-    from scratch: A and B replayed as sets from the root, the residual from
-    its definition, the components from the residual's bitmask."""
+    """Every node's A, B and residual equal those recomputed from scratch:
+    A and B replayed as sets from the root, the residual from its
+    definition."""
     g = tree.graph
     sets = replayed_sets(tree)
     for nd in tree.nodes:
@@ -339,7 +338,6 @@ def assert_carried_state(tree):
         assert nd.residual == res, nd.id
         mask = sum(1 << v for v in res)
         assert nd.residual_mask == mask, nd.id
-        assert nd.components == tuple(_components(g.nbr, mask)), nd.id
 
 
 def sparse_random_graph(size, density, rnd):
