@@ -1,9 +1,10 @@
 """Independent verification: exact integral homology against the Morse data.
 
 Smith normal form over the integers gives reduced Betti numbers and torsion
-with no rounding anywhere.  There are two routes.  reduced_homology takes
-the Morse route for a complex with a graph: it grows the matching tree and
-reduces only the Morse complex on its critical cells.  full_homology takes
+with no rounding anywhere.  There are two routes.  The Morse route,
+morse_homology, takes a graph: it grows the matching tree and reduces only
+the Morse complex on its critical cells, building no face, and
+reduced_homology takes it for a complex with a graph.  full_homology takes
 the full route over every face, which shares no code with the trees, so
 the censuses and the Morse route can be checked against an entirely
 separate computational path.
@@ -34,10 +35,10 @@ print("so these Morse complexes carry no cancellable pairs of cells.")
 
 print()
 print("=" * 64)
-print("beyond full SNF: the Morse route on the tree alone")
+print("beyond full SNF: the Morse route on the graph alone")
 print("=" * 64)
 for n in (10, 11):
-    rep = morse_homology(comb_tree(2, n))
+    rep = morse_homology(build_graph("delta", m=2, n=n))
     print("  n=%d: betti %s, torsion %s" % (n, rep.betti_profile(),
                                           rep.torsion or "none"))
 

@@ -18,8 +18,8 @@ from . import comb as comb_mod
 from .complexes import CapacityError, DEFAULT_FACE_CAP, independence_complex
 from .graphs import build_graph
 from .homology import (DEFAULT_HOMOLOGY_FACE_CAP, IntegerMatrix,
-                       full_homology, morse_inequality_check,
-                       reduced_homology, smith_normal_form)
+                       full_homology, morse_homology, morse_inequality_check,
+                       smith_normal_form)
 from .morse import (collect_pairing, critical_cells, run_strategy,
                     verify_acyclic)
 
@@ -93,9 +93,8 @@ def cmd_morse(args):
 
 
 def cmd_homology(args):
-    g = _build_family(args)
-    report = reduced_homology(independence_complex(g, args.face_cap), args.face_cap)
-    _emit_json(report.to_json(), args.out)
+    _emit_json(morse_homology(_build_family(args), args.face_cap).to_json(),
+               args.out)
     return EXIT_OK
 
 

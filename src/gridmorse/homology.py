@@ -12,10 +12,11 @@ the meaning of each Free, Match and Split step), and the Morse boundary is
 the simplicial boundary pushed through the gradient flow, memoised per
 dimension pair, with the incidence signs (-1)^popcount(face & (u - 1)) of
 the boundary matrices below.  Its matrices, a few critical cells wide, go
-to the same smith_normal_form.
-reduced_homology takes the Morse route for a complex with a graph (every
-independence and matching complex) and the full route for one without
-(from_facets, join).
+to the same smith_normal_form.  It reads no face of the complex, so its
+face cap bounds the flow memo, whose entries are faces, and not the
+complex.  reduced_homology takes the Morse route on the graph of a complex
+with one (every independence and matching complex) and the full route for
+one without (from_facets, join).  Either report lists the nonzero groups.
 
 Boundary matrices are kept sparse (dict-of-rows with a column index); the
 facets of a vertex-bitmask face are the face with one bit cleared.
@@ -45,8 +46,8 @@ from math import gcd
 
 from .comb import rule_for
 from .complexes import CapacityError, SimplicialComplex, _bits
-from .morse import (MatchingTree, MatchingTreeError, _partner_walk,
-                    critical_cells, run_strategy)
+from .graphs import Graph
+from .morse import MatchingTreeError, _partner_walk, critical_cells, run_strategy
 
 DEFAULT_HOMOLOGY_FACE_CAP = 300_000
 DEFAULT_ENTRY_CAP = 50_000_000
@@ -234,7 +235,7 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
 
 @dataclass
 class HomologyReport:
-    betti: dict     # dimension -> reduced Betti rank
+    betti: dict     # dimension -> reduced Betti rank, nonzero ranks only
     torsion: dict   # dimension -> tuple of invariant factors > 1
     euler: int
     route: str = "full-snf"   # or "morse-tree"
@@ -248,7 +249,7 @@ class HomologyReport:
                 "euler": self.euler, "route": self.route, "rule": self.rule}
 
     def betti_profile(self) -> dict:
-        return {d: b for d, b in self.betti.items() if b}
+        return dict(self.betti)
 
     def has_torsion(self) -> bool:
         return any(self.torsion.values())
@@ -256,24 +257,13 @@ class HomologyReport:
 
 def reduced_homology(c: SimplicialComplex,
                      face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP) -> HomologyReport:
-    """Reduced Betti ranks and torsion of every dimension of c.
-
-    A complex with a graph (an independence or matching complex) takes the
-    Morse route: a matching tree is grown on c.graph by the paper's rule
-    for its family, else the generic rule, and morse_homology reads the
-    homology off its critical cells; the report lists every dimension of c,
-    as the full route does.  A complex without a graph goes to
-    full_homology.  Either way a complex of more than face_cap faces is
-    refused.
-    """
+    """Reduced Betti ranks and torsion of c, by the Morse route on c.graph
+    (morse_homology, which reads no face of c) for a complex with a graph
+    (an independence or matching complex), else by full_homology.  face_cap
+    bounds the route taken: the flow memo, or the complex's face count."""
     if c.graph is None:
         return full_homology(c, face_cap)
-    _check_face_cap(c, face_cap)
-    rule = rule_for(c.graph)
-    report = morse_homology(run_strategy(c.graph, rule), face_cap)
-    betti = {d: report.betti.get(d, 0) for d in range(len(c.graded) - 1)}
-    return HomologyReport(betti, report.torsion, report.euler,
-                          report.route, rule.name)
+    return morse_homology(c.graph, face_cap)
 
 
 def full_homology(c: SimplicialComplex,
@@ -288,7 +278,10 @@ def full_homology(c: SimplicialComplex,
     oracle for the Morse route.  A complex of more than face_cap faces is
     refused.
     """
-    _check_face_cap(c, face_cap)
+    total = c.num_faces()
+    if total > face_cap:
+        raise CapacityError("complex with %d faces exceeds homology cap %d"
+                            % (total, face_cap))
     graded = c.graded
     snfs = {}  # snfs[s - 1] reduces d_s, from the (s-1)-dimensional faces
     cleared = frozenset()
@@ -298,28 +291,24 @@ def full_homology(c: SimplicialComplex,
     return _report([len(fs) for fs in graded[1:]], snfs, "full-snf")
 
 
-def _check_face_cap(c, face_cap):
-    total = c.num_faces()
-    if total > face_cap:
-        raise CapacityError("complex with %d faces exceeds homology cap %d"
-                            % (total, face_cap))
-
-
-def _report(counts, snfs, route):
+def _report(counts, snfs, route, rule=None):
     """The groups of a chain complex with counts[d] cells in dimension d,
     from d = 0 up, and snfs[d] reducing the boundary from dimension d where
     it is nonzero: b~_d = c_d - rank d_d - rank d_{d+1}, and the torsion in
-    dimension d is the invariant factors of d_{d+1} exceeding one."""
+    dimension d is the invariant factors of d_{d+1} exceeding one.  Only the
+    nonzero groups are kept."""
     rank = {d: snf.rank for d, snf in snfs.items()}
     betti, torsion = {}, {}
     for d, c in enumerate(counts):
-        betti[d] = c - rank.get(d, 0) - rank.get(d + 1, 0)
+        b = c - rank.get(d, 0) - rank.get(d + 1, 0)
+        if b:
+            betti[d] = b
         if d + 1 in snfs:
             tors = tuple(x for x in snfs[d + 1].factors if x > 1)
             if tors:
                 torsion[d] = tors
     euler = sum(b if d % 2 == 0 else -b for d, b in betti.items())
-    return HomologyReport(betti, torsion, euler, route)
+    return HomologyReport(betti, torsion, euler, route, rule)
 
 
 def _incidence(face, u):
@@ -328,11 +317,12 @@ def _incidence(face, u):
     return -1 if (face & (u - 1)).bit_count() & 1 else 1
 
 
-def morse_homology(tree: MatchingTree,
+def morse_homology(g: Graph,
                    face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP) -> HomologyReport:
-    """Reduced homology of the independence complex of tree.graph, read off
-    the Morse complex of the completed matching tree (Forman 1998;
-    Skoldberg 2006), without enumerating the complex.
+    """Reduced homology of the independence complex of g, read off the Morse
+    complex of the matching tree that rule_for(g) grows on g (Forman 1998;
+    Skoldberg 2006), without enumerating the complex; the report names that
+    rule.
 
     The chain groups are spanned by the critical cells, the A-sets of the
     terminal leaves.  The partner of a face comes from one walk down the
@@ -346,9 +336,9 @@ def morse_homology(tree: MatchingTree,
     stack; the memo entries are charged against face_cap (CapacityError
     past it) and dropped after each pair.  The Morse boundary matrices then
     go to smith_normal_form, whose ranks and invariant factors give the
-    groups as in full_homology.  The report lists dimensions 0 up to
-    the top critical dimension; a critical empty face counts in dimension
-    -1, which is not reported, as in the full route.
+    groups as in full_homology.  The report lists the nonzero groups; a
+    critical empty face counts in dimension -1, which is not reported, as in
+    the full route.
 
     The gradient paths are finite, so the recursion ends, because the
     matching is acyclic.  Each Split(v), and each Match(p, v) as it sends
@@ -362,6 +352,8 @@ def morse_homology(tree: MatchingTree,
     acyclic.  verify_acyclic checks it on the face poset up to the face
     caps, and a gradient cycle met on the stack raises MatchingTreeError.
     """
+    rule = rule_for(g)
+    tree = run_strategy(g, rule)
     partner = _partner_walk(tree)
     cells = {}
     for face in critical_cells(tree):
@@ -373,7 +365,7 @@ def morse_homology(tree: MatchingTree,
             snfs[d] = smith_normal_form(_morse_boundary(
                 cells[d], cells[d - 1], partner, face_cap))
     return _report([len(cells.get(d, ())) for d in range(top + 1)], snfs,
-                   "morse-tree")
+                   "morse-tree", rule.name)
 
 
 def _morse_boundary(upper, lower, partner, face_cap):

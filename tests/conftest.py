@@ -1,13 +1,40 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles for the test suite, and its per-test time
+bound.
 
-These deliberately avoid the library's enumeration and census code paths:
-faces come from scanning all vertex subsets, and the expected sphere
+The oracles deliberately avoid the library's enumeration and census code
+paths: faces come from scanning all vertex subsets, and the expected sphere
 profiles are written straight from the closed-form case splits.
 """
 
+import signal
 from itertools import combinations
 
+import pytest
+
 from gridmorse import Graph, build_graph, independence_complex, plain
+
+TEST_SECONDS = 120  # per test; the slowest takes about 6 s
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    """Fail a test that runs past TEST_SECONDS with a TimeoutError naming
+    the bound, so a stalled loop shows as a named failure.  Where the
+    platform has no setitimer (Windows) tests run unbounded."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its %d s bound" % TEST_SECONDS)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def brute_faces(g):

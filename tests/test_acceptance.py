@@ -250,11 +250,11 @@ def test_full_scale_skips_reported():
            "torsion, Betti profile %s equals the tree census and the Morse "
            "route, exact" % (faces, rep.betti_profile()))
     for n in (10, 11):
-        faces = count_independent_sets(build_graph("delta", m=2, n=n))
+        g = build_graph("delta", m=2, n=n)
+        faces = count_independent_sets(g)
         assert faces > HOMOLOGY_CAP
-        tree = comb_tree(2, n)
-        census = census_from_tree(tree)
-        rep = morse_homology(tree, HOMOLOGY_CAP)
+        census = census_from_tree(comb_tree(2, n))
+        rep = morse_homology(g, HOMOLOGY_CAP)
         assert not rep.has_torsion(), rep.torsion
         assert rep.betti_profile() == census.counts
         report("PASS -- homology of the m=2 comb complex at n=%d (%d faces) "

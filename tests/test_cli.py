@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import unbuilt
-from gridmorse import cli, comb, complexes, homology
+from gridmorse import census, cli, comb, complexes, homology
 from gridmorse.cli import main
 
 
@@ -69,15 +69,33 @@ def test_homology_subcommand(capsys):
     assert {"d": 2, "betti": 1, "torsion": []} in data["dims"]
 
 
-def test_homology_default_cap_refuses_before_enumerating(capsys, monkeypatch):
-    # delta(2,10) has 808,395 faces, past the 300,000-face homology cap
-    def enumerate_faces(*args):
-        raise AssertionError("the count gate should refuse first")
+def dims(out):
+    return [(row["d"], row["betti"]) for row in json.loads(out)["dims"]]
 
-    monkeypatch.setattr(complexes, "_layers", enumerate_faces)
-    code = main(["homology", "--family", "delta", "--m", "2", "--n", "10"])
+
+def test_homology_builds_no_face(capsys, monkeypatch):
+    # delta(2,10) has 808,395 faces, past the 300,000 default cap, which
+    # bounds the flow memo; a smaller cap refuses on the memo
+    monkeypatch.setattr(complexes, "_layers", unbuilt)
+    code, out = run(capsys, "homology", "--family", "delta", "--m", "2",
+                    "--n", "10")
+    assert code == 0 and dims(out) == [(7, 28), (8, 1)]
+    code = main(["homology", "--family", "delta", "--m", "2", "--n", "10",
+                 "--face-cap", "1000"])
     assert code == 3
-    assert "300000" in capsys.readouterr().err
+    assert "memo exceeds face cap 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m,betti", [(4, {8: 3, 10: 7, 12: 3}),
+                                     (5, {9: 3, 12: 7, 15: 3})])
+def test_homology_reaches_n8_without_flow(capsys, monkeypatch, m, betti):
+    # no two critical dimensions of (4,8) or (5,8) are adjacent, so the
+    # route reads the groups off the tree's census with no flow at all
+    monkeypatch.setattr(complexes, "_layers", unbuilt)
+    code, out = run(capsys, "homology", "--family", "delta", "--m", str(m),
+                    "--n", "8")
+    assert code == 0
+    assert dict(dims(out)) == census.census_table(m, 8).row_counts(8) == betti
 
 
 def test_riordan_subcommand(capsys):
@@ -165,15 +183,15 @@ def test_instance_checks_test_the_tree_against_the_full_route(monkeypatch):
 
 # sha256 of stdout and the exit code: the face representation inside the
 # library must not change a byte of what these invocations print.  The
-# homology digest took the report's "route" and "rule" fields, the only
-# change to its bytes since the full-SNF output 2fff4a73...
+# homology digest took the report's "route" and "rule" fields (from the
+# full-SNF output 2fff4a73...), then lost its zero rows (from bbe9a291...).
 PINNED_OUTPUT = [
     ("complex --family delta --m 2 --n 3 --faces", 0,
      "06ff2ba8af4875a2ec249b0040c701e5dc4d8196610ea1f6266a204ae30fe095"),
     ("complex --family cycle --n 6 --faces", 0,
      "88a8690e06f7cc80850b46e37a434d162b8763bf2b5ed1e2dd6941afb1529f05"),
     ("homology --family delta --m 2 --n 5", 0,
-     "bbe9a291ca056f07946a7c47b96d0e3bceb0686047fe0c472e15d0d057c8f801"),
+     "e22a3b01bf62e671db1fa83ee096cbdcbe3c062fcb6ce163568dcf9f30929945"),
     ("morse --family delta --m 2 --n 6", 0,
      "91b7e6039b0528c3729352375b1cee39fb6ad9e27c50858189e28d5cfd492aa4"),
     ("morse --family path --n 12", 0,
@@ -307,7 +325,7 @@ def readme_commands():
 
 def test_readme_commands_run(capsys):
     commands = readme_commands()
-    assert len(commands) == 11
+    assert len(commands) == 12
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()

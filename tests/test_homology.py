@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from conftest import complete_multipartite, groups, ind_complex, unbuilt
 from gridmorse import complexes, homology
 from gridmorse import (GENERIC_RULE, CapacityError, CriticalCensus, Graph,
-                       IntegerMatrix, MatchingTree, MatchingTreeError,
-                       SimplicialComplex, SNFResult, boundary_matrices,
-                       build_graph, census_from_tree, comb_tree,
-                       critical_cells, full_homology, independence_complex,
-                       matching_complex, morse_homology,
-                       morse_inequality_check, plain, reduced_homology,
-                       run_strategy, smith_normal_form)
+                       IntegerMatrix, SimplicialComplex, SNFResult,
+                       boundary_matrices, build_graph, census_from_tree,
+                       comb_tree, critical_cells, full_homology,
+                       independence_complex, matching_complex,
+                       morse_homology, morse_inequality_check, plain,
+                       reduced_homology, run_strategy, smith_normal_form)
 
 
 def minor_gcd_snf(rows):
@@ -256,9 +255,15 @@ def test_boundary_entry_cap(monkeypatch):
 
 
 def test_homology_capacity_guard():
+    # the full route refuses on the face count; the Morse route builds no
+    # face and refuses on its flow memo
     cx = ind_complex("cycle", n=6)
-    with pytest.raises(CapacityError):
-        reduced_homology(cx, face_cap=5)
+    graphless = SimplicialComplex(cx.labels, cx.graded)
+    with pytest.raises(CapacityError, match="18 faces exceeds homology cap 5"):
+        reduced_homology(graphless, face_cap=5)
+    delta = ind_complex("delta", m=2, n=9)
+    with pytest.raises(CapacityError, match="memo exceeds face cap 100"):
+        reduced_homology(delta, face_cap=100)
 
 
 def test_report_json():
@@ -275,8 +280,9 @@ def test_report_json():
 
 
 def unclear_homology(cx):
-    """Oracle for the cleared reduction: Betti numbers and torsion from the
-    SNF of every full boundary matrix, with no column cleared."""
+    """Oracle for the cleared reduction: the nonzero Betti numbers and the
+    torsion from the SNF of every full boundary matrix, with no column
+    cleared."""
     mats = boundary_matrices(cx)
     snfs = [smith_normal_form(M) for M in mats]
     for M, snf in zip(mats, snfs):
@@ -284,8 +290,8 @@ def unclear_homology(cx):
         assert len(set(rows)) == len(rows) <= snf.rank
         assert all(0 <= r < M.nrows for r in rows)
     ranks = [s.rank for s in snfs] + [0]
-    betti = {d: len(cx.graded[d + 1]) - ranks[d] - ranks[d + 1]
-             for d in range(len(cx.graded) - 1)}
+    betti = {d: b for d in range(len(cx.graded) - 1)
+             if (b := len(cx.graded[d + 1]) - ranks[d] - ranks[d + 1])}
     torsion = {d: tors for d in range(len(snfs) - 1)
                if (tors := tuple(x for x in snfs[d + 1].factors if x > 1))}
     return betti, torsion
@@ -345,7 +351,7 @@ def test_snf_equality_ignores_eliminated_rows():
 ], ids=["empty", "one-vertex", "edgeless-4", "delta-2-minus1", "delta-2-0",
         "delta-3-0"])
 def test_morse_route_edge_cases(g):
-    # the dims list and the Euler number too, not only the nonzero groups
+    # the dims list and the Euler number too, not only the groups
     cx = independence_complex(g)
     morse, full = reduced_homology(cx), full_homology(cx)
     assert morse.route == "morse-tree" and full.route == "full-snf"
@@ -376,19 +382,13 @@ def test_morse_route_matches_full_route_on_random_graphs():
 def test_morse_homology_reads_the_tree_alone(monkeypatch):
     # no face list is built: (2,10) has 808,395 faces, past the homology cap
     monkeypatch.setattr(complexes, "_layers", unbuilt)
-    report = morse_homology(comb_tree(2, 10))
+    report = morse_homology(build_graph("delta", m=2, n=10))
     assert report.betti_profile() == census_from_tree(comb_tree(2, 10)).counts
     assert report.torsion == {} and report.route == "morse-tree"
-    assert report.rule is None
+    assert report.rule == "family"
 
 
 def test_morse_homology_charges_the_flow_memo():
     # (2,9) takes 12,866 flow visits
     with pytest.raises(CapacityError, match="memo exceeds face cap 100"):
-        morse_homology(comb_tree(2, 9), face_cap=100)
-
-
-def test_morse_homology_refuses_an_unfinished_tree():
-    tree = MatchingTree(build_graph("path", n=3))
-    with pytest.raises(MatchingTreeError, match="unexpanded leaf"):
-        morse_homology(tree)
+        morse_homology(build_graph("delta", m=2, n=9), face_cap=100)

@@ -555,6 +555,12 @@ def test_partner_walk_matches_collect_pairing():
             assert (want is None) == (face in crit)
 
 
+def test_partner_walk_refuses_an_unfinished_tree():
+    tree = MatchingTree(build_graph("path", n=3))
+    with pytest.raises(MatchingTreeError, match="unexpanded leaf"):
+        morse._partner_walk(tree)
+
+
 def test_collect_pairing_face_cap_boundary(monkeypatch):
     tree = comb_tree(2, 3)
     pairs = len(collect_pairing(tree))
