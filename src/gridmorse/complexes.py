@@ -1,4 +1,4 @@
-"""Independence and matching complexes: enumerated explicitly, or counted.
+"""Independence and matching complexes: counted first, listed on first read.
 
 A face is a vertex bitmask (bit i for vertex i of the ground order), the
 one face format from matching trees to boundary matrices; _bits decodes it
@@ -10,7 +10,10 @@ can extend it, and extending lex-ordered parents in increasing vertex order
 keeps every layer in lex order, so face indices are reproducible.
 independence_complex runs it on all the vertices, and morse._site_pairs on
 the ground set of each pairing site.  Both count their faces exactly first
-and refuse a count over the face cap before any face is built.
+and refuse a count over the face cap before any face is built.  A complex
+from independence_complex is counted at construction and listed on first
+read of `graded`: num_faces answers from the count, and the Morse route of
+homology, which reads only the graph, never lists a face.
 
 count_independent_sets counts faces without listing them.  It applies the
 recursion I(G) = I(G - v) + I(G - N[v]) one connected component at a time,
@@ -18,12 +21,15 @@ with vertex sets held as bitmasks and component counts memoised within a
 call, so no face is visited.  Under a cap the arithmetic saturates at
 cap + 1, which stays exact because every partial count is at least 1 and
 sums and products are monotone.  morse._site_pairs uses the same counter
-for |Sigma(A, B)| at matching-tree nodes.  The count decides only whether
-enumeration is refused; the faces listed do not depend on it, so
-enumeration stays the independent oracle that tests check it against.
+for |Sigma(A, B)| at matching-tree nodes.  The count decides whether
+enumeration is refused and answers num_faces; the faces listed do not
+depend on it, so enumeration stays the independent oracle that tests check
+it against.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .graphs import Graph, line_graph
 
@@ -48,15 +54,27 @@ class SimplicialComplex:
     """Faces graded by size, as vertex bitmasks over `labels`.
 
     Only independence_complex (and so matching_complex) sets `graph`, the
-    graph the faces are the independent sets of; from_facets and join
-    leave it None."""
+    graph the faces are the independent sets of.  It passes graded=None
+    and keeps its exact face count in `_count`: the faces are counted at
+    construction and listed, by _layers, on the first read of `graded`,
+    which keeps them.  from_facets and join pass their layers in and leave
+    the graph and the count None."""
 
-    __slots__ = ("labels", "graded", "graph")
+    __slots__ = ("labels", "_graded", "graph", "_count")
 
     def __init__(self, labels, graded, graph=None):
         self.labels = tuple(labels)
-        self.graded = graded  # graded[s]: vertex bitmasks of the s-vertex faces
+        self._graded = graded
         self.graph = graph
+        self._count = None
+
+    @property
+    def graded(self):
+        """graded[s]: the vertex bitmasks of the s-vertex faces."""
+        if self._graded is None:
+            g = self.graph
+            self._graded = list(_layers(g.nbr, (1 << len(g)) - 1))
+        return self._graded
 
     @classmethod
     def from_facets(cls, labels, facets) -> "SimplicialComplex":
@@ -71,6 +89,10 @@ class SimplicialComplex:
         return cls(labels, graded, None)
 
     def num_faces(self) -> int:
+        """The count taken at construction, where there is one: it lists no
+        face."""
+        if self._count is not None:
+            return self._count
         return sum(len(fs) for fs in self.graded)
 
     def f_vector(self):
@@ -85,8 +107,7 @@ class SimplicialComplex:
         return tuple(self.labels[i] for i in _bits(face))
 
     def all_faces(self):
-        for fs in self.graded:
-            yield from fs
+        return chain.from_iterable(self.graded)
 
     def to_json(self, include_faces=False) -> dict:
         out = {
@@ -103,14 +124,17 @@ class SimplicialComplex:
 def independence_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     """All independent sets of g, graded by size, each layer in lex order.
 
-    The faces are counted exactly first, without listing them, and a count
-    over face_cap raises CapacityError before any face is built; then
-    _layers builds them.
+    The faces are counted at construction, exactly and without listing
+    them, and a count over face_cap raises CapacityError before any face is
+    built.  They are listed, by _layers, on the first read of `graded`;
+    num_faces answers from the count.
     """
-    full = (1 << len(g)) - 1
-    if _count_independent(g.nbr, full, face_cap + 1) > face_cap:
+    count = _count_independent(g.nbr, (1 << len(g)) - 1, face_cap + 1)
+    if count > face_cap:
         raise CapacityError("independence complex exceeds face cap %d" % face_cap)
-    return SimplicialComplex(g.vertices, list(_layers(g.nbr, full)), g)
+    cx = SimplicialComplex(g.vertices, None, g)
+    cx._count = count
+    return cx
 
 
 def _layers(nbr, ground):

@@ -259,8 +259,10 @@ def reduced_homology(c: SimplicialComplex,
                      face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP) -> HomologyReport:
     """Reduced Betti ranks and torsion of c, by the Morse route on c.graph
     (morse_homology, which reads no face of c) for a complex with a graph
-    (an independence or matching complex), else by full_homology.  face_cap
-    bounds the route taken: the flow memo, or the complex's face count."""
+    (an independence or matching complex), else by full_homology.  Such a
+    complex is counted at construction and listed on first read of
+    c.graded, so this route lists none of its faces.  face_cap bounds the
+    route taken: the flow memo, or the complex's face count."""
     if c.graph is None:
         return full_homology(c, face_cap)
     return morse_homology(c.graph, face_cap)
@@ -276,7 +278,7 @@ def full_homology(c: SimplicialComplex,
     clearing keeps every rank and invariant factor exact (see the module
     docstring).  It shares no code with the matching trees, so it is the
     oracle for the Morse route.  A complex of more than face_cap faces is
-    refused.
+    refused, before any face is listed when num_faces reads a count.
     """
     total = c.num_faces()
     if total > face_cap:

@@ -344,6 +344,6 @@ def readme_quick_start():
 
 def test_readme_quick_start_prints_what_it_says(capsys):
     block, expected = readme_quick_start()
-    assert len(expected) == 3
+    assert len(expected) == 4
     exec(block, {})
     assert capsys.readouterr().out.splitlines() == expected

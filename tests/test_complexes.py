@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from conftest import brute_f_vector, brute_faces, unbuilt
 from gridmorse import (CapacityError, Graph, SimplicialComplex, build_graph,
                        complexes, count_independent_sets, delta2_isomorphism,
-                       independence_complex, join, line_graph, matching_complex,
-                       plain)
+                       full_homology, independence_complex, join, line_graph,
+                       matching_complex, plain, reduced_homology)
 from gridmorse.complexes import _layers
 
 
@@ -133,6 +133,21 @@ def test_join_euler_multiplicative(data):
     assert join(c1, c2).reduced_euler() == -c1.reduced_euler() * c2.reduced_euler()
 
 
+def test_faces_are_listed_on_first_read(monkeypatch):
+    # delta(2,10): the count refuses full SNF and the Morse route reads the
+    # graph, so neither lists a face until graded is read
+    g = build_graph("delta", m=2, n=10)
+    monkeypatch.setattr(complexes, "_layers", unbuilt)
+    cx = independence_complex(g)
+    assert cx.num_faces() == 808395
+    assert reduced_homology(cx).betti_profile() == {7: 28, 8: 1}
+    with pytest.raises(CapacityError, match="808395"):
+        full_homology(cx)
+    monkeypatch.undo()
+    assert cx.graded == list(_layers(g.nbr, (1 << len(g)) - 1))
+    assert cx.graded is cx.graded
+
+
 def test_face_cap(monkeypatch):
     # star(3,4) has more than 50 faces; the exact count refuses them first
     monkeypatch.setattr(complexes, "_layers", unbuilt)
@@ -154,8 +169,10 @@ def test_enumeration_matches_subset_scan_in_order(data):
         if not layer:
             break
         want.append(layer)
-    assert independence_complex(g).graded == want
     total = sum(map(len, want))
+    cx = independence_complex(g)
+    assert cx.num_faces() == total  # from the count, before any face is listed
+    assert cx.graded == want
     with pytest.raises(CapacityError):
         independence_complex(g, face_cap=total - 1)
     assert independence_complex(g, face_cap=total).graded == want
@@ -200,7 +217,8 @@ def random_graph(data, max_size):
 @given(st.data())
 def test_count_matches_enumeration_on_random_graphs(data):
     g = random_graph(data, 12)
-    total = independence_complex(g).num_faces()
+    # num_faces answers from the count; the listed layers are the oracle
+    total = sum(map(len, independence_complex(g).graded))
     assert count_independent_sets(g) == total
     assert_cap_contract(g, total)
 
@@ -220,7 +238,8 @@ def test_count_transfer_matrix_values(m, n, want):
                                line_graph(build_graph("grid2", n=7))],
                          ids=["star(4,5)", "theta(3,5)", "L(grid2(7))"])
 def test_count_matches_enumeration_on_families(g):
-    total = independence_complex(g).num_faces()
+    # num_faces answers from the count; the listed layers are the oracle
+    total = sum(map(len, independence_complex(g).graded))
     assert count_independent_sets(g) == total
     assert_cap_contract(g, total)
 
