@@ -18,10 +18,12 @@ homology, which reads only the graph, never lists a face.
 count_independent_sets counts faces without listing them.  It applies the
 recursion I(G) = I(G - v) + I(G - N[v]) one connected component at a time,
 with vertex sets held as bitmasks and component counts memoised within a
-call, so no face is visited.  Under a cap the arithmetic saturates at
-cap + 1, which stays exact because every partial count is at least 1 and
-sums and products are monotone.  morse._site_pairs uses the same counter
-for |Sigma(A, B)| at matching-tree nodes.  The count decides whether
+call, so no face is visited; a path or cycle component is counted in closed
+form, by the Fibonacci and Lucas numbers, in time linear in its length.
+Under a cap the arithmetic saturates at cap + 1, which stays exact because
+every partial count is at least 1 and sums and products are monotone.
+morse._site_pairs uses the same counter for |Sigma(A, B)| at matching-tree
+nodes.  The count decides whether
 enumeration is refused and answers num_faces; the faces listed do not
 depend on it, so enumeration stays the independent oracle that tests check
 it against.
@@ -169,10 +171,14 @@ def count_independent_sets(g: Graph, cap: int | None = None) -> int:
 
     The count comes from the recursion I(G) = I(G - v) + I(G - N[v]),
     applied to one connected component at a time (the count of a graph is
-    the product of the counts of its components, and an isolated vertex
-    counts 2).  The branch vertex v has maximum degree in its component,
-    lowest index first.  Component counts are memoised for the duration of
-    the call, keyed by their vertex bitmask.
+    the product of the counts of its components).  The branch vertex v has
+    maximum degree in its component, lowest index first.  Branched
+    component counts are memoised for the duration of the call, keyed by
+    their vertex bitmask.  A component of maximum degree at most 2 is a
+    path or a cycle and is counted in closed form, without branching: a
+    k-vertex path has P(k) independent sets, where P(0) = 1, P(1) = 2 and
+    P(j) = P(j - 1) + P(j - 2) (so an isolated vertex counts 2), and a
+    k-cycle has P(k - 1) + P(k - 3), the Lucas number L(k).
 
     Under a cap every partial value saturates at cap + 1.  That is exact:
     each partial value is at least 1, and sums and products of such values
@@ -202,9 +208,9 @@ def _components(nbr, mask):
 
 
 def _branch_vertex(nbr, comp, top):
-    """A vertex of maximum degree inside comp, the lowest such index.  The
-    scan stops early at a vertex of degree `top`, the maximum degree of the
-    whole graph, since no vertex of comp can beat it."""
+    """A vertex of maximum degree inside comp, the lowest such index, and
+    that degree.  The scan stops early at a vertex of degree `top`, the
+    maximum degree of the whole graph, since no vertex of comp can beat it."""
     best, best_deg = -1, -1
     rest = comp
     while rest:
@@ -216,7 +222,18 @@ def _branch_vertex(nbr, comp, top):
             if deg == top:
                 break
         rest ^= low
-    return best
+    return best, best_deg
+
+
+def _is_cycle(nbr, comp):
+    """Whether every vertex of comp has two neighbours inside comp."""
+    rest = comp
+    while rest:
+        low = rest & -rest
+        if (nbr[low.bit_length() - 1] & comp).bit_count() < 2:
+            return False
+        rest ^= low
+    return True
 
 
 def _count_independent(nbr, mask, limit=None):
@@ -224,7 +241,7 @@ def _count_independent(nbr, mask, limit=None):
     the neighbour masks `nbr` of the whole graph; saturated at `limit` when
     it is given.  The recursion of count_independent_sets runs on an
     explicit stack of generators, so its depth is not bounded by Python's
-    recursion limit (a path of n vertices nests about n branches deep)."""
+    recursion limit (a comb of n columns nests about n branches deep)."""
     top = max((m.bit_count() for m in nbr), default=0)
 
     def sat(x):
@@ -238,14 +255,21 @@ def _count_independent(nbr, mask, limit=None):
                 break
         return acc
 
-    def branch(comp):
-        v = _branch_vertex(nbr, comp, top)
+    def branch(comp, v):
         rest = comp & ~(1 << v)
         first = yield from product(rest)
         if first == limit:
             return first
         second = yield from product(rest & ~nbr[v])
         return sat(first + second)
+
+    def path_or_cycle(comp, cycle):
+        # P(k) for a k-vertex path from P(0), P(1) = 1, 2; for a k-cycle
+        # P(k - 1) + P(k - 3), the Lucas number L(k), from L(1), L(2) = 1, 3
+        a, b = (1, 3) if cycle else (1, 2)
+        for _ in range(comp.bit_count() - (2 if cycle else 1)):
+            a, b = b, sat(a + b)
+        return sat(b)
 
     memo = {}
     frames = [(product(mask), None)]   # (generator, the component it counts)
@@ -263,10 +287,12 @@ def _count_independent(nbr, mask, limit=None):
             continue
         if comp in memo:
             value = memo[comp]
-        elif comp & (comp - 1) == 0:
-            value = sat(2)
+            continue
+        v, deg = _branch_vertex(nbr, comp, top)
+        if deg <= 2:
+            value = path_or_cycle(comp, deg == 2 and _is_cycle(nbr, comp))
         else:
-            frames.append((branch(comp), comp))
+            frames.append((branch(comp, v), comp))
             value = None
 
 

@@ -10,7 +10,8 @@ otherwise, and builds the Morse complex on its critical cells.  A face's
 partner comes from morse's partner walk down the compiled tree (morse owns
 the meaning of each Free, Match and Split step), and the Morse boundary is
 the simplicial boundary pushed through the gradient flow, memoised per
-dimension pair, with the incidence signs (-1)^popcount(face & (u - 1)) of
+dimension pair and followed only along the facets that leave a pairing
+site, with the incidence signs (-1)^popcount(face & (u - 1)) of
 the boundary matrices below.  Its matrices, a few critical cells wide, go
 to the same smith_normal_form.  It reads no face of the complex, so its
 face cap bounds the flow memo, whose entries are faces, and not the
@@ -328,11 +329,16 @@ def morse_homology(g: Graph,
 
     The chain groups are spanned by the critical cells, the A-sets of the
     terminal leaves.  The partner of a face comes from one walk down the
-    compiled tree, morse._partner_walk.  The Morse boundary of a critical
-    d-cell s is sum [s : t] flow(t) over its facets t, where flow(t) is t
-    for a critical t, 0 for an upper face t, and for t paired up with s' the
-    sum of -[s' : r][s' : t] flow(r) over the other facets r of s'; both
-    sums are one facet_sum over the memoised flows.  Incidences
+    compiled tree, morse._partner_walk, with the A-set of the site that
+    pairs it.  The Morse boundary of a critical d-cell s is sum
+    [s : t] flow(t) over its facets t, where flow(t) is t for a critical t,
+    0 for an upper face t, and for t paired up with s' at a site with A-set
+    A the sum of -[s' : r][s' : t] flow(r) over the facets r = s' ^ u of s'
+    with u in A.  The other facets r of s', u in t but not in A, are upper
+    faces of the same site (the partner walk reaches that site with r as
+    with s', and there pairs r with r ^ p), so their flow is 0 and the flow
+    neither visits nor memoises them.  Both sums are one facet_sum over the
+    memoised flows, which skips a zero flow before its sign.  Incidences
     are [f : f ^ u] = (-1)^popcount(f & (u - 1)), the convention of
     _boundary_matrix.  flow is memoised per dimension pair on an explicit
     stack; the memo entries are charged against face_cap (CapacityError
@@ -385,9 +391,11 @@ def _morse_boundary(upper, lower, partner, face_cap):
         while bits:
             u = bits & -bits
             bits ^= u
-            c = scale * _incidence(cell, u)
-            for k, x in memo[cell ^ u].items():
-                chain[k] = chain.get(k, 0) + c * x
+            terms = memo[cell ^ u]
+            if terms:
+                c = scale * _incidence(cell, u)
+                for k, x in terms.items():
+                    chain[k] = chain.get(k, 0) + c * x
         return {k: x for k, x in chain.items() if x}
 
     def flow(tau):
@@ -398,19 +406,20 @@ def _morse_boundary(upper, lower, partner, face_cap):
             if t in memo:
                 stack.pop()
                 continue
-            up = opened.pop(t, None)
-            if up is not None:
-                # every other facet up ^ u of up has its flow now
-                value = facet_sum(up, t, -_incidence(up, up ^ t)) or zero
+            site = opened.pop(t, None)
+            if site is not None:
+                # every facet up ^ u of up that leaves the site has its flow now
+                up, a = site
+                value = facet_sum(up, a, -_incidence(up, up ^ t)) or zero
             else:
-                up = partner(t)
-                if up is None:
+                site = partner(t)
+                if site is None:
                     value = {t: 1}
-                elif up < t:
+                elif site[0] < t:
                     value = zero
                 else:
-                    opened[t] = up
-                    rest = t
+                    opened[t] = site
+                    up, rest = site
                     while rest:
                         u = rest & -rest
                         rest ^= u

@@ -31,7 +31,9 @@ route in homology: it compiles the tree once to flat records and walks a
 face down from the root.  Split(v) goes to the child given by whether v is
 in the face, Free(p) returns face ^ 1 << p, Match(p, v) goes to its child
 if v is in the face and otherwise returns face ^ 1 << p, and a leaf means
-the face is critical.
+the face is critical.  A returned partner comes with the site's A-set:
+the only facets of an upper face that can leave its site drop a vertex of
+A, so the Morse flow follows those alone.
 verify_acyclic makes one pass per size layer: a pair is a cover when
 hi ^ lo is one bit inside hi, its successors are the facets hi ^ 1 << u
 (u in lo) that are lower faces of the layer, and a depth-first search over
@@ -336,26 +338,34 @@ _SPLIT, _PAIR, _LEAF = 0, 1, 2
 
 
 def _partner_walk(tree: MatchingTree):
-    """The partner function of a completed tree's matching: face -> the
-    face it is paired with, or None for a critical face.
+    """The partner function of a completed tree's matching: face -> (the
+    face it is paired with, the A-set of the site that pairs them), or None
+    for a critical face.
 
     The tree is compiled once into flat records (kind, pivot bit, second
-    bit, out child, in child), one per node, indexed like tree.nodes.  A
-    Split(v) record holds v's bit second, its child without v out and its
-    child with v in; a Match(p, v) record holds p's and v's bits and its
-    child in; a Free(p) record holds p's bit and 0, so no face goes in; a
-    node without a step is a leaf.  The walk starts at the root and costs
-    one step per tree level.  Raises MatchingTreeError on a leaf that is
-    not complete."""
+    bit, out, in child), one per node, indexed like tree.nodes.  A Split(v)
+    record holds v's bit second, its child without v out and its child with
+    v in; a Match(p, v) record holds p's and v's bits, the node's A out and
+    its child in; a Free(p) record holds p's bit, 0 (so no face goes in) and
+    the node's A out; a node without a step is a leaf.  The walk starts at
+    the root and costs one step per tree level.  Raises MatchingTreeError
+    on a leaf that is not complete.
+
+    The site's A is what the Morse flow needs: a lower face t = A | J of a
+    site has the upper face t | p, and for u in J the facet (t | p) ^ u =
+    A | (J - u) | p is an upper face of the same site: on its way to the
+    site the walk tests only vertices of A and B, and at a Match(p, v) site
+    the facet still avoids v.  So only the facets (t | p) ^ u with u in A
+    leave the site."""
     recs = []
     for nd in tree.nodes:
         st = nd.step
         if isinstance(st, Split):
             recs.append((_SPLIT, 0, 1 << st.v, nd.children[0], nd.children[1]))
         elif isinstance(st, Match):
-            recs.append((_PAIR, 1 << st.p, 1 << st.v, -1, nd.children[0]))
+            recs.append((_PAIR, 1 << st.p, 1 << st.v, nd.A, nd.children[0]))
         elif isinstance(st, Free):
-            recs.append((_PAIR, 1 << st.p, 0, -1, -1))
+            recs.append((_PAIR, 1 << st.p, 0, nd.A, -1))
         elif nd.residual_mask and nd.kind != "empty":
             raise MatchingTreeError("node %d is an unexpanded leaf" % nd.id)
         else:
@@ -369,7 +379,7 @@ def _partner_walk(tree: MatchingTree):
             elif kind == _SPLIT:
                 kind, p, v, out, inn = recs[out]
             else:
-                return face ^ p
+                return face ^ p, out
         return None
     return partner
 

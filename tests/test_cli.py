@@ -98,6 +98,17 @@ def test_homology_reaches_n8_without_flow(capsys, monkeypatch, m, betti):
     assert dict(dims(out)) == census.census_table(m, 8).row_counts(8) == betti
 
 
+@pytest.mark.parametrize("m,n", [(2, 13), (3, 10)])
+def test_homology_reaches_past_the_old_memo_bound(capsys, monkeypatch, m, n):
+    # both exited 3 on the memo while the flow followed every facet; the
+    # flow now leaves a pairing site only by dropping a vertex of its A-set
+    monkeypatch.setattr(complexes, "_layers", unbuilt)
+    code, out = run(capsys, "homology", "--family", "delta", "--m", str(m),
+                    "--n", str(n))
+    assert code == 0
+    assert dict(dims(out)) == comb.census_from_tree(comb.comb_tree(m, n)).counts
+
+
 def test_riordan_subcommand(capsys):
     code, out = run(capsys, "riordan", "--nmax", "15")
     assert code == 0
@@ -325,7 +336,7 @@ def readme_commands():
 
 def test_readme_commands_run(capsys):
     commands = readme_commands()
-    assert len(commands) == 12
+    assert len(commands) == 13
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()

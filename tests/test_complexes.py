@@ -1,3 +1,5 @@
+import inspect
+import sys
 from itertools import combinations
 
 import pytest
@@ -242,6 +244,80 @@ def test_count_matches_enumeration_on_families(g):
     total = sum(map(len, independence_complex(g).graded))
     assert count_independent_sets(g) == total
     assert_cap_contract(g, total)
+
+
+def chain_sets(k, closed):
+    """Independent sets of the k-vertex path, or of the k-cycle when closed,
+    by a transfer over (first vertex in?, last vertex in?) states."""
+    states = {(False, False): 1, (True, True): 1}
+    for _ in range(k - 1):
+        nxt = {}
+        for (first, last), ways in states.items():
+            for take in (False, True) if not last else (False,):
+                key = (first, take)
+                nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return sum(ways for (first, last), ways in states.items()
+               if not (closed and first and last))
+
+
+def chain_graph(k, closed, start=1):
+    verts = [plain(i) for i in range(start, start + k)]
+    edges = list(zip(verts, verts[1:]))
+    if closed:
+        edges.append((verts[-1], verts[0]))
+    return verts, edges
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_count_paths_and_cycles_in_closed_form(closed):
+    # a k-path has P(k) independent sets, P(0), P(1) = 1, 2, and a k-cycle
+    # P(k - 1) + P(k - 3); both saturate under a cap like every count
+    for k in range(3 if closed else 1, 61):
+        g = Graph(*chain_graph(k, closed))
+        assert_cap_contract(g, chain_sets(k, closed))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_count_unions_of_paths_cycles_and_k4(k):
+    # a path, a cycle and a K4 side by side, against the listed layers
+    pverts, pedges = chain_graph(k, False, 1)
+    cverts, cedges = chain_graph(k + 2, True, 100)
+    kverts = [plain(i) for i in range(200, 204)]
+    g = Graph(pverts + cverts + kverts,
+              pedges + cedges + list(combinations(kverts, 2)))
+    total = sum(map(len, independence_complex(g).graded))
+    assert total == chain_sets(k, False) * chain_sets(k + 2, True) * 5
+    assert count_independent_sets(g) == total
+    assert_cap_contract(g, total)
+
+
+def test_count_long_cycle_is_its_lucas_number():
+    lucas = [2, 1]
+    while len(lucas) < 1901:
+        lucas.append(lucas[-1] + lucas[-2])
+    g = Graph(*chain_graph(1900, True))
+    assert count_independent_sets(g) == lucas[1900]
+    assert count_independent_sets(g, cap=10**6) == 10**6 + 1
+
+
+def test_count_long_caterpillar_without_deep_recursion():
+    # a leaf on every vertex of a 600-vertex path has maximum degree 3 along
+    # its whole length, so no closed form applies and the branches nest
+    # about 300 deep: past a recursion limit 100 frames above this test's
+    k = 600
+    spine = [plain(i) for i in range(1, k + 1)]
+    leaves = [plain(i) for i in range(k + 1, 2 * k + 1)]
+    g = Graph(spine + leaves, list(zip(spine, spine[1:])) + list(zip(spine, leaves)))
+    spine_in, spine_out = 1, 2    # the sets of a one-vertex caterpillar
+    for _ in range(k - 1):
+        spine_in, spine_out = spine_out, 2 * (spine_in + spine_out)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert count_independent_sets(g) == spine_in + spine_out
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_count_long_path_without_deep_recursion():

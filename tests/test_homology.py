@@ -389,6 +389,6 @@ def test_morse_homology_reads_the_tree_alone(monkeypatch):
 
 
 def test_morse_homology_charges_the_flow_memo():
-    # (2,9) takes 12,866 flow visits
+    # (2,9) needs 5,639 flow memo entries
     with pytest.raises(CapacityError, match="memo exceeds face cap 100"):
         morse_homology(build_graph("delta", m=2, n=9), face_cap=100)

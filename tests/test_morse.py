@@ -551,8 +551,52 @@ def test_partner_walk_matches_collect_pairing():
         crit = set(critical_cells(tree))
         for face in independence_complex(g).all_faces():
             want = pairing.up.get(face, pairing.down.get(face))
-            assert partner(face) == want, (g.family, face)
+            got = partner(face)
+            assert (got and got[0]) == want, (g.family, face)
             assert (want is None) == (face in crit)
+
+
+def site_lemma_trees():
+    rng = random.Random(21)
+    yield comb_tree(2, 4)
+    yield comb_tree(3, 3)
+    yield star_tree(3, 3)
+    yield theta_tree(3, 3)
+    for _ in range(30):
+        size = rng.randint(3, 10)
+        verts = [plain(i) for i in range(1, size + 1)]
+        yield run_strategy(Graph(verts, [
+            (verts[x], verts[y]) for x in range(size) for y in range(x + 1, size)
+            if rng.random() < 0.35]), GENERIC_RULE)
+    yield run_strategy(line_graph(complete_multipartite(*[1] * 7)), GENERIC_RULE)
+
+
+def test_partner_walk_keeps_facets_off_a_pairing_site():
+    # at a site (pivot p, A-set A) every facet (t | p) ^ u of an upper face,
+    # u in t but not in A, is the upper face of t ^ u at the same site;
+    # so the Morse flow need only follow the facets that drop a vertex of A
+    checked = 0
+    for tree in site_lemma_trees():
+        partner = morse._partner_walk(tree)
+        pairing = collect_pairing(tree)
+        for node in tree.sites():
+            a, p = node.A, 1 << node.step.p
+            ground = node.residual_mask & ~p
+            if isinstance(node.step, Match):
+                ground &= ~(1 << node.step.v)
+            lows = [t for t, up in pairing.up.items()
+                    if up == t | p and t & a == a and not t & ~a & ~ground]
+            assert len(lows) == complexes._count_independent(tree.graph.nbr,
+                                                             ground)
+            for t in lows:
+                assert partner(t) == (t | p, a)
+                rest = t & ~a
+                while rest:
+                    u = rest & -rest
+                    rest ^= u
+                    assert partner((t | p) ^ u) == (t ^ u, a)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_partner_walk_refuses_an_unfinished_tree():
