@@ -3,7 +3,9 @@
 Subcommands: graph, complex, census, morse, homology, riordan, scan, verify.
 Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
 1 verification failure, 2 usage error or unwritable --out, 3 capacity
-exceeded.  Identical invocations produce byte-identical output.
+exceeded.  Identical invocations produce byte-identical output, written
+to stdout or --out by one writer, _emit, which streams the document in
+pieces and never holds its whole text.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
+from itertools import chain, islice
 
 from . import census as census_mod
 from . import comb as comb_mod
@@ -30,21 +34,29 @@ EXIT_CAPACITY = 3
 
 SNF_CHECK_SEED = 20160603  # seeds verify's random unimodular perturbations
 
+# what json.dumps(obj, indent=2, sort_keys=True) writes, piece by piece
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
+
+def _emit(pieces, out_path):
+    """Write a document, given as an iterable of str pieces, to out_path or
+    stdout, in batches of 4096 pieces, so the whole text is never held.  A
+    newline is appended when the document does not end with one.  The
+    destination is opened only here, after the document's object is
+    built, so a run refused before that leaves no file."""
+    pieces = iter(pieces)
+    last = ""
+    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+        for batch in iter(lambda: list(islice(pieces, 4096)), []):
+            text = "".join(batch)
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+            last = text[-1:] or last
+        if last != "\n":
+            fh.write("\n")
 
 
-def _emit_json(obj, out_path):
-    _emit(json.dumps(obj, indent=2, sort_keys=True), out_path)
+def _lines(lines):
+    return ("%s\n" % line for line in lines)
 
 
 def _build_family(args):
@@ -59,27 +71,26 @@ def _build_family(args):
 
 
 def cmd_graph(args):
-    _emit_json(_build_family(args).to_json(), args.out)
+    _emit(_JSON.iterencode(_build_family(args).to_json()), args.out)
     return EXIT_OK
 
 
 def cmd_complex(args):
     g = _build_family(args)
     cx = independence_complex(g, args.face_cap)
-    _emit_json(cx.to_json(include_faces=args.faces), args.out)
+    _emit(_JSON.iterencode(cx.to_json(include_faces=args.faces)), args.out)
     return EXIT_OK
 
 
 def cmd_census(args):
     table = census_mod.census_table(args.m, args.nmax)
     if args.format == "oeis":
-        lines = ["%d %d" % (n, census_mod.euler_from_table(table, n))
-                 for n in range(args.nmax + 1)]
-        _emit("\n".join(lines), args.out)
+        _emit(_lines("%d %d" % (n, census_mod.euler_from_table(table, n))
+                     for n in range(args.nmax + 1)), args.out)
     elif args.format == "csv":
-        _emit("\n".join(["m,n,d,count"] + list(table.to_csv_rows())), args.out)
+        _emit(_lines(chain(["m,n,d,count"], table.to_csv_rows())), args.out)
     else:
-        _emit_json(table.to_json(), args.out)
+        _emit(_JSON.iterencode(table.to_json()), args.out)
     return EXIT_OK
 
 
@@ -88,29 +99,28 @@ def cmd_morse(args):
     tree = run_strategy(g, comb_mod.rule_for(g))
     out = tree.to_json()
     out["census"] = comb_mod.census_from_tree(tree).to_json()
-    _emit_json(out, args.out)
+    _emit(_JSON.iterencode(out), args.out)
     return EXIT_OK
 
 
 def cmd_homology(args):
-    _emit_json(morse_homology(_build_family(args), args.face_cap).to_json(),
-               args.out)
+    report = morse_homology(_build_family(args), args.face_cap)
+    _emit(_JSON.iterencode(report.to_json()), args.out)
     return EXIT_OK
 
 
 def cmd_riordan(args):
     ok = census_mod.riordan_identity_check(args.nmax)
-    _emit("riordan identity through n=%d: %s" % (args.nmax, "ok" if ok else "FAILED"),
-          args.out)
+    _emit(_lines(["riordan identity through n=%d: %s"
+                  % (args.nmax, "ok" if ok else "FAILED")]), args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_scan(args):
     holds, exceptions = census_mod.observation_scan(args.nmax)
-    lines = ["rank-excess scan through n=%d" % args.nmax,
-             "holds for %d of %d rows" % (len(holds), args.nmax + 1),
-             "exceptions: %s" % exceptions]
-    _emit("\n".join(lines), args.out)
+    _emit(_lines(["rank-excess scan through n=%d" % args.nmax,
+                  "holds for %d of %d rows" % (len(holds), args.nmax + 1),
+                  "exceptions: %s" % exceptions]), args.out)
     return EXIT_OK
 
 
@@ -226,7 +236,7 @@ def cmd_verify(args):
             failures += 1
         lines.append("%s %s%s" % (word, name, (" (%s)" % detail) if detail else ""))
     lines.append("%d checks, %d failed" % (len(rows), failures))
-    _emit("\n".join(lines), args.out)
+    _emit(_lines(lines), args.out)
     return EXIT_VERIFY if failures else EXIT_OK
 
 

@@ -12,8 +12,9 @@ independence_complex runs it on all the vertices, and morse._site_pairs on
 the ground set of each pairing site.  Both count their faces exactly first
 and refuse a count over the face cap before any face is built.  A complex
 from independence_complex is counted at construction and listed on first
-read of `graded`: num_faces answers from the count, and the Morse route of
-homology, which reads only the graph, never lists a face.
+read of `graded`: num_faces answers from the count, f_vector before that
+read counts each layer as it is built and keeps none, and the Morse route
+of homology, which reads only the graph, never lists a face.
 
 count_independent_sets counts faces without listing them.  It applies the
 recursion I(G) = I(G - v) + I(G - N[v]) one connected component at a time,
@@ -98,12 +99,16 @@ class SimplicialComplex:
         return sum(len(fs) for fs in self.graded)
 
     def f_vector(self):
-        """Face counts per dimension, starting at dimension -1."""
-        return tuple(len(fs) for fs in self.graded)
+        """Face counts per dimension, starting at dimension -1.  A complex
+        not listed yet counts each layer as _layers builds it and keeps
+        none."""
+        if self._graded is None:
+            g = self.graph
+            return tuple(map(len, _layers(g.nbr, (1 << len(g)) - 1)))
+        return tuple(map(len, self._graded))
 
     def reduced_euler(self) -> int:
-        return sum(len(fs) if s % 2 == 1 else -len(fs)
-                   for s, fs in enumerate(self.graded))
+        return _reduced_euler(self.f_vector())
 
     def face_labels(self, face):
         return tuple(self.labels[i] for i in _bits(face))
@@ -112,15 +117,25 @@ class SimplicialComplex:
         return chain.from_iterable(self.graded)
 
     def to_json(self, include_faces=False) -> dict:
-        out = {
-            "graph": self.graph.to_json() if self.graph is not None else None,
-            "f_vector": list(self.f_vector()),
-            "reduced_euler": self.reduced_euler(),
-        }
+        """The graph, f-vector and reduced Euler characteristic, and with
+        include_faces every face as its vertex labels.  The faces are
+        listed first, so the f-vector reads them rather than counting the
+        layers again; each label is turned into a str once."""
+        out = {"graph": self.graph.to_json() if self.graph is not None else None}
         if include_faces:
-            out["faces"] = [[str(l) for l in self.face_labels(f)]
+            names = [str(label) for label in self.labels]
+            out["faces"] = [[names[i] for i in _bits(f)]
                             for f in self.all_faces()]
+        f_vector = self.f_vector()
+        out["f_vector"] = list(f_vector)
+        out["reduced_euler"] = _reduced_euler(f_vector)
         return out
+
+
+def _reduced_euler(f_vector) -> int:
+    """The reduced Euler characteristic from an f-vector that starts at
+    dimension -1."""
+    return sum(c if s % 2 == 1 else -c for s, c in enumerate(f_vector))
 
 
 def independence_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -193,9 +194,12 @@ def test_instance_checks_test_the_tree_against_the_full_route(monkeypatch):
 
 
 # sha256 of stdout and the exit code: the face representation inside the
-# library must not change a byte of what these invocations print.  The
-# homology digest took the report's "route" and "rule" fields (from the
-# full-SNF output 2fff4a73...), then lost its zero rows (from bbe9a291...).
+# library must not change a byte of what these invocations print, and an
+# --out file holds the same bytes.  The homology digest took the report's
+# "route" and "rule" fields (from the full-SNF output 2fff4a73...), then
+# lost its zero rows (from bbe9a291...).  The census, scan and riordan
+# digests were taken while each document was still joined into one string
+# before it was written.
 PINNED_OUTPUT = [
     ("complex --family delta --m 2 --n 3 --faces", 0,
      "06ff2ba8af4875a2ec249b0040c701e5dc4d8196610ea1f6266a204ae30fe095"),
@@ -215,14 +219,57 @@ PINNED_OUTPUT = [
      "84b7e75367e984a904e45f40717686b14e7be96b6287c410beb2b6d52cc6098e"),
     ("verify --m 2 --nmax 4 --face-cap 100", 0,
      "934d1ba10cd5753cb34dbef366046704f740eb8210e02fe935ccce7b1e41aa23"),
+    ("census --m 3 --nmax 40", 0,
+     "6449a54b5ea32d2a6b3d03c36bb1a7be14a0cd5e09baa239d4ecfdef3e50013f"),
+    ("census --m 3 --nmax 40 --format csv", 0,
+     "9bb5815be2007581c91deaf32cd20d437d8c154a4d35f6643017dc0a269bd02c"),
+    ("census --m 3 --nmax 40 --format oeis", 0,
+     "0c2ad37ef6d3d6e3c6dcd7834e9cd9ffe52d29bb6243c0198b33ab274c9bb789"),
+    ("scan --nmax 99", 0,
+     "538e759fe5f24fd0b21187c905e174cb77c1387630e1a2a04ae7c330498521ac"),
+    ("riordan --nmax 30", 0,
+     "b9a375ddde2179e14901fe4c79b9b4fbc47357850ef5c194fdeee0cb04f398ae"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,digest", PINNED_OUTPUT,
                          ids=[argv for argv, _, _ in PINNED_OUTPUT])
-def test_pinned_output_digests(argv, code, digest, capsys):
+def test_pinned_output_digests(argv, code, digest, capsys, tmp_path):
     got, out = run(capsys, *argv.split())
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    target = tmp_path / "doc"
+    got, printed = run(capsys, *argv.split(), "--out", str(target))
+    assert (got, printed) == (code, "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_emit_batches_pieces_and_ends_with_one_newline(capsys):
+    # 10,000 pieces span three batches of 4096; a trailing empty piece does
+    # not hide the newline that ends the text
+    pieces = ["%d," % i for i in range(10_000)]
+    cli._emit(iter(pieces), None)
+    assert capsys.readouterr().out == "".join(pieces) + "\n"
+    cli._emit(pieces + ["end\n", ""], None)
+    assert capsys.readouterr().out == "".join(pieces) + "end\n"
+    cli._emit([], None)
+    assert capsys.readouterr().out == "\n"
+
+
+def test_morse_document_is_written_without_holding_its_text(tmp_path):
+    # json.dumps(indent=2) lists every token of the 2.95 MB document and
+    # joins them, a traced peak of about 8x the file; streamed in batches,
+    # the peak is the tree and its JSON object, about 1.9x
+    target = tmp_path / "morse.json"
+    tracemalloc.start()
+    try:
+        code = main(["morse", "--family", "delta", "--m", "2", "--n", "16",
+                     "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert code == 0 and size > 2_900_000
+    assert peak < 3 * size, (peak, size)
 
 
 def test_usage_errors(capsys):
@@ -252,6 +299,25 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_unwritable_out_path_exits_2_for_text_documents(tmp_path, capsys):
+    target = tmp_path / "missing" / "census.csv"
+    code = main(["census", "--format", "csv", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not target.exists()
+
+
+def test_refused_run_creates_no_out_file(tmp_path, capsys):
+    target = tmp_path / "F"
+    code = main(["complex", "--family", "star", "--m", "3", "--n", "12",
+                 "--face-cap", "1000", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "capacity exceeded" in captured.err
     assert not target.exists()
 
 

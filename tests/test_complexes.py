@@ -150,6 +150,25 @@ def test_faces_are_listed_on_first_read(monkeypatch):
     assert cx.graded is cx.graded
 
 
+def test_f_vector_counts_layers_without_keeping_them():
+    # an unlisted complex counts each layer as it is built and stays
+    # unlisted; to_json without faces does the same, once
+    g = build_graph("delta", m=2, n=4)
+    cx = independence_complex(g)
+    want = tuple(map(len, _layers(g.nbr, (1 << len(g)) - 1)))
+    assert cx.f_vector() == want and cx._graded is None
+    assert cx.reduced_euler() == sum((-1) ** (s + 1) * c for s, c in enumerate(want))
+    doc = cx.to_json()
+    assert cx._graded is None and "faces" not in doc
+    assert (tuple(doc["f_vector"]), doc["reduced_euler"]) == (want, cx.reduced_euler())
+    # with the faces, the layers are listed once and read by the f-vector
+    doc = cx.to_json(include_faces=True)
+    assert cx._graded is not None
+    assert (tuple(doc["f_vector"]), doc["reduced_euler"]) == (want, cx.reduced_euler())
+    assert doc["faces"] == [[str(v) for v in cx.face_labels(f)]
+                            for f in cx.all_faces()]
+
+
 def test_face_cap(monkeypatch):
     # star(3,4) has more than 50 faces; the exact count refuses them first
     monkeypatch.setattr(complexes, "_layers", unbuilt)
