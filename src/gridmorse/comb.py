@@ -3,9 +3,12 @@ rule for every other graph, plus the critical-cell census read off a tree.
 
 `PIVOT_RULES` maps the star, theta and comb ("delta") families to
 `FAMILY_RULE`; every other graph takes `GENERIC_RULE`; `rule_for(g)` is
-that one lookup.  Each rule is a pure function of a node's residual
-bitmask (see morse) and computes from it whatever else it reads.  The
-generic rule frees the lowest isolated residual vertex, else matches the
+that one lookup, and every tree helper here takes its rule from it.  A
+rule is a function strategy(graph, residual_mask) -> step of a node's
+residual bitmask alone (see morse) and computes from it whatever else it
+reads; run_strategy calls it once per distinct residual of a growth and
+reuses the step at every node with that residual, so no rule keeps a memo.
+The generic rule frees the lowest isolated residual vertex, else matches the
 lowest one of residual degree one with its neighbour, else splits the
 lowest one: on a path, Match(1, 2), then Match(4, 5), and so on.
 The family rule is one decision procedure for all phases; it classifies the
@@ -35,14 +38,11 @@ degenerate sizes n = 0 and n = -1 resolve through the theta and
 free-vertex rules.
 
 A component is classified by bitmask tests against tendril, spine and
-right-hub masks computed once per graph.  A node's step depends on its
-residual alone, and most nodes of a tree repeat a residual seen earlier
-in it, so the family rule memoises the steps per graph, keyed by
-residual, and splits a residual into its components only on a miss.
-The rule accepts any vertex order: the acting left hub, the backbone spine
-and a path's far end are picked by each vertex's construction position
-(a, s1..sn, b, then t_{j,k} by j and k), also computed once per graph, not
-by bit index.  In construction order the two agree.
+right-hub masks computed once per graph.  The rule accepts any vertex
+order: the acting left hub, the backbone spine and a path's far end are
+picked by each vertex's construction position (a, s1..sn, b, then t_{j,k}
+by j and k), also computed once per graph, not by bit index.  In
+construction order the two agree.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ from .morse import Free, Match, MatchingTree, Split, run_strategy
 
 @dataclass(frozen=True)
 class StrategyScript:
-    """A named deterministic pivot rule: (graph, node) -> step."""
+    """A named deterministic pivot rule: (graph, residual mask) -> step."""
 
     name: str
     decide: object
 
-    def __call__(self, g, node):
-        return self.decide(g, node)
+    def __call__(self, g, residual_mask):
+        return self.decide(g, residual_mask)
 
 
 @dataclass
@@ -96,11 +96,8 @@ def _graph_masks(g: Graph):
     all tendril vertices, of the tendril vertices of each tooth path in
     order of its index j, of the spine vertices and of the right hub; each
     vertex's construction position (a, s1..sn, b, t_{j,k} by j then k),
-    indexed by vertex; and an empty memo of family-rule steps keyed by
-    residual.  Graphs hash by identity, so an equal graph built afresh gets
-    its own entry.  run_strategy grows one tree on one graph at a time, so
-    the cache keeps that graph only: a larger one would just keep the memos
-    of finished trees alive."""
+    indexed by vertex.  Graphs hash by identity, so an equal graph built
+    afresh gets its own entry."""
     kinds = {}
     paths = {}
     for i, lab in enumerate(g.vertices):
@@ -113,7 +110,7 @@ def _graph_masks(g: Graph):
     for rank, i in enumerate(order):
         pos[i] = rank
     return (kinds.get("t", 0), [paths[j] for j in sorted(paths)],
-            kinds.get("s", 0), kinds.get("b", 0), pos, {})
+            kinds.get("s", 0), kinds.get("b", 0), pos)
 
 
 def _path_end(g: Graph, comp, path, pos):
@@ -135,59 +132,48 @@ def _first(mask, pos):
     return min(_bits(mask), key=pos.__getitem__)
 
 
-def _family_step(g: Graph, node):
+def _family_step(g: Graph, res: int):
     """Shared decision procedure for star, theta and comb graphs.
 
     Every component of the residual but a singleton falls under exactly one
     of rules 2..5, by its number of non-tendril vertices (0, 1, 2, or 3 and
-    more), so the node's step is the step of the first component under the
-    lowest rule.  The step depends on the residual alone and is memoised by
-    it, Free steps included."""
-    tendrils, paths, spines, right, pos, memo = _graph_masks(g)
-    res = node.residual_mask
-    step = memo.get(res)
-    if step is not None:
-        return step
+    more), so the step is the step of the first component under the lowest
+    rule."""
+    tendrils, paths, spines, right, pos = _graph_masks(g)
     best, best_rank = 0, 4
     for comp in _components(g.nbr, res):
         # rule 1: the lowest isolated residual vertex is the first singleton
         if comp & (comp - 1) == 0:
-            memo[res] = step = Free(comp.bit_length() - 1)
-            return step
+            return Free(comp.bit_length() - 1)
         rank = min((comp & ~tendrils).bit_count(), 3)
         if rank < best_rank:
             best, best_rank = comp, rank
     if not best:
-        raise RuntimeError("no rule applies at node %d" % node.id)
+        raise RuntimeError("no rule applies to residual %s" % (_bits(res),))
     hubs = best & ~tendrils
     if best_rank == 0:
         # rule 2: a detached tendril path
-        step = _path_end(g, best, best, pos)
-    elif best_rank == 1:
+        return _path_end(g, best, best, pos)
+    if best_rank == 1:
         # rule 3: a star in progress
         intervals = [best & path for path in paths if best & path]
         lengths = {iv.bit_count() for iv in intervals}
         if len(lengths) == 1 and lengths.pop() % 3 != 0:
-            step = Split(_lowest(hubs))
-        else:
-            step = _path_end(g, best, intervals[0], pos)
-    elif best_rank == 2:
+            return Split(_lowest(hubs))
+        return _path_end(g, best, intervals[0], pos)
+    if best_rank == 2:
         # rule 4: a theta joining the acting left hub to b
         if not hubs & right:
             raise RuntimeError("two-hub component without a right hub")
-        step = Split(_lowest(hubs & right))
-    else:
-        # rule 5: comb backbone; the earliest hub is the acting left hub
-        backbone = hubs & ~(1 << _first(hubs, pos)) & spines
-        if not backbone:
-            raise RuntimeError("comb component without backbone spines")
-        step = Split(_first(backbone, pos))
-    memo[res] = step
-    return step
+        return Split(_lowest(hubs & right))
+    # rule 5: comb backbone; the earliest hub is the acting left hub
+    backbone = hubs & ~(1 << _first(hubs, pos)) & spines
+    if not backbone:
+        raise RuntimeError("comb component without backbone spines")
+    return Split(_first(backbone, pos))
 
 
-def _generic_step(g: Graph, node):
-    res = node.residual_mask
+def _generic_step(g: Graph, res: int):
     verts = _bits(res)
     for p in verts:
         if not g.nbr[p] & res:
@@ -222,20 +208,25 @@ def census_from_tree(tree: MatchingTree) -> CriticalCensus:
     return CriticalCensus(params.get("m"), params.get("n"), counts)
 
 
+def _grow(family: str, **params) -> MatchingTree:
+    g = build_graph(family, **params)
+    return run_strategy(g, rule_for(g))
+
+
 def path_tree(n: int) -> MatchingTree:
-    return run_strategy(build_graph("path", n=n), GENERIC_RULE)
+    return _grow("path", n=n)
 
 
 def star_tree(m: int, n: int) -> MatchingTree:
-    return run_strategy(build_graph("star", m=m, n=n), FAMILY_RULE)
+    return _grow("star", m=m, n=n)
 
 
 def theta_tree(m: int, n: int) -> MatchingTree:
-    return run_strategy(build_graph("theta", m=m, n=n), FAMILY_RULE)
+    return _grow("theta", m=m, n=n)
 
 
 def comb_tree(m: int, n: int) -> MatchingTree:
-    return run_strategy(build_graph("delta", m=m, n=n), FAMILY_RULE)
+    return _grow("delta", m=m, n=n)
 
 
 def comb_census(m: int, n: int) -> CriticalCensus:

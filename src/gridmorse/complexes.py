@@ -13,8 +13,8 @@ the ground set of each pairing site.  Both count their faces exactly first
 and refuse a count over the face cap before any face is built.  A complex
 from independence_complex is counted at construction and listed on first
 read of `graded`: num_faces answers from the count, f_vector before that
-read counts each layer as it is built and keeps none, and the Morse route
-of homology, which reads only the graph, never lists a face.
+read counts the layers by _layer_counts, which builds no face, and the
+Morse route of homology, which reads only the graph, never lists a face.
 
 count_independent_sets counts faces without listing them.  It applies the
 recursion I(G) = I(G - v) + I(G - N[v]) one connected component at a time,
@@ -100,11 +100,11 @@ class SimplicialComplex:
 
     def f_vector(self):
         """Face counts per dimension, starting at dimension -1.  A complex
-        not listed yet counts each layer as _layers builds it and keeps
-        none."""
+        not listed yet counts its layers by _layer_counts and lists no
+        face."""
         if self._graded is None:
             g = self.graph
-            return tuple(map(len, _layers(g.nbr, (1 << len(g)) - 1)))
+            return tuple(_layer_counts(g.nbr, (1 << len(g)) - 1))
         return tuple(map(len, self._graded))
 
     def reduced_euler(self) -> int:
@@ -177,6 +177,29 @@ def _layers(nbr, ground):
                 next_faces.append(f | low)
                 next_masks.append(mask & ~nbr[low.bit_length() - 1])
         faces, masks = next_faces, next_masks
+
+
+def _layer_counts(nbr, ground):
+    """The sizes of the layers _layers yields on `ground`, without building
+    a face.  A face's children depend on its extension mask alone, so a
+    layer is kept as {extension mask: number of faces with it} and walked
+    as _layers walks it; a layer has no more distinct masks than faces, so
+    this never takes more steps than listing the faces.
+
+    Not a replacement for _count_independent: on a comb in construction
+    order the distinct masks of a layer grow exponentially with n, while
+    the component recursion stays polynomial."""
+    layer = {ground: 1}
+    while layer:
+        yield sum(layer.values())
+        below = {}
+        for mask, k in layer.items():
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                child = mask & ~nbr[low.bit_length() - 1]
+                below[child] = below.get(child, 0) + k
+        layer = below
 
 
 def count_independent_sets(g: Graph, cap: int | None = None) -> int:

@@ -223,24 +223,33 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
 def run_strategy(g: Graph, strategy) -> MatchingTree:
     """Grow a matching tree to completion under a deterministic pivot rule.
 
-    strategy(graph, node) must return a legal Free/Match/Split step for every
-    leaf with nonempty residual.  Past DEFAULT_STEP_BUDGET steps it raises
-    CapacityError, after growth has started: no cheap exact count of a
-    tree's size exists up front.
+    strategy(graph, residual_mask) must return a Free/Match/Split step that
+    is legal at every leaf with that nonempty residual; whether a step is
+    legal depends on the residual alone, since a node's A and B are
+    disjoint from it and cover the rest.  The rule is called once per
+    distinct residual of this growth: the step is kept in a dict local to
+    the call and reused at every later node with the same residual, and
+    expand still checks it at each node.  Past DEFAULT_STEP_BUDGET steps it
+    raises CapacityError, after growth has started: no cheap exact count of
+    a tree's size exists up front.
     """
     budget = DEFAULT_STEP_BUDGET
     tree = MatchingTree(g)
     stack = [0]
     steps = 0
+    decided = {}  # residual mask -> step
     while stack:
         nid = stack.pop()
         node = tree.node(nid)
-        if node.kind == "empty" or not node.residual_mask:
+        res = node.residual_mask
+        if node.kind == "empty" or not res:
             continue
         steps += 1
         if steps > budget:
             raise CapacityError("step budget %d exceeded" % budget)
-        step = strategy(g, node)
+        step = decided.get(res)
+        if step is None:
+            step = decided[res] = strategy(g, res)
         expand(tree, nid, step)
         stack.extend(reversed(node.children))
     return tree

@@ -1,9 +1,13 @@
 """End-to-end verification gate.
 
 Each test covers one acceptance criterion at full stated scope, asserts it
-exactly, and prints a single PASS line (plus SKIP lines for instances that
-do not fit under the desk-scale face caps, with the reason).  Run with
-`pytest tests/test_acceptance.py -v -s` to see the per-criterion report.
+exactly, and prints one PASS line; test_full_scale_skips_reported prints
+one "PASS --" line per extended check (the m=2 combs at n = 6..8, 9, 10
+and 11, and the n=11 wedge), none of them skipped.  Criteria 03 and 05
+print a SKIP line, with the face cap, for each instance over
+HOMOLOGY_CAP, and count the skips in their PASS line: star(m=4, n=7) is
+the one such instance.  Run with `pytest tests/test_acceptance.py -v -s`
+to see the per-criterion report.
 """
 
 import pytest

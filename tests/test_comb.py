@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from conftest import groups, star_profile, theta_profile
-from gridmorse import (GENERIC_RULE, PIVOT_RULES, Graph, build_graph,
-                       census_from_tree, collect_pairing, comb_census,
-                       comb_tree, count_independent_sets, critical_cells,
-                       full_homology, independence_complex, path_tree,
-                       reduced_homology, rule_for, run_strategy, star_tree,
-                       theta_tree, verify_acyclic)
+from conftest import (complete_multipartite, groups, star_profile,
+                      theta_profile)
+from gridmorse import comb
+from gridmorse import (GENERIC_RULE, PIVOT_RULES, Graph, StrategyScript,
+                       build_graph, census_from_tree, collect_pairing,
+                       comb_census, comb_tree, count_independent_sets,
+                       critical_cells, full_homology, independence_complex,
+                       line_graph, path_tree, reduced_homology, rule_for,
+                       run_strategy, star_tree, theta_tree, verify_acyclic)
 
 
 def path_profile(n):
@@ -84,8 +86,8 @@ def test_census_metadata():
 
 def test_strategies_are_pure():
     # each step is decided on an equal graph built afresh for that node, so
-    # no per-graph state (the family rule's step memo) can answer it: every
-    # recorded step is checked against a decision from the node alone
+    # no per-graph state can answer it: every recorded step is checked
+    # against a decision from the node's residual alone
     cases = [("path", dict(n=8), path_tree(8)),
              ("cycle", dict(n=7),
               run_strategy(build_graph("cycle", n=7), GENERIC_RULE)),
@@ -101,7 +103,30 @@ def test_strategies_are_pure():
             if node.step is not None and node.residual:
                 g = build_graph(fam, **kw)
                 assert g is not tree.graph
-                assert strat(g, node) == node.step, (fam, kw, node.id)
+                assert strat(g, node.residual_mask) == node.step, (fam, kw, node.id)
+
+
+@pytest.mark.parametrize("g,rule", [
+    (build_graph("delta", m=2, n=9), "family"),
+    (line_graph(complete_multipartite(*[1] * 7)), "generic"),
+], ids=["delta-2-9", "M(K7)"])
+def test_rule_is_called_once_per_distinct_residual(g, rule):
+    # run_strategy keeps the one step memo, local to the growth: the rule
+    # decides each residual once, and nodes that repeat a residual reuse it
+    calls = []
+
+    def counted(graph, res):
+        calls.append(res)
+        return rule_for(g)(graph, res)
+
+    tree = run_strategy(g, StrategyScript("counted", counted))
+    decided = {nd.residual_mask for nd in tree.nodes if nd.step}
+    assert rule_for(g).name == rule
+    assert len(calls) == len(decided) and set(calls) == decided
+    assert len(decided) < sum(1 for nd in tree.nodes if nd.step)
+    assert tree.to_json() == run_strategy(g, rule_for(g)).to_json()
+    # the family rule's per-graph constants hold no memo of steps
+    assert not any(isinstance(part, dict) for part in comb._graph_masks(g))
 
 
 def test_tree_reuse_across_runs_deterministic():

@@ -11,7 +11,7 @@ from gridmorse import (CapacityError, Graph, SimplicialComplex, build_graph,
                        complexes, count_independent_sets, delta2_isomorphism,
                        full_homology, independence_complex, join, line_graph,
                        matching_complex, plain, reduced_homology)
-from gridmorse.complexes import _layers
+from gridmorse.complexes import _layer_counts, _layers
 
 
 def members(mask):
@@ -150,17 +150,19 @@ def test_faces_are_listed_on_first_read(monkeypatch):
     assert cx.graded is cx.graded
 
 
-def test_f_vector_counts_layers_without_keeping_them():
-    # an unlisted complex counts each layer as it is built and stays
-    # unlisted; to_json without faces does the same, once
+def test_f_vector_counts_layers_without_keeping_them(monkeypatch):
+    # an unlisted complex counts its layers without building a face and
+    # stays unlisted; to_json without faces does the same, once
     g = build_graph("delta", m=2, n=4)
     cx = independence_complex(g)
     want = tuple(map(len, _layers(g.nbr, (1 << len(g)) - 1)))
+    monkeypatch.setattr(complexes, "_layers", unbuilt)
     assert cx.f_vector() == want and cx._graded is None
     assert cx.reduced_euler() == sum((-1) ** (s + 1) * c for s, c in enumerate(want))
     doc = cx.to_json()
     assert cx._graded is None and "faces" not in doc
     assert (tuple(doc["f_vector"]), doc["reduced_euler"]) == (want, cx.reduced_euler())
+    monkeypatch.undo()
     # with the faces, the layers are listed once and read by the f-vector
     doc = cx.to_json(include_faces=True)
     assert cx._graded is not None
@@ -202,6 +204,10 @@ def test_enumeration_matches_subset_scan_in_order(data):
     ground = data.draw(st.integers(0, (1 << len(g)) - 1))
     inside = [[f for f in layer if f & ground == f] for layer in want]
     assert list(_layers(g.nbr, ground)) == [layer for layer in inside if layer]
+    # and the layer sizes, counted without building a face, are the scan's
+    assert tuple(_layer_counts(g.nbr, (1 << len(g)) - 1)) == tuple(map(len, want))
+    assert (tuple(_layer_counts(g.nbr, ground))
+            == tuple(len(layer) for layer in inside if layer))
 
 
 def test_empty_face_is_charged_against_the_cap():

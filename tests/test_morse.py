@@ -145,7 +145,7 @@ def test_split_precondition_and_reexpansion():
 
 def test_point_complex_run():
     g = Graph([plain(1)], [])
-    tree = run_strategy(g, lambda graph, node: Free(0))
+    tree = run_strategy(g, lambda graph, res: Free(0))
     assert critical_cells(tree) == []
     pairing = collect_pairing(tree)
     assert pairing.pairs() == [(0, 0b1)]
@@ -154,16 +154,17 @@ def test_point_complex_run():
 def test_full_c4_run_partition():
     g = build_graph("cycle", n=4)
 
-    def split_then_finish(graph, node):
-        rset = set(node.residual)
-        for v in node.residual:
+    def split_then_finish(graph, res):
+        residual = [v for v in range(len(graph)) if res >> v & 1]
+        rset = set(residual)
+        for v in residual:
             if all(u not in rset for u in graph.adjsets[v]):
                 return Free(v)
-        for v in node.residual:
+        for v in residual:
             nbr = [u for u in graph.adjsets[v] if u in rset]
             if len(nbr) == 1:
                 return Match(v, nbr[0])
-        return Split(node.residual[0])
+        return Split(residual[0])
 
     tree = run_strategy(g, split_then_finish)
     cx = independence_complex(g)
@@ -244,7 +245,7 @@ def test_double_pairing_detected():
 def test_bad_strategy_rejected():
     g = build_graph("path", n=3)
     with pytest.raises(MatchingTreeError):
-        run_strategy(g, lambda graph, node: Free(0))  # vertex 1 is not free
+        run_strategy(g, lambda graph, res: Free(0))  # vertex 1 is not free
 
 
 def test_step_budget(monkeypatch, capsys):
@@ -290,11 +291,11 @@ def test_carried_residuals_match_definition(maker):
         assert nd.residual == residual_by_definition(tree.graph, nd), nd.id
 
 
-def generic_step(g, node):
+def generic_step(g, residual_mask):
     """Free the lowest isolated residual vertex, else Match the lowest
     residual vertex with one residual neighbour, else Split the lowest
-    residual vertex; read from the residual tuple and g.adjsets alone."""
-    res = node.residual
+    residual vertex; read from the residual's bits and g.adjsets alone."""
+    res = [v for v in range(len(g)) if residual_mask >> v & 1]
     inside = {v: [u for u in res if u in g.adjsets[v]] for v in res}
     for v in res:
         if not inside[v]:
