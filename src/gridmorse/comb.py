@@ -7,7 +7,8 @@ that one lookup, and every tree helper here takes its rule from it.  A
 rule is a function strategy(graph, residual_mask) -> step of a node's
 residual bitmask alone (see morse) and computes from it whatever else it
 reads; run_strategy calls it once per distinct residual of a growth and
-reuses the step at every node with that residual, so no rule keeps a memo.
+the tree holds that one step for every node with the residual, so no rule
+keeps a memo.
 The generic rule frees the lowest isolated residual vertex, else matches the
 lowest one of residual degree one with its neighbour, else splits the
 lowest one: on a path, Match(1, 2), then Match(4, 5), and so on.
@@ -52,7 +53,8 @@ from functools import lru_cache
 
 from .complexes import _bits, _components
 from .graphs import Graph, build_graph
-from .morse import Free, Match, MatchingTree, Split, run_strategy
+from .morse import (Free, Match, MatchingTree, Split, _cell_counts,
+                    run_strategy)
 
 
 @dataclass(frozen=True)
@@ -199,11 +201,18 @@ def rule_for(g: Graph) -> StrategyScript:
 
 
 def census_from_tree(tree: MatchingTree) -> CriticalCensus:
-    """Histogram of critical-cell dimensions from a completed tree."""
-    counts = {}
-    for nd in tree.critical_leaves():
-        d = nd.A.bit_count() - 1
-        counts[d] = counts.get(d, 0) + 1
+    """Histogram of critical-cell dimensions from a completed tree, by
+    dimension.  A tree grown by run_strategy is counted by one pass over
+    its residual -> step map, smallest residual first, listing no node or
+    cell; one grown by hand is counted from its terminal leaves."""
+    if tree.steps is None:
+        counts = {}
+        for nd in tree.critical_leaves():
+            d = nd.A.bit_count() - 1
+            counts[d] = counts.get(d, 0) + 1
+        counts = dict(sorted(counts.items()))
+    else:
+        counts = _cell_counts(tree)
     params = tree.graph.params
     return CriticalCensus(params.get("m"), params.get("n"), counts)
 

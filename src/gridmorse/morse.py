@@ -17,9 +17,22 @@ Growth steps, applied at a leaf with nonempty residual:
   Split(v)     v residual; two children Sigma(A, B+v) and Sigma(A+v, B+N(v)),
                no pairing.
 
-Leaves whose residual is empty are marked terminal as they are added, by
-expand or by run_strategy alike, and contribute their A-set as a critical
-cell.  Faces are vertex bitmasks, as in complexes.  Pairings are never
+Leaves whose residual is empty are marked terminal as they are added and
+contribute their A-set as a critical cell.  Every step is checked against
+the residual alone, by _check_step: a node's A and B are disjoint from its
+residual and cover the rest.  The subtree under a node depends only on its
+residual too, so run_strategy walks the distinct residuals reachable from
+the root, calls the pivot rule and checks the step once for each, and
+returns a tree holding that residual -> step map.  Its nodes are listed on
+first read of MatchingTree.nodes, by _list_nodes, replaying the map in the
+order expand gives: ids, A, B, kinds and children are those of the tree
+expand grows node by node.  The census (comb.census_from_tree), the
+critical cells and the partner walk read the map, one pass over it
+smallest residual first (a child's residual is a proper subset of its
+parent's), and list no node; to_json, sites and collect_pairing read the
+nodes, as do all readers of a tree grown by hand with expand.
+
+Faces are vertex bitmasks, as in complexes.  Pairings are never
 materialized during growth; collect_pairing rebuilds them on demand for
 oracle comparisons and acyclicity checks.  It counts the pairs of every
 site exactly and refuses them over the face cap before it builds any face;
@@ -27,13 +40,14 @@ then complexes._layers lists the J of each site's faces A | J and A | p | J
 one size layer at a time on a bitmask of the site's ground set, and
 collect_pairing checks in bulk that no face is paired twice.
 _partner_walk finds the same partners one face at a time, for the Morse
-route in homology: it compiles the tree once to flat records and walks a
-face down from the root.  Split(v) goes to the child given by whether v is
-in the face, Free(p) returns face ^ 1 << p, Match(p, v) goes to its child
-if v is in the face and otherwise returns face ^ 1 << p, and a leaf means
-the face is critical.  A returned partner comes with the site's A-set:
-the only facets of an upper face that can leave its site drop a vertex of
-A, so the Morse flow follows those alone.
+route in homology: it compiles the map (a hand-grown tree's nodes) once
+to flat records and walks a face down from the root.  Split(v) goes to
+the child given by whether v is in the face, Free(p) returns face ^ 1 << p,
+Match(p, v) goes to its child if v is in the face and otherwise returns
+face ^ 1 << p, and a leaf means the face is critical.  A returned partner comes with the site's A-set,
+the vertices the walk went in by: the only facets of an upper face that
+can leave its site drop a vertex of A, so the Morse flow follows those
+alone.
 verify_acyclic makes one pass per size layer: a pair is a cover when
 hi ^ lo is one bit inside hi, its successors are the facets hi ^ 1 << u
 (u in lo) that are lower faces of the layer, and a depth-first search over
@@ -45,7 +59,10 @@ are mask tests.  The residual is carried from the parent: the root's is
 every vertex, a Split(v) child that excludes v drops v, a child that takes
 v into A (Split(v) or Match(p, v)) drops v and N(v), and the empty child of
 a Free step keeps its parent's.  Each is the set V minus (A, B and N(A))
-would give, because N(A) is forced into B along every legal run.
+would give, because N(A) is forced into B along every legal run.  A and B
+never meet, which _attach asserts as it adds each child: a checked step
+takes into A only a residual vertex v, which is in neither A nor B, and
+puts into B only v or N(v), and N(v) misses A, or v would lie in N(A).
 """
 
 from __future__ import annotations
@@ -96,23 +113,26 @@ class SigmaNode:
 
 
 class MatchingTree:
-    def __init__(self, g: Graph):
+    """A matching tree on g.  One grown by run_strategy holds its residual
+    -> step map in `steps`, smallest residual first, and lists its nodes on
+    first read of `nodes`; one grown by hand, MatchingTree(g) and expand,
+    has `steps` None and holds its nodes from the start."""
+
+    def __init__(self, g: Graph, steps: dict | None = None):
         self.graph = g
-        full = (1 << len(g)) - 1
-        self.nodes = [SigmaNode(0, 0, 0, full, kind="root")]
+        self.steps = steps
+        self._nodes = None
+        if steps is None:
+            self._nodes = [SigmaNode(0, 0, 0, (1 << len(g)) - 1, kind="root")]
+
+    @property
+    def nodes(self) -> list:
+        if self._nodes is None:
+            self._nodes = _list_nodes(self.graph, self.steps)
+        return self._nodes
 
     def node(self, nid: int) -> SigmaNode:
         return self.nodes[nid]
-
-    def _add(self, A, B, mask, parent, kind=None) -> int:
-        if A & B:
-            raise MatchingTreeError("A and B intersect")
-        if kind is None and not mask:
-            kind = "terminal"
-        nid = len(self.nodes)
-        self.nodes.append(SigmaNode(nid, A, B, mask, kind))
-        self.nodes[parent].children.append(nid)
-        return nid
 
     def critical_leaves(self):
         return [nd for nd in self.nodes if nd.kind == "terminal"]
@@ -159,9 +179,72 @@ def _check_range(g: Graph, *vertices):
                 "step vertex %s is not in range(%d)" % (u, len(g)))
 
 
+def _check_step(g: Graph, res: int, step):
+    """Raise MatchingTreeError unless step is legal at a node whose residual
+    is res.  A node's A and B are disjoint from its residual and cover the
+    rest (N(A) lies in B), so "outside A and B" is "in the residual"."""
+    nbr = g.nbr
+    if isinstance(step, Free):
+        p = step.p
+        _check_range(g, p)
+        if not res >> p & 1:
+            raise MatchingTreeError("free vertex %s lies in A or B" % g.vertices[p])
+        loose = nbr[p] & res
+        if loose:
+            raise MatchingTreeError(
+                "free vertex %s has neighbors outside A and B: %s"
+                % (g.vertices[p], [str(g.vertices[u]) for u in _bits(loose)]))
+    elif isinstance(step, Match):
+        p, v = step.p, step.v
+        _check_range(g, p, v)
+        if not res >> p & 1:
+            raise MatchingTreeError("match pivot %s lies in A or B" % g.vertices[p])
+        bit = 1 << v
+        if not nbr[p] & bit:
+            raise MatchingTreeError(
+                "%s is not a neighbor of %s" % (g.vertices[v], g.vertices[p]))
+        loose = nbr[p] & res
+        if loose != bit:
+            raise MatchingTreeError(
+                "pivot %s must have exactly one neighbor outside A and B (got %s)"
+                % (g.vertices[p], [str(g.vertices[u]) for u in _bits(loose)]))
+    elif isinstance(step, Split):
+        _check_range(g, step.v)
+        if not res >> step.v & 1:
+            raise MatchingTreeError(
+                "splitting vertex %s is not residual" % g.vertices[step.v])
+    else:
+        raise MatchingTreeError("unknown step %r" % (step,))
+
+
+def _attach(nodes: list, node: SigmaNode, step, nbr):
+    """Give a leaf its children under a legal step, numbered on from
+    len(nodes) in expand's order, and record the step and site kind."""
+    A, B, res = node.A, node.B, node.residual_mask
+    if isinstance(step, Free):
+        kids = [(A, B, res, "empty")]
+        site = "free-site"
+    else:
+        v = step.v
+        bit = 1 << v
+        kids = [(A | bit, B | nbr[v], res & ~(bit | nbr[v]), None)]
+        site = "matching-site"
+        if isinstance(step, Split):
+            kids.insert(0, (A, B | bit, res & ~bit, None))
+            site = "splitting-site"
+    for a, b, r, kind in kids:
+        if a & b:
+            raise MatchingTreeError("A and B intersect")
+        nid = len(nodes)
+        nodes.append(SigmaNode(nid, a, b, r, kind or (None if r else "terminal")))
+        node.children.append(nid)
+    node.step = step
+    if node.kind != "root":
+        node.kind = site
+
+
 def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
     """Apply one growth step at a leaf, after checking its preconditions."""
-    g = tree.graph
     node = tree.node(node_id)
     if node.children:
         raise MatchingTreeError("node %d already expanded" % node_id)
@@ -169,54 +252,8 @@ def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
         raise MatchingTreeError("cannot expand an empty-labeled leaf")
     if not node.residual_mask and node.kind != "root":
         raise MatchingTreeError("node %d has |Sigma| = 1; nothing to expand" % node_id)
-    A, B = node.A, node.B
-    nbr = g.nbr
-    res = node.residual_mask
-
-    if isinstance(step, Free):
-        p = step.p
-        _check_range(g, p)
-        if (A | B) >> p & 1:
-            raise MatchingTreeError("free vertex %s lies in A or B" % g.vertices[p])
-        loose = nbr[p] & ~(A | B)
-        if loose:
-            raise MatchingTreeError(
-                "free vertex %s has neighbors outside A and B: %s"
-                % (g.vertices[p], [str(g.vertices[u]) for u in _bits(loose)]))
-        tree._add(A, B, res, node_id, kind="empty")
-        site = "free-site"
-    elif isinstance(step, Match):
-        p, v = step.p, step.v
-        _check_range(g, p, v)
-        if (A | B) >> p & 1:
-            raise MatchingTreeError("match pivot %s lies in A or B" % g.vertices[p])
-        bit = 1 << v
-        if not nbr[p] & bit:
-            raise MatchingTreeError(
-                "%s is not a neighbor of %s" % (g.vertices[v], g.vertices[p]))
-        loose = nbr[p] & ~(A | B)
-        if loose != bit:
-            raise MatchingTreeError(
-                "pivot %s must have exactly one neighbor outside A and B (got %s)"
-                % (g.vertices[p], [str(g.vertices[u]) for u in _bits(loose)]))
-        tree._add(A | bit, B | nbr[v], res & ~(bit | nbr[v]), node_id)
-        site = "matching-site"
-    elif isinstance(step, Split):
-        v = step.v
-        _check_range(g, v)
-        bit = 1 << v
-        if not res & bit:
-            raise MatchingTreeError(
-                "splitting vertex %s is not residual" % g.vertices[v])
-        tree._add(A, B | bit, res & ~bit, node_id)
-        tree._add(A | bit, B | nbr[v], res & ~(bit | nbr[v]), node_id)
-        site = "splitting-site"
-    else:
-        raise MatchingTreeError("unknown step %r" % (step,))
-
-    node.step = step
-    if node.kind != "root":
-        node.kind = site
+    _check_step(tree.graph, node.residual_mask, step)
+    _attach(tree.nodes, node, step, tree.graph.nbr)
     return tree
 
 
@@ -226,33 +263,66 @@ def run_strategy(g: Graph, strategy) -> MatchingTree:
     strategy(graph, residual_mask) must return a Free/Match/Split step that
     is legal at every leaf with that nonempty residual; whether a step is
     legal depends on the residual alone, since a node's A and B are
-    disjoint from it and cover the rest.  The rule is called once per
-    distinct residual of this growth: the step is kept in a dict local to
-    the call and reused at every later node with the same residual, and
-    expand still checks it at each node.  Past DEFAULT_STEP_BUDGET steps it
-    raises CapacityError, after growth has started: no cheap exact count of
-    a tree's size exists up front.
+    disjoint from it and cover the rest.  So the subtree under a node
+    depends on its residual alone, and the growth walks the distinct
+    residuals reachable from the root, depth first in the order expand
+    would reach them: at each it calls the rule once and checks the step
+    once, with expand's checks.  The tree it returns holds this residual
+    -> step map and lists its nodes on first read.
+
+    The map is kept in residual order, smallest first, so every reader
+    meets a residual after its children's, which are proper subsets of it.
+    Past DEFAULT_STEP_BUDGET expansions it raises CapacityError before any
+    node exists: the number of expanded nodes is read off the map, one more
+    than the expansions under each child residual, and the walk stops once
+    the decided residuals alone pass the budget.
     """
     budget = DEFAULT_STEP_BUDGET
-    tree = MatchingTree(g)
-    stack = [0]
-    steps = 0
-    decided = {}  # residual mask -> step
-    while stack:
-        nid = stack.pop()
-        node = tree.node(nid)
-        res = node.residual_mask
-        if node.kind == "empty" or not res:
+    nbr = g.nbr
+    full = (1 << len(g)) - 1
+    steps = {}  # residual mask -> step
+    todo = [full]
+    while todo:
+        res = todo.pop()
+        if not res or res in steps:
             continue
-        steps += 1
-        if steps > budget:
+        step = strategy(g, res)
+        _check_step(g, res, step)
+        steps[res] = step
+        if len(steps) > budget:
             raise CapacityError("step budget %d exceeded" % budget)
-        step = decided.get(res)
-        if step is None:
-            step = decided[res] = strategy(g, res)
-        expand(tree, nid, step)
-        stack.extend(reversed(node.children))
-    return tree
+        if not isinstance(step, Free):
+            bit = 1 << step.v
+            todo.append(res & ~(bit | nbr[step.v]))
+            if isinstance(step, Split):
+                todo.append(res & ~bit)  # on top: the child without v is first
+    steps = dict(sorted(steps.items()))
+    expansions = {0: 0}
+    for res, step in steps.items():
+        count = 1
+        if not isinstance(step, Free):
+            bit = 1 << step.v
+            count += expansions[res & ~(bit | nbr[step.v])]
+            if isinstance(step, Split):
+                count += expansions[res & ~bit]
+        expansions[res] = count
+    if expansions[full] > budget:
+        raise CapacityError("step budget %d exceeded" % budget)
+    return MatchingTree(g, steps)
+
+
+def _list_nodes(g: Graph, steps: dict) -> list:
+    """The nodes of the tree that a residual -> step map grows on g, in the
+    order expand gives them: each leaf with a residual of its own to expand
+    takes its residual's step, depth first from the root."""
+    nodes = [SigmaNode(0, 0, 0, (1 << len(g)) - 1, kind="root")]
+    stack = [0]
+    while stack:
+        node = nodes[stack.pop()]
+        if node.residual_mask and node.kind != "empty":
+            _attach(nodes, node, steps[node.residual_mask], g.nbr)
+            stack.extend(reversed(node.children))
+    return nodes
 
 
 class FacePairing:
@@ -336,9 +406,60 @@ def _site_pairs(tree: MatchingTree, face_cap: int):
             yield [a | j for j in js], [ap | j for j in js]
 
 
+def _cell_counts(tree: MatchingTree) -> dict:
+    """{dimension: critical cells}, in increasing dimension, of a tree grown
+    by run_strategy, by one pass over its map, smallest residual first.
+    The cells under a node with a given residual are kept as one int whose
+    digit k in base 2 ** width counts those that add k vertices to the
+    node's A, with width = len(graph) + 1: fewer than 2 ** len(graph) cells
+    add k, so no digit carries.  A child that takes a vertex into A shifts
+    by width, and the two children of a Split add.  A node with residual 0
+    is a terminal leaf, bar the root of a graph with no vertex."""
+    nbr = tree.graph.nbr
+    width = len(tree.graph) + 1
+    below = {0: 1 if len(tree.graph) else 0}
+    for res, step in tree.steps.items():
+        cells = 0
+        if not isinstance(step, Free):
+            bit = 1 << step.v
+            cells = below[res & ~(bit | nbr[step.v])] << width
+            if isinstance(step, Split):
+                cells += below[res & ~bit]
+        below[res] = cells
+    cells, digit = below[(1 << len(tree.graph)) - 1], (1 << width) - 1
+    counts = {}
+    d = -1  # a cell adding k vertices to the root's empty A has dimension k - 1
+    while cells:
+        if cells & digit:
+            counts[d] = cells & digit
+        cells >>= width
+        d += 1
+    return counts
+
+
 def critical_cells(tree: MatchingTree):
-    """A-sets of the terminal leaves, as vertex bitmasks, by size then value."""
-    cells = [nd.A for nd in tree.critical_leaves()]
+    """A-sets of the terminal leaves, as vertex bitmasks, by size then value.
+
+    A tree grown by run_strategy is read from its map, listing no node: one
+    pass, smallest residual first, gives each residual the cells below a
+    node with it, relative to the node's A, as its children's cells with
+    the vertex each child takes added; a Free step has none."""
+    if tree.steps is None:
+        cells = [nd.A for nd in tree.critical_leaves()]
+    else:
+        nbr = tree.graph.nbr
+        below = {0: (0,) if len(tree.graph) else ()}
+        for res, step in tree.steps.items():
+            cells = ()
+            if not isinstance(step, Free):
+                bit = 1 << step.v
+                cells = below[res & ~(bit | nbr[step.v])]
+                if cells:
+                    cells = tuple([c | bit for c in cells])
+                if isinstance(step, Split):
+                    cells = below[res & ~bit] + cells
+            below[res] = cells
+        cells = list(below[(1 << len(tree.graph)) - 1])
     cells.sort(key=lambda f: (f.bit_count(), f))
     return cells
 
@@ -352,12 +473,13 @@ def _partner_walk(tree: MatchingTree):
     for a critical face.
 
     The tree is compiled once into flat records (kind, pivot bit, second
-    bit, out, in child), one per node, indexed like tree.nodes.  A Split(v)
+    bit, out, in child), one per residual of the map of a tree grown by
+    run_strategy, else one per node, indexed like tree.nodes.  A Split(v)
     record holds v's bit second, its child without v out and its child with
-    v in; a Match(p, v) record holds p's and v's bits, the node's A out and
-    its child in; a Free(p) record holds p's bit, 0 (so no face goes in) and
-    the node's A out; a node without a step is a leaf.  The walk starts at
-    the root and costs one step per tree level.  Raises MatchingTreeError
+    v in; a Match(p, v) record holds p's and v's bits and its child in; a
+    Free(p) record holds p's bit and 0, so no face goes in; a leaf has no
+    step.  The walk starts at the root, costs one step per tree level and
+    ORs each vertex it goes in by into the A-set.  Raises MatchingTreeError
     on a leaf that is not complete.
 
     The site's A is what the Morse flow needs: a lower face t = A | J of a
@@ -367,28 +489,49 @@ def _partner_walk(tree: MatchingTree):
     the facet still avoids v.  So only the facets (t | p) ^ u with u in A
     leave the site."""
     recs = []
-    for nd in tree.nodes:
-        st = nd.step
-        if isinstance(st, Split):
-            recs.append((_SPLIT, 0, 1 << st.v, nd.children[0], nd.children[1]))
-        elif isinstance(st, Match):
-            recs.append((_PAIR, 1 << st.p, 1 << st.v, nd.A, nd.children[0]))
-        elif isinstance(st, Free):
-            recs.append((_PAIR, 1 << st.p, 0, nd.A, -1))
-        elif nd.residual_mask and nd.kind != "empty":
-            raise MatchingTreeError("node %d is an unexpanded leaf" % nd.id)
-        else:
-            recs.append((_LEAF, 0, 0, -1, -1))
+    if tree.steps is None:
+        root = 0
+        for nd in tree.nodes:
+            st, kids = nd.step, nd.children
+            if isinstance(st, Split):
+                recs.append((_SPLIT, 0, 1 << st.v, kids[0], kids[1]))
+            elif isinstance(st, Match):
+                recs.append((_PAIR, 1 << st.p, 1 << st.v, -1, kids[0]))
+            elif isinstance(st, Free):
+                recs.append((_PAIR, 1 << st.p, 0, -1, -1))
+            elif nd.residual_mask and nd.kind != "empty":
+                raise MatchingTreeError("node %d is an unexpanded leaf" % nd.id)
+            else:
+                recs.append((_LEAF, 0, 0, -1, -1))
+    else:
+        # in map order a residual's children come before it, numbered
+        nbr = tree.graph.nbr
+        index = {0: 0}
+        recs.append((_LEAF, 0, 0, -1, -1))
+        for res, st in tree.steps.items():
+            index[res] = len(recs)
+            if isinstance(st, Free):
+                recs.append((_PAIR, 1 << st.p, 0, -1, -1))
+                continue
+            bit = 1 << st.v
+            inn = index[res & ~(bit | nbr[st.v])]
+            if isinstance(st, Split):
+                recs.append((_SPLIT, 0, bit, index[res & ~bit], inn))
+            else:
+                recs.append((_PAIR, 1 << st.p, bit, -1, inn))
+        root = index[(1 << len(tree.graph)) - 1]
 
     def partner(face):
-        kind, p, v, out, inn = recs[0]
+        a = 0
+        kind, p, v, out, inn = recs[root]
         while kind != _LEAF:
             if face & v:
+                a |= v
                 kind, p, v, out, inn = recs[inn]
             elif kind == _SPLIT:
                 kind, p, v, out, inn = recs[out]
             else:
-                return face ^ p, out
+                return face ^ p, a
         return None
     return partner
 
