@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import add
 
 
 @dataclass
@@ -44,8 +46,9 @@ class CensusTable:
             yield "%d,%d,%d,%d" % (self.m, n, d, c)
 
     def to_json(self) -> dict:
+        keys = [str(d) for d in range(max(map(len, self.rows), default=0))]
         return {"m": self.m, "n_max": self.n_max,
-                "rows": [{str(d): c for d, c in enumerate(row) if c}
+                "rows": [dict(compress(zip(keys, row), row))
                          for row in self.rows]}
 
 
@@ -81,10 +84,11 @@ def census_extend(table: CensusTable, n_max: int) -> CensusTable:
         raise ValueError("the recursion needs the seed rows 0..3")
     for n in range(len(rows), n_max + 1):
         r3, r4 = rows[n - 3], rows[n - 4]
-        row = [0] * max(len(r3) + m, len(r4) + m + 1)
-        for shift, src in ((2, r3), (m, r3), (m + 1, r4)):
-            for d, c in enumerate(src, shift):
-                row[d] += c
+        width = max(len(r3) + m, len(r4) + m + 1)
+        # each shifted row zero-padded to the same width
+        x2, xm, xm1 = ([0] * shift + src + [0] * (width - shift - len(src))
+                       for shift, src in ((2, r3), (m, r3), (m + 1, r4)))
+        row = list(map(add, map(add, x2, xm), xm1))
         while row and row[-1] == 0:
             row.pop()
         rows.append(row)
@@ -99,7 +103,8 @@ def census_table(m: int, n_max: int) -> CensusTable:
 def euler_from_table(table: CensusTable, n: int) -> int:
     if n < 0 or n > table.n_max:
         raise ValueError("row %d not in table" % n)
-    return sum(c if d % 2 == 0 else -c for d, c in enumerate(table.rows[n]))
+    row = table.rows[n]
+    return sum(row[0::2]) - sum(row[1::2])
 
 
 def euler_recursion(m: int, n: int, history) -> int:

@@ -5,7 +5,10 @@ Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
 1 verification failure, 2 usage error or unwritable --out, 3 capacity
 exceeded.  Identical invocations produce byte-identical output, written
 to stdout or --out by one writer, _emit, which streams the document in
-pieces and never holds its whole text.
+pieces and never holds its whole text.  Every JSON document comes from
+one encoder, _json_pieces, which yields the bytes of
+json.dumps(obj, indent=2, sort_keys=True) a whole top-level member, or a
+whole element of a top-level member's list, at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import random
 import sys
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import chain
 
 from . import census as census_mod
 from . import comb as comb_mod
@@ -34,24 +37,92 @@ EXIT_CAPACITY = 3
 
 SNF_CHECK_SEED = 20160603  # seeds verify's random unimodular perturbations
 
-# what json.dumps(obj, indent=2, sort_keys=True) writes, piece by piece
-_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+_str = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+
+
+def _json(obj, nl):
+    """The text json.dumps(obj, indent=2, sort_keys=True) writes for obj
+    nested at the depth whose line break and indent is nl.  A list of str
+    is written by one map, a dict of int values by one comprehension.
+    Anything else json.dumps would write (a float, a tuple, a non-str key)
+    raises TypeError."""
+    t = type(obj)
+    if t is str:
+        return _str(obj)
+    if t is int:
+        return _int(obj)
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if {*map(type, obj)} == {str}:
+            body = map(_str, obj)
+        else:
+            body = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = sorted(obj.items())
+        if {*map(type, obj.values())} == {int}:
+            body = [_str(k) + ": " + _int(v) for k, v in items]
+        else:
+            body = [_str(k) + ": " + _json(v, inner) for k, v in items]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError("Object of type %s is not written as JSON" % t.__name__)
+
+
+def _json_pieces(obj):
+    """Yield json.dumps(obj, indent=2, sort_keys=True) in pieces: each member
+    of a top-level object, and each element of a list that is such a
+    member, is one piece joined by _json."""
+    if type(obj) is not dict or not obj:
+        yield _json(obj, "\n")
+        return
+    sep = "{\n  "
+    for key, value in sorted(obj.items()):
+        head = sep + _str(key) + ": "
+        sep = ",\n  "
+        if type(value) is list and value:
+            yield head + "["
+            item_sep = "\n    "
+            for item in value:
+                yield item_sep + _json(item, "\n    ")
+                item_sep = ",\n    "
+            yield "\n  ]"
+        else:
+            yield head + _json(value, "\n  ")
+    yield "\n}"
 
 
 def _emit(pieces, out_path):
     """Write a document, given as an iterable of str pieces, to out_path or
-    stdout, in batches of 4096 pieces, so the whole text is never held.  A
-    newline is appended when the document does not end with one.  The
-    destination is opened only here, after the document's object is
+    stdout, in batches of about 64K characters, so the whole text is never
+    held.  A newline is appended when the document does not end with one.
+    The destination is opened only here, after the document's object is
     built, so a run refused before that leaves no file."""
-    pieces = iter(pieces)
     last = ""
     with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
-        for batch in iter(lambda: list(islice(pieces, 4096)), []):
-            text = "".join(batch)
-            fh.write(text)
-            last = text[-1:] or last
-        if last != "\n":
+        batch, size = [], 0
+        for piece in pieces:
+            batch.append(piece)
+            size += len(piece)
+            if size >= 65536:
+                text = "".join(batch)
+                fh.write(text)
+                last = text[-1]
+                batch, size = [], 0
+        text = "".join(batch)
+        fh.write(text)
+        if (text[-1:] or last) != "\n":
             fh.write("\n")
 
 
@@ -71,14 +142,14 @@ def _build_family(args):
 
 
 def cmd_graph(args):
-    _emit(_JSON.iterencode(_build_family(args).to_json()), args.out)
+    _emit(_json_pieces(_build_family(args).to_json()), args.out)
     return EXIT_OK
 
 
 def cmd_complex(args):
     g = _build_family(args)
     cx = independence_complex(g, args.face_cap)
-    _emit(_JSON.iterencode(cx.to_json(include_faces=args.faces)), args.out)
+    _emit(_json_pieces(cx.to_json(include_faces=args.faces)), args.out)
     return EXIT_OK
 
 
@@ -90,7 +161,7 @@ def cmd_census(args):
     elif args.format == "csv":
         _emit(_lines(chain(["m,n,d,count"], table.to_csv_rows())), args.out)
     else:
-        _emit(_JSON.iterencode(table.to_json()), args.out)
+        _emit(_json_pieces(table.to_json()), args.out)
     return EXIT_OK
 
 
@@ -99,13 +170,13 @@ def cmd_morse(args):
     tree = run_strategy(g, comb_mod.rule_for(g))
     out = tree.to_json()
     out["census"] = comb_mod.census_from_tree(tree).to_json()
-    _emit(_JSON.iterencode(out), args.out)
+    _emit(_json_pieces(out), args.out)
     return EXIT_OK
 
 
 def cmd_homology(args):
     report = morse_homology(_build_family(args), args.face_cap)
-    _emit(_JSON.iterencode(report.to_json()), args.out)
+    _emit(_json_pieces(report.to_json()), args.out)
     return EXIT_OK
 
 

@@ -1,10 +1,10 @@
 """End-to-end verification gate.
 
 Each test covers one acceptance criterion at full stated scope, asserts it
-exactly, and prints one PASS line; test_full_scale_skips_reported prints
-one "PASS --" line per extended check (the m=2 combs at n = 6..8, 9, 10
-and 11, and the n=11 wedge), none of them skipped.  Criteria 03 and 05
-print a SKIP line, with the face cap, for each instance over
+exactly, and prints one PASS line; test_extended_m2_combs_torsion_free_through_n11
+prints one "PASS --" line per extended check (the m=2 combs at n = 6..8,
+9, 10 and 11, and the n=11 wedge), none of them skipped.  Criteria 03 and
+05 print a SKIP line, with the face cap, for each instance over
 HOMOLOGY_CAP, and count the skips in their PASS line: star(m=4, n=7) is
 the one such instance.  Run with `pytest tests/test_acceptance.py -v -s`
 to see the per-criterion report.
@@ -230,7 +230,7 @@ def test_criterion_11_no_torsion():
            "route, exact")
 
 
-def test_full_scale_skips_reported():
+def test_extended_m2_combs_torsion_free_through_n11():
     # full SNF reaches n=9 and is the oracle for the Morse route through
     # there; the Morse route reads n=10 and n=11 off the trees without
     # building a face

@@ -4,10 +4,14 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import unbuilt
 from gridmorse import census, cli, comb, complexes, homology
 from gridmorse.cli import main
+from gridmorse.graphs import build_graph
+from gridmorse.morse import run_strategy
 
 
 def run(capsys, *argv):
@@ -244,8 +248,11 @@ def test_pinned_output_digests(argv, code, digest, capsys, tmp_path):
 
 
 def test_emit_batches_pieces_and_ends_with_one_newline(capsys):
-    # 10,000 pieces span three batches of 4096; a trailing empty piece does
-    # not hide the newline that ends the text
+    # batches are cut by characters, not by pieces: 10,000 pieces (48,890
+    # characters) make one batch, and a trailing empty piece does not hide
+    # the newline that ends the text; 200 pieces of 1,001 characters make
+    # four batches, and a text that ends a batch with its newline gets no
+    # second one
     pieces = ["%d," % i for i in range(10_000)]
     cli._emit(iter(pieces), None)
     assert capsys.readouterr().out == "".join(pieces) + "\n"
@@ -253,6 +260,12 @@ def test_emit_batches_pieces_and_ends_with_one_newline(capsys):
     assert capsys.readouterr().out == "".join(pieces) + "end\n"
     cli._emit([], None)
     assert capsys.readouterr().out == "\n"
+    lines = ["%04d" % i + "x" * 996 + "\n" for i in range(200)]
+    cli._emit(lines, None)
+    assert capsys.readouterr().out == "".join(lines)
+    for text in ("a" * 65535 + "\n", "a" * 65536):
+        cli._emit([text, ""], None)
+        assert capsys.readouterr().out == text.rstrip("\n") + "\n"
 
 
 def test_morse_document_is_written_without_holding_its_text(tmp_path):
@@ -270,6 +283,87 @@ def test_morse_document_is_written_without_holding_its_text(tmp_path):
     size = target.stat().st_size
     assert code == 0 and size > 2_900_000
     assert peak < 3 * size, (peak, size)
+
+
+def test_census_document_is_written_without_holding_its_text(tmp_path):
+    # the 3.58 MB census document streams row by row: the peak is the
+    # table and its JSON object, under 3x the file
+    target = tmp_path / "census.json"
+    tracemalloc.start()
+    try:
+        code = main(["census", "--m", "3", "--nmax", "600", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert code == 0 and size > 3_500_000
+    assert peak < 3 * size, (peak, size)
+
+
+def dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+# keys that escape (quotes, backslashes, control and non-ASCII characters)
+# and digit strings whose text order is not their numeric order
+JSON_KEYS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["10", "2", "1", "", '"q"', "back\\slash", "\x00\n\t\x1f",
+                     "\u00e9", "\u2028", "\U0001f701"]),
+    st.integers(0, 120).map(str))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2**64, 2**200), st.integers(-2**200, -2**64),
+    st.text(max_size=8))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.text(max_size=4), max_size=5),
+        st.dictionaries(JSON_KEYS, inner, max_size=5),
+        # int values, with bools among them
+        st.dictionaries(JSON_KEYS, st.one_of(st.integers(), st.booleans()),
+                        max_size=5)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_pieces_write_what_json_dumps_writes(value):
+    assert "".join(cli._json_pieces(value)) == dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0, 2.0], {"a": {"b": [float("nan")]}}, {1: 2}, {"a": {2: "b"}},
+    {None: 1}, {True: 1}, {"a": [{(1, 2): 3}]}, {"a": ("b", "c")}, {1, 2},
+    b"bytes"])
+def test_json_pieces_refuse_what_they_do_not_write(value):
+    with pytest.raises(TypeError):
+        "".join(cli._json_pieces(value))
+
+
+def small_documents():
+    """Each JSON subcommand on one small instance, with the object that its
+    document writes."""
+    g = build_graph("delta", m=2, n=3)
+    tree = run_strategy(g, comb.rule_for(g))
+    morse_doc = tree.to_json()
+    morse_doc["census"] = comb.census_from_tree(tree).to_json()
+    return [
+        ("graph --family delta --m 2 --n 3", g.to_json()),
+        ("complex --family delta --m 2 --n 3 --faces",
+         complexes.independence_complex(g).to_json(include_faces=True)),
+        ("census --m 3 --nmax 12", census.census_table(3, 12).to_json()),
+        ("morse --family delta --m 2 --n 3", morse_doc),
+        ("homology --family delta --m 2 --n 3",
+         homology.morse_homology(g).to_json()),
+    ]
+
+
+def test_json_documents_equal_json_dumps(capsys):
+    for argv, obj in small_documents():
+        code, out = run(capsys, *argv.split())
+        assert (code, out) == (0, dumps(obj) + "\n"), argv
 
 
 def test_usage_errors(capsys):
