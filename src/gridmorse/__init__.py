@@ -19,7 +19,7 @@ from .homology import (HomologyReport, IntegerMatrix, SNFResult,
                        morse_inequality_check, reduced_homology,
                        smith_normal_form)
 from .morse import (FacePairing, Free, Match, MatchingTree, MatchingTreeError,
-                    SigmaNode, Split, collect_pairing, critical_cells, expand,
+                    SigmaNode, Split, collect_pairing, critical_cells,
                     run_strategy, verify_acyclic)
 
 __version__ = "0.1.0"

@@ -121,9 +121,14 @@ def euler_recursion(m: int, n: int, history) -> int:
     return (1 + sign) * c3 + (-sign) * c4
 
 
+_EVEN_EULER = [1, -2, 1]  # a[0..] of euler_closed_form for even m, grown on demand
+
+
 def euler_closed_form(m: int, n: int) -> int:
     """Even m: the recursion a[n] = a[n-3] - a[n-2] - a[n-1] from seeds
-    1, -2, 1.  Odd m: period four from seeds 1, 0, -1, 0.
+    1, -2, 1, kept in one list that every call extends as far as it reads,
+    so walking n = 0..N costs O(N).  Odd m: period four from seeds 1, 0,
+    -1, 0.
 
     (The odd seed at n = 3 follows from the n = 3 census row, whose two
     cells sit in dimensions 2 and m and cancel; it is also confirmed by
@@ -135,7 +140,7 @@ def euler_closed_form(m: int, n: int) -> int:
         raise ValueError("requires n >= 0")
     if m % 2 == 1:
         return (1, 0, -1, 0)[n % 4]
-    seq = [1, -2, 1]
+    seq = _EVEN_EULER
     while len(seq) <= n:
         seq.append(seq[-3] - seq[-2] - seq[-1])
     return seq[n]

@@ -202,19 +202,10 @@ def rule_for(g: Graph) -> StrategyScript:
 
 def census_from_tree(tree: MatchingTree) -> CriticalCensus:
     """Histogram of critical-cell dimensions from a completed tree, by
-    dimension.  A tree grown by run_strategy is counted by one pass over
-    its residual -> step map, smallest residual first, listing no node or
-    cell; one grown by hand is counted from its terminal leaves."""
-    if tree.steps is None:
-        counts = {}
-        for nd in tree.critical_leaves():
-            d = nd.A.bit_count() - 1
-            counts[d] = counts.get(d, 0) + 1
-        counts = dict(sorted(counts.items()))
-    else:
-        counts = _cell_counts(tree)
+    dimension, counted by one pass over its residual -> step map, smallest
+    residual first, listing no node or cell."""
     params = tree.graph.params
-    return CriticalCensus(params.get("m"), params.get("n"), counts)
+    return CriticalCensus(params.get("m"), params.get("n"), _cell_counts(tree))
 
 
 def _grow(family: str, **params) -> MatchingTree:

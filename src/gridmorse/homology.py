@@ -353,8 +353,8 @@ def morse_homology(g: Graph,
     the faces with v to its child, is a poset map from the faces below it
     to {0 < 1} (is v in the face?).  Each Free(p) site, and each Match site
     on its faces without v, is an element matching: it pairs a face with
-    the face ^ 1 << p, and the step check (expand's, which run_strategy
-    runs once per residual) makes this stay in the fibre, for p lies
+    the face ^ 1 << p, and the step check, which run_strategy runs once
+    per residual, makes this stay in the fibre, for p lies
     outside A and B and has no neighbour outside them but v.  Those
     are exactly the hypotheses of Jonsson's cluster lemma (Simplicial
     Complexes of Graphs, 2008), so the union of the element matchings is

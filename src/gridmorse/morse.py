@@ -21,16 +21,16 @@ Leaves whose residual is empty are marked terminal as they are added and
 contribute their A-set as a critical cell.  Every step is checked against
 the residual alone, by _check_step: a node's A and B are disjoint from its
 residual and cover the rest.  The subtree under a node depends only on its
-residual too, so run_strategy walks the distinct residuals reachable from
-the root, calls the pivot rule and checks the step once for each, and
-returns a tree holding that residual -> step map.  Its nodes are listed on
-first read of MatchingTree.nodes, by _list_nodes, replaying the map in the
-order expand gives: ids, A, B, kinds and children are those of the tree
-expand grows node by node.  The census (comb.census_from_tree), the
-critical cells and the partner walk read the map, one pass over it
-smallest residual first (a child's residual is a proper subset of its
-parent's), and list no node; to_json, sites and collect_pairing read the
-nodes, as do all readers of a tree grown by hand with expand.
+residual too, so a tree is its residual -> step map: run_strategy walks the
+distinct residuals reachable from the root, calls the pivot rule and
+checks the step once for each, and returns a MatchingTree holding that
+map.  _children gives a step's child residuals, the one rule every reader
+of the map follows.  The census (comb.census_from_tree), the critical
+cells and the partner walk read the map, one pass over it smallest
+residual first (a child's residual is a proper subset of its parent's),
+and list no node.  The nodes are listed on first read of
+MatchingTree.nodes, by _list_nodes, replaying the map depth first from the
+root; to_json, sites and collect_pairing read them.
 
 Faces are vertex bitmasks, as in complexes.  Pairings are never
 materialized during growth; collect_pairing rebuilds them on demand for
@@ -40,11 +40,11 @@ then complexes._layers lists the J of each site's faces A | J and A | p | J
 one size layer at a time on a bitmask of the site's ground set, and
 collect_pairing checks in bulk that no face is paired twice.
 _partner_walk finds the same partners one face at a time, for the Morse
-route in homology: it compiles the map (a hand-grown tree's nodes) once
-to flat records and walks a face down from the root.  Split(v) goes to
-the child given by whether v is in the face, Free(p) returns face ^ 1 << p,
-Match(p, v) goes to its child if v is in the face and otherwise returns
-face ^ 1 << p, and a leaf means the face is critical.  A returned partner comes with the site's A-set,
+route in homology: it compiles the map once to flat records and walks a
+face down from the root.  Split(v) goes to the child given by whether v is
+in the face, Free(p) returns face ^ 1 << p, Match(p, v) goes to its child
+if v is in the face and otherwise returns face ^ 1 << p, and a leaf means
+the face is critical.  A returned partner comes with the site's A-set,
 the vertices the walk went in by: the only facets of an upper face that
 can leave its site drop a vertex of A, so the Morse flow follows those
 alone.
@@ -113,26 +113,20 @@ class SigmaNode:
 
 
 class MatchingTree:
-    """A matching tree on g.  One grown by run_strategy holds its residual
-    -> step map in `steps`, smallest residual first, and lists its nodes on
-    first read of `nodes`; one grown by hand, MatchingTree(g) and expand,
-    has `steps` None and holds its nodes from the start."""
+    """A matching tree on g, held as its residual -> step map `steps`,
+    smallest residual first, as run_strategy builds it.  Its nodes are
+    listed on first read of `nodes`."""
 
-    def __init__(self, g: Graph, steps: dict | None = None):
+    def __init__(self, g: Graph, steps: dict):
         self.graph = g
         self.steps = steps
         self._nodes = None
-        if steps is None:
-            self._nodes = [SigmaNode(0, 0, 0, (1 << len(g)) - 1, kind="root")]
 
     @property
     def nodes(self) -> list:
         if self._nodes is None:
             self._nodes = _list_nodes(self.graph, self.steps)
         return self._nodes
-
-    def node(self, nid: int) -> SigmaNode:
-        return self.nodes[nid]
 
     def critical_leaves(self):
         return [nd for nd in self.nodes if nd.kind == "terminal"]
@@ -217,20 +211,37 @@ def _check_step(g: Graph, res: int, step):
         raise MatchingTreeError("unknown step %r" % (step,))
 
 
+def _children(nbr, res: int, step):
+    """The residuals of the children of a node with residual res under a
+    legal step, as (child without v, child with v), None where the step
+    has no such child: Free(p) ends its branch in an empty-labeled leaf,
+    Match(p, v) keeps only the child that takes v into A, and Split(v) has
+    both.  The child with v drops v and N(v), the child without v drops v."""
+    if isinstance(step, Free):
+        return None, None
+    bit = 1 << step.v
+    inn = res & ~(bit | nbr[step.v])
+    if isinstance(step, Split):
+        return res & ~bit, inn
+    return None, inn
+
+
 def _attach(nodes: list, node: SigmaNode, step, nbr):
     """Give a leaf its children under a legal step, numbered on from
-    len(nodes) in expand's order, and record the step and site kind."""
+    len(nodes), the child without v first, and record the step and site
+    kind."""
     A, B, res = node.A, node.B, node.residual_mask
     if isinstance(step, Free):
         kids = [(A, B, res, "empty")]
         site = "free-site"
     else:
+        out, inn = _children(nbr, res, step)
         v = step.v
         bit = 1 << v
-        kids = [(A | bit, B | nbr[v], res & ~(bit | nbr[v]), None)]
+        kids = [(A | bit, B | nbr[v], inn, None)]
         site = "matching-site"
         if isinstance(step, Split):
-            kids.insert(0, (A, B | bit, res & ~bit, None))
+            kids.insert(0, (A, B | bit, out, None))
             site = "splitting-site"
     for a, b, r, kind in kids:
         if a & b:
@@ -243,20 +254,6 @@ def _attach(nodes: list, node: SigmaNode, step, nbr):
         node.kind = site
 
 
-def expand(tree: MatchingTree, node_id: int, step) -> MatchingTree:
-    """Apply one growth step at a leaf, after checking its preconditions."""
-    node = tree.node(node_id)
-    if node.children:
-        raise MatchingTreeError("node %d already expanded" % node_id)
-    if node.kind == "empty":
-        raise MatchingTreeError("cannot expand an empty-labeled leaf")
-    if not node.residual_mask and node.kind != "root":
-        raise MatchingTreeError("node %d has |Sigma| = 1; nothing to expand" % node_id)
-    _check_step(tree.graph, node.residual_mask, step)
-    _attach(tree.nodes, node, step, tree.graph.nbr)
-    return tree
-
-
 def run_strategy(g: Graph, strategy) -> MatchingTree:
     """Grow a matching tree to completion under a deterministic pivot rule.
 
@@ -265,10 +262,10 @@ def run_strategy(g: Graph, strategy) -> MatchingTree:
     legal depends on the residual alone, since a node's A and B are
     disjoint from it and cover the rest.  So the subtree under a node
     depends on its residual alone, and the growth walks the distinct
-    residuals reachable from the root, depth first in the order expand
-    would reach them: at each it calls the rule once and checks the step
-    once, with expand's checks.  The tree it returns holds this residual
-    -> step map and lists its nodes on first read.
+    residuals reachable from the root, depth first, the child without v
+    before the child with it: at each it calls the rule once and checks the
+    step once, by _check_step.  The tree it returns holds this residual ->
+    step map and lists its nodes on first read.
 
     The map is kept in residual order, smallest first, so every reader
     meets a residual after its children's, which are proper subsets of it.
@@ -284,37 +281,28 @@ def run_strategy(g: Graph, strategy) -> MatchingTree:
     todo = [full]
     while todo:
         res = todo.pop()
-        if not res or res in steps:
+        if not res or res in steps:  # also None: a child the step lacks
             continue
         step = strategy(g, res)
         _check_step(g, res, step)
         steps[res] = step
         if len(steps) > budget:
             raise CapacityError("step budget %d exceeded" % budget)
-        if not isinstance(step, Free):
-            bit = 1 << step.v
-            todo.append(res & ~(bit | nbr[step.v]))
-            if isinstance(step, Split):
-                todo.append(res & ~bit)  # on top: the child without v is first
+        todo.extend(reversed(_children(nbr, res, step)))  # without v on top
     steps = dict(sorted(steps.items()))
-    expansions = {0: 0}
+    expansions = {None: 0, 0: 0}
     for res, step in steps.items():
-        count = 1
-        if not isinstance(step, Free):
-            bit = 1 << step.v
-            count += expansions[res & ~(bit | nbr[step.v])]
-            if isinstance(step, Split):
-                count += expansions[res & ~bit]
-        expansions[res] = count
+        out, inn = _children(nbr, res, step)
+        expansions[res] = 1 + expansions[out] + expansions[inn]
     if expansions[full] > budget:
         raise CapacityError("step budget %d exceeded" % budget)
     return MatchingTree(g, steps)
 
 
 def _list_nodes(g: Graph, steps: dict) -> list:
-    """The nodes of the tree that a residual -> step map grows on g, in the
-    order expand gives them: each leaf with a residual of its own to expand
-    takes its residual's step, depth first from the root."""
+    """The nodes of the tree that a residual -> step map grows on g: each
+    leaf with a nonempty residual, bar an empty-labeled one, takes its
+    residual's step, depth first from the root, the child without v first."""
     nodes = [SigmaNode(0, 0, 0, (1 << len(g)) - 1, kind="root")]
     stack = [0]
     while stack:
@@ -407,8 +395,8 @@ def _site_pairs(tree: MatchingTree, face_cap: int):
 
 
 def _cell_counts(tree: MatchingTree) -> dict:
-    """{dimension: critical cells}, in increasing dimension, of a tree grown
-    by run_strategy, by one pass over its map, smallest residual first.
+    """{dimension: critical cells}, in increasing dimension, by one pass
+    over the tree's map, smallest residual first.
     The cells under a node with a given residual are kept as one int whose
     digit k in base 2 ** width counts those that add k vertices to the
     node's A, with width = len(graph) + 1: fewer than 2 ** len(graph) cells
@@ -417,15 +405,10 @@ def _cell_counts(tree: MatchingTree) -> dict:
     is a terminal leaf, bar the root of a graph with no vertex."""
     nbr = tree.graph.nbr
     width = len(tree.graph) + 1
-    below = {0: 1 if len(tree.graph) else 0}
+    below = {None: 0, 0: 1 if len(tree.graph) else 0}
     for res, step in tree.steps.items():
-        cells = 0
-        if not isinstance(step, Free):
-            bit = 1 << step.v
-            cells = below[res & ~(bit | nbr[step.v])] << width
-            if isinstance(step, Split):
-                cells += below[res & ~bit]
-        below[res] = cells
+        out, inn = _children(nbr, res, step)
+        below[res] = (below[inn] << width) + below[out]
     cells, digit = below[(1 << len(tree.graph)) - 1], (1 << width) - 1
     counts = {}
     d = -1  # a cell adding k vertices to the root's empty A has dimension k - 1
@@ -440,26 +423,20 @@ def _cell_counts(tree: MatchingTree) -> dict:
 def critical_cells(tree: MatchingTree):
     """A-sets of the terminal leaves, as vertex bitmasks, by size then value.
 
-    A tree grown by run_strategy is read from its map, listing no node: one
-    pass, smallest residual first, gives each residual the cells below a
-    node with it, relative to the node's A, as its children's cells with
-    the vertex each child takes added; a Free step has none."""
-    if tree.steps is None:
-        cells = [nd.A for nd in tree.critical_leaves()]
-    else:
-        nbr = tree.graph.nbr
-        below = {0: (0,) if len(tree.graph) else ()}
-        for res, step in tree.steps.items():
-            cells = ()
-            if not isinstance(step, Free):
-                bit = 1 << step.v
-                cells = below[res & ~(bit | nbr[step.v])]
-                if cells:
-                    cells = tuple([c | bit for c in cells])
-                if isinstance(step, Split):
-                    cells = below[res & ~bit] + cells
-            below[res] = cells
-        cells = list(below[(1 << len(tree.graph)) - 1])
+    They are read from the tree's map, listing no node: one pass, smallest
+    residual first, gives each residual the cells below a node with it,
+    relative to the node's A, as its children's cells with the vertex each
+    child takes added; a Free step has none."""
+    nbr = tree.graph.nbr
+    below = {None: (), 0: (0,) if len(tree.graph) else ()}
+    for res, step in tree.steps.items():
+        out, inn = _children(nbr, res, step)
+        cells = below[inn]
+        if cells:
+            bit = 1 << step.v
+            cells = tuple([c | bit for c in cells])
+        below[res] = below[out] + cells
+    cells = list(below[(1 << len(tree.graph)) - 1])
     cells.sort(key=lambda f: (f.bit_count(), f))
     return cells
 
@@ -472,15 +449,13 @@ def _partner_walk(tree: MatchingTree):
     face it is paired with, the A-set of the site that pairs them), or None
     for a critical face.
 
-    The tree is compiled once into flat records (kind, pivot bit, second
-    bit, out, in child), one per residual of the map of a tree grown by
-    run_strategy, else one per node, indexed like tree.nodes.  A Split(v)
-    record holds v's bit second, its child without v out and its child with
-    v in; a Match(p, v) record holds p's and v's bits and its child in; a
-    Free(p) record holds p's bit and 0, so no face goes in; a leaf has no
-    step.  The walk starts at the root, costs one step per tree level and
-    ORs each vertex it goes in by into the A-set.  Raises MatchingTreeError
-    on a leaf that is not complete.
+    The tree's map is compiled once into flat records (kind, pivot bit,
+    second bit, out, in child), one per residual.  A Split(v) record holds
+    v's bit second, its child without v out and its child with v in; a
+    Match(p, v) record holds p's and v's bits and its child in; a Free(p)
+    record holds p's bit and 0, so no face goes in; a leaf has no step.
+    The walk starts at the root, costs one step per tree level and ORs each
+    vertex it goes in by into the A-set.
 
     The site's A is what the Morse flow needs: a lower face t = A | J of a
     site has the upper face t | p, and for u in J the facet (t | p) ^ u =
@@ -488,38 +463,19 @@ def _partner_walk(tree: MatchingTree):
     site the walk tests only vertices of A and B, and at a Match(p, v) site
     the facet still avoids v.  So only the facets (t | p) ^ u with u in A
     leave the site."""
-    recs = []
-    if tree.steps is None:
-        root = 0
-        for nd in tree.nodes:
-            st, kids = nd.step, nd.children
-            if isinstance(st, Split):
-                recs.append((_SPLIT, 0, 1 << st.v, kids[0], kids[1]))
-            elif isinstance(st, Match):
-                recs.append((_PAIR, 1 << st.p, 1 << st.v, -1, kids[0]))
-            elif isinstance(st, Free):
-                recs.append((_PAIR, 1 << st.p, 0, -1, -1))
-            elif nd.residual_mask and nd.kind != "empty":
-                raise MatchingTreeError("node %d is an unexpanded leaf" % nd.id)
-            else:
-                recs.append((_LEAF, 0, 0, -1, -1))
-    else:
-        # in map order a residual's children come before it, numbered
-        nbr = tree.graph.nbr
-        index = {0: 0}
-        recs.append((_LEAF, 0, 0, -1, -1))
-        for res, st in tree.steps.items():
-            index[res] = len(recs)
-            if isinstance(st, Free):
-                recs.append((_PAIR, 1 << st.p, 0, -1, -1))
-                continue
-            bit = 1 << st.v
-            inn = index[res & ~(bit | nbr[st.v])]
-            if isinstance(st, Split):
-                recs.append((_SPLIT, 0, bit, index[res & ~bit], inn))
-            else:
-                recs.append((_PAIR, 1 << st.p, bit, -1, inn))
-        root = index[(1 << len(tree.graph)) - 1]
+    # in map order a residual's children come before it, numbered
+    nbr = tree.graph.nbr
+    index = {None: -1, 0: 0}
+    recs = [(_LEAF, 0, 0, -1, -1)]
+    for res, st in tree.steps.items():
+        out, inn = _children(nbr, res, st)
+        index[res] = len(recs)
+        if isinstance(st, Split):
+            recs.append((_SPLIT, 0, 1 << st.v, index[out], index[inn]))
+        else:
+            v = 1 << st.v if isinstance(st, Match) else 0
+            recs.append((_PAIR, 1 << st.p, v, -1, index[inn]))
+    root = index[(1 << len(tree.graph)) - 1]
 
     def partner(face):
         a = 0

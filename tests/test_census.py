@@ -1,5 +1,6 @@
 import pytest
 
+from gridmorse import census
 from gridmorse import (DimensionBounds, build_graph, census_extend,
                        census_seed, census_table, dimension_bounds,
                        euler_closed_form, euler_from_table, euler_recursion,
@@ -81,6 +82,23 @@ def test_euler_recursion():
 def test_euler_closed_form_even():
     assert [euler_closed_form(2, n) for n in range(5)] == [1, -2, 1, 2, -5]
     assert [euler_closed_form(4, n) for n in range(5)] == [1, -2, 1, 2, -5]
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_euler_closed_form_shared_sequence(monkeypatch, order):
+    # the even-m values are kept in one list that calls extend; from a
+    # fresh list, read up or down, every value is the recursion's
+    monkeypatch.setattr(census, "_EVEN_EULER", [1, -2, 1])
+    want = {}
+    for m in (2, 4):
+        history = want[m] = {}
+        for n in range(601):
+            history[n] = euler_recursion(m, n, history)
+    ns = range(601) if order == "increasing" else range(600, -1, -1)
+    for n in ns:
+        for m in (2, 4):
+            assert euler_closed_form(m, n) == want[m][n], (m, n)
+    assert len(census._EVEN_EULER) == 601
 
 
 def test_euler_closed_form_odd_periodic():

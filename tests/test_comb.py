@@ -151,7 +151,7 @@ def shuffled(g, rng):
 
 @pytest.mark.parametrize("fam", sorted(FAMILY_SIZES))
 def test_family_rule_accepts_any_vertex_order(fam):
-    # expand checks every step, so each tree is legal; the census must not
+    # run_strategy checks every step, so each tree is legal; the census must not
     # depend on the order, and complexes of at most 5,000 faces are
     # certified and their Morse-route homology checked against full SNF
     rng = random.Random(20160603)

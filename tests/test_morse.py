@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,23 +9,30 @@ from conftest import complete_multipartite, ind_complex, unbuilt
 from gridmorse.cli import main
 from gridmorse import complexes, morse
 from gridmorse import (GENERIC_RULE, PIVOT_RULES, CapacityError, FacePairing,
-                       Free, Graph, Match, MatchingTree, MatchingTreeError,
-                       SigmaNode, Split, build_graph, census_from_tree,
-                       collect_pairing, comb_tree, critical_cells, expand,
+                       Free, Graph, Match, MatchingTreeError, SigmaNode,
+                       Split, build_graph, census_from_tree,
+                       collect_pairing, comb_tree, critical_cells,
                        full_homology, independence_complex, line_graph,
                        morse_inequality_check, path_tree, plain,
                        reduced_homology, run_strategy, spine, star_tree,
                        theta_tree, verify_acyclic)
 
 
-def fresh(g):
-    return MatchingTree(g), g
+def scripted(script):
+    """A pivot rule that takes its step from script, a residual mask ->
+    step dict, at the residuals it names, and GENERIC_RULE's elsewhere."""
+    def rule(g, res):
+        return script[res] if res in script else GENERIC_RULE(g, res)
+    return rule
+
+
+def bit(g, label):
+    return 1 << g.idx(label)
 
 
 def test_residual_and_sigma_at_root():
     g = build_graph("cycle", n=4)
-    tree = MatchingTree(g)
-    root = tree.node(0)
+    root = run_strategy(g, GENERIC_RULE).nodes[0]
     assert {g.vertices[i] for i in root.residual} == set(g.vertices)
     # empty set, 4 singletons, 2 diagonals
     assert complexes._count_independent(g.nbr, root.residual_mask) == 7
@@ -32,26 +40,30 @@ def test_residual_and_sigma_at_root():
 
 def test_split_then_counts():
     g = build_graph("cycle", n=4)
-    tree = MatchingTree(g)
-    expand(tree, 0, Split(g.idx(plain(1))))
-    excl, incl = tree.node(1), tree.node(2)
-    assert excl.A == 0 and excl.B == 1 << g.idx(plain(1))
-    assert incl.A == 1 << g.idx(plain(1))
-    assert incl.B == 1 << g.idx(plain(2)) | 1 << g.idx(plain(4))
+    tree = run_strategy(g, scripted({0b1111: Split(g.idx(plain(1)))}))
+    root = tree.nodes[0]
+    assert root.children == [1, 2]
+    excl, incl = tree.nodes[1], tree.nodes[2]
+    assert excl.A == 0 and excl.B == bit(g, plain(1))
+    assert incl.A == bit(g, plain(1))
+    assert incl.B == bit(g, plain(2)) | bit(g, plain(4))
     assert {g.vertices[i] for i in incl.residual} == {plain(3)}
     # {1} and {1,3}
     assert complexes._count_independent(g.nbr, incl.residual_mask) == 2
-    assert complexes._count_independent(g.nbr, tree.node(0).residual_mask) == 7
+    assert complexes._count_independent(g.nbr, root.residual_mask) == 7
 
 
 def test_residual_of_backbone_terminus_is_theta():
     g = build_graph("delta", m=3, n=2)
-    tree = MatchingTree(g)
+    full = (1 << len(g)) - 1
+    s1, s2 = bit(g, spine(1)), bit(g, spine(2))
     # exclude both spine vertices in turn
-    expand(tree, 0, Split(g.idx(spine(1))))
-    excl = tree.node(1)
-    expand(tree, excl.id, Split(g.idx(spine(2))))
-    terminus = tree.node(excl.children[0])
+    tree = run_strategy(g, scripted({full: Split(g.idx(spine(1))),
+                                     full & ~s1: Split(g.idx(spine(2)))}))
+    excl = tree.nodes[tree.nodes[0].children[0]]
+    assert excl.B == s1 and excl.step == Split(g.idx(spine(2)))
+    terminus = tree.nodes[excl.children[0]]
+    assert terminus.B == s1 | s2
     kinds = sorted(g.vertices[i].kind for i in terminus.residual)
     # hub a, hub b and all nine tendril vertices survive: a theta subgraph
     assert kinds == ["a", "b"] + ["t"] * 9
@@ -59,11 +71,11 @@ def test_residual_of_backbone_terminus_is_theta():
 
 def test_match_records_expected_pairs():
     g = build_graph("path", n=3)
-    tree = MatchingTree(g)
-    expand(tree, 0, Match(g.idx(plain(1)), g.idx(plain(2))))
-    child = tree.node(1)
-    assert child.A == 1 << g.idx(plain(2))
-    assert child.B == 1 << g.idx(plain(1)) | 1 << g.idx(plain(3))
+    tree = run_strategy(g, scripted({0b111: Match(g.idx(plain(1)),
+                                                   g.idx(plain(2)))}))
+    child = tree.nodes[1]
+    assert child.A == bit(g, plain(2))
+    assert child.B == bit(g, plain(1)) | bit(g, plain(3))
     assert not child.residual
     assert child.kind == "terminal"
     pairing = collect_pairing(tree)
@@ -71,14 +83,13 @@ def test_match_records_expected_pairs():
     assert pairing.pairs() == [(0, 1 << i1), (1 << i3, 1 << i1 | 1 << i3)]
 
 
-def test_tree_grown_by_expand_reports_critical_cells():
-    # a tree finished by hand, without run_strategy, marks its leaves too
+def test_scripted_tree_reports_critical_cells():
+    # split at the middle vertex, free an end of the rest: one critical cell
     g = build_graph("path", n=3)
-    tree = MatchingTree(g)
-    expand(tree, 0, Split(1))
-    excluded, included = tree.node(0).children
-    expand(tree, excluded, Free(0))
+    tree = run_strategy(g, scripted({0b111: Split(1), 0b101: Free(0)}))
     assert critical_cells(tree) == [0b010]
+    excluded, included = tree.nodes[0].children
+    assert tree.nodes[excluded].step == Free(0)
     assert tree.to_json()["nodes"][included]["kind"] == "terminal"
     paired = collect_pairing(tree).paired_faces()
     assert paired | {0b010} == set(independence_complex(g).all_faces())
@@ -87,25 +98,27 @@ def test_tree_grown_by_expand_reports_critical_cells():
 
 def test_free_precondition():
     g = build_graph("cycle", n=4)
-    tree = MatchingTree(g)
+    full = 0b1111
     with pytest.raises(MatchingTreeError, match="neighbors outside"):
-        expand(tree, 0, Free(g.idx(plain(3))))
+        run_strategy(g, scripted({full: Free(g.idx(plain(3)))}))
     # after excluding both neighbors, vertex 3 is free
-    expand(tree, 0, Split(g.idx(plain(2))))
-    excl = tree.node(1)
-    expand(tree, excl.id, Split(g.idx(plain(4))))
-    node = tree.node(excl.children[0])
-    expand(tree, node.id, Free(g.idx(plain(3))))
-    assert tree.node(node.children[0]).kind == "empty"
+    v2, v4 = bit(g, plain(2)), bit(g, plain(4))
+    tree = run_strategy(g, scripted({full: Split(g.idx(plain(2))),
+                                     full & ~v2: Split(g.idx(plain(4))),
+                                     full & ~v2 & ~v4: Free(g.idx(plain(3)))}))
+    excl = tree.nodes[tree.nodes[0].children[0]]
+    node = tree.nodes[excl.children[0]]
+    assert node.step == Free(g.idx(plain(3)))
+    assert tree.nodes[node.children[0]].kind == "empty"
 
 
 def test_match_preconditions():
     g = build_graph("cycle", n=5)
-    tree = MatchingTree(g)
+    full = 0b11111
     with pytest.raises(MatchingTreeError, match="exactly one neighbor"):
-        expand(tree, 0, Match(g.idx(plain(1)), g.idx(plain(2))))
+        run_strategy(g, scripted({full: Match(g.idx(plain(1)), g.idx(plain(2)))}))
     with pytest.raises(MatchingTreeError, match="not a neighbor"):
-        expand(tree, 0, Match(g.idx(plain(1)), g.idx(plain(3))))
+        run_strategy(g, scripted({full: Match(g.idx(plain(1)), g.idx(plain(3)))}))
 
 
 @pytest.mark.parametrize("split_first,step", [
@@ -120,27 +133,42 @@ def test_out_of_range_step_vertices_rejected(split_first, step):
     # other preconditions; an index past the end would raise IndexError;
     # a label or a float is not an index, and True is not vertex 1
     g = build_graph("path", n=3)
-    tree = MatchingTree(g)
-    nid = 0
+    script = {0b111: step}
     if split_first:
-        expand(tree, 0, Split(1))
-        nid = tree.node(0).children[0]  # v2 excluded: v1 and v3 are free
-    size = len(tree.nodes)
+        # v2 excluded: v1 and v3 are free
+        script = {0b111: Split(1), 0b101: step}
     with pytest.raises(MatchingTreeError, match=r"not in range\(3\)"):
-        expand(tree, nid, step)
-    assert len(tree.nodes) == size and not tree.node(nid).children
-    assert tree.node(nid).step is None
+        run_strategy(g, scripted(script))
 
 
-def test_split_precondition_and_reexpansion():
+def test_split_precondition():
     g = build_graph("cycle", n=4)
-    tree = MatchingTree(g)
-    expand(tree, 0, Split(g.idx(plain(1))))
-    with pytest.raises(MatchingTreeError, match="already expanded"):
-        expand(tree, 0, Split(g.idx(plain(2))))
-    incl = tree.node(2)
+    v1 = g.idx(plain(1))
+    # the child that takes v1 has v3 alone left: v2 lies in its B
     with pytest.raises(MatchingTreeError, match="not residual"):
-        expand(tree, incl.id, Split(g.idx(plain(2))))
+        run_strategy(g, scripted({0b1111: Split(v1),
+                                  bit(g, plain(3)): Split(g.idx(plain(2)))}))
+
+
+@pytest.mark.parametrize("step,message", [
+    (Free(0), "free vertex v1 lies in A or B"),
+    (Match(1, 2), "match pivot v2 lies in A or B"),
+], ids=["free", "match"])
+def test_pivot_in_a_or_b_rejected(step, message):
+    # after Split(v1) on cycle(4) the child with v1 has v3 alone left, so
+    # v1 (in A) and v2 (in B) are no pivots there
+    g = build_graph("cycle", n=4)
+    with pytest.raises(MatchingTreeError, match=message):
+        run_strategy(g, scripted({0b1111: Split(0), 0b0100: step}))
+
+
+@pytest.mark.parametrize("step", [None, (0, 1)], ids=["none", "tuple"])
+def test_unknown_step_rejected(monkeypatch, step):
+    # the refusal names the object, and comes before any node is listed
+    monkeypatch.setattr(morse, "_list_nodes", unbuilt)
+    with pytest.raises(MatchingTreeError,
+                       match=re.escape("unknown step %r" % (step,))):
+        run_strategy(build_graph("path", n=3), lambda graph, res: step)
 
 
 def test_point_complex_run():
@@ -530,13 +558,13 @@ def test_verify_acyclic_rejects_non_covers(lo, hi):
     [((), (0,), 0), ((0,), (1,), 1)],    # (0,) is upper, then lower
 ], ids=["lower-twice", "upper-twice", "upper-and-lower"])
 def test_collect_pairing_rejects_sites_covering_one_face(sites):
-    # two free sites, built by hand, that no legal growth would produce
-    tree = MatchingTree(Graph([plain(1), plain(2)], []))
-    for a, residual, p in sites:
-        mask = sum(1 << u for u in residual)
-        tree.nodes.append(SigmaNode(id=len(tree.nodes), A=sum(1 << u for u in a),
-                                    B=0, residual_mask=mask, kind="free-site",
-                                    step=Free(p)))
+    # two free sites, made by hand, that no legal growth would produce,
+    # given as the listed nodes of a grown tree
+    tree = run_strategy(Graph([plain(1), plain(2)], []), GENERIC_RULE)
+    tree._nodes = [SigmaNode(id=i, A=sum(1 << u for u in a), B=0,
+                             residual_mask=sum(1 << u for u in residual),
+                             kind="free-site", step=Free(p))
+                   for i, (a, residual, p) in enumerate(sites)]
     with pytest.raises(MatchingTreeError, match="paired twice"):
         collect_pairing(tree)
 
@@ -598,12 +626,6 @@ def test_partner_walk_keeps_facets_off_a_pairing_site():
                     assert partner((t | p) ^ u) == (t ^ u, a)
                     checked += 1
     assert checked > 1000
-
-
-def test_partner_walk_refuses_an_unfinished_tree():
-    tree = MatchingTree(build_graph("path", n=3))
-    with pytest.raises(MatchingTreeError, match="unexpanded leaf"):
-        morse._partner_walk(tree)
 
 
 def test_collect_pairing_face_cap_boundary(monkeypatch):

@@ -1,6 +1,8 @@
-"""Trees grown by run_strategy hold a residual -> step map and list their
-nodes on first read; the readers of the map must agree with the readers of
-the nodes, and must list none."""
+"""A tree is its residual -> step map and lists its nodes on first read.
+The readers of the map must list no node and agree with oracles that share
+no code with them: the listing with a tree grown leaf by leaf from sets,
+the critical cells and census with the faces that collect_pairing leaves
+unpaired, and the partner walk with collect_pairing's partners."""
 
 import random
 
@@ -10,31 +12,59 @@ from hypothesis import strategies as st
 
 from conftest import complete_multipartite, unbuilt
 from gridmorse import census, morse
-from gridmorse import (GENERIC_RULE, CapacityError, Graph, MatchingTree,
-                       build_graph, census_from_tree, comb_tree,
-                       count_independent_sets, critical_cells, expand,
+from gridmorse import (GENERIC_RULE, CapacityError, Free, Graph, Match, Split,
+                       build_graph, census_from_tree, collect_pairing,
+                       comb_tree, count_independent_sets, critical_cells,
                        independence_complex, line_graph, morse_homology, plain,
                        rule_for, run_strategy)
 from gridmorse.cli import main
 
 
-def grown_by_expand(g, rule):
-    """The tree that run_strategy grew before it kept a map: expand at
-    every node, depth first, each leaf taking its residual's step.  The
-    rule is asked once per residual; only the growth is under test."""
-    tree = MatchingTree(g)
+def expand_leaf_by_leaf(g, rule):
+    """The rows of the tree grown one leaf at a time, as run_strategy grew
+    it before it kept a map: depth first from the root, each leaf with a
+    nonempty residual, bar an empty-labeled one, takes the rule's step for
+    its residual and numbers its children on, the one without v first.  A,
+    B and residuals are sets built from g.adjsets, so the listing's code is
+    not used; the rule is asked once per residual."""
+    def mask(vertices):
+        return sum(1 << u for u in vertices)
+
+    def residual(A, B):
+        shadow = A | B
+        for a in A:
+            shadow |= g.adjsets[a]
+        return set(range(len(g))) - shadow
+
+    nodes = [[0, set(), set(), "root", None, []]]
     decided = {}
     stack = [0]
     while stack:
-        node = tree.node(stack.pop())
-        res = node.residual_mask
-        if node.kind == "empty" or not res:
+        node = nodes[stack.pop()]
+        _, A, B, kind, _, children = node
+        res = mask(residual(A, B))
+        if kind == "empty" or not res:
             continue
         if res not in decided:
             decided[res] = rule(g, res)
-        expand(tree, node.id, decided[res])
-        stack.extend(reversed(node.children))
-    return tree
+        step = node[4] = decided[res]
+        if isinstance(step, Free):
+            kids, site = [(A, B, "empty")], "free-site"
+        else:
+            v = step.v
+            kids, site = [(A | {v}, B | g.adjsets[v], None)], "matching-site"
+            if isinstance(step, Split):
+                kids.insert(0, (A, B | {v}, None))
+                site = "splitting-site"
+        for a, b, k in kids:
+            children.append(len(nodes))
+            nodes.append([len(nodes), a, b,
+                          k or (None if residual(a, b) else "terminal"), None, []])
+        if kind != "root":
+            node[3] = site
+        stack.extend(reversed(children))
+    return [(nid, mask(A), mask(B), mask(residual(A, B)), kind, step, children)
+            for nid, A, B, kind, step, children in nodes]
 
 
 def rows(tree):
@@ -68,21 +98,50 @@ def sparse_random_graph(size, density, rnd):
                          for y in range(x + 1, size) if rnd.random() < density])
 
 
+def by_size(faces):
+    return sorted(faces, key=lambda f: (f.bit_count(), f))
+
+
 def assert_map_readers_agree(g, rule, walk_cap=5000):
-    """census_from_tree, critical_cells and _partner_walk read from the
-    map, listing no node, equal the same readers on the expand-grown tree,
-    which read its nodes; so does the listing, node for node.  The partner
-    walk is checked on every face of a complex of at most walk_cap faces."""
-    tree, oracle = run_strategy(g, rule), grown_by_expand(g, rule)
-    assert tree.steps is not None and oracle.steps is None
-    assert census_from_tree(tree) == census_from_tree(oracle)
-    assert critical_cells(tree) == critical_cells(oracle)
-    if count_independent_sets(g, cap=walk_cap) <= walk_cap:
-        partner, want = morse._partner_walk(tree), morse._partner_walk(oracle)
-        for face in independence_complex(g).all_faces():
-            assert partner(face) == want(face), face
+    """census_from_tree, critical_cells and _partner_walk read the map and
+    list no node.  The listing equals the tree grown leaf by leaf, node for
+    node; the critical cells are the A-sets of its terminal leaves and the
+    census is their histogram.  On a complex of at most walk_cap faces the
+    critical cells are also the faces that collect_pairing leaves unpaired,
+    and the partner walk gives each face collect_pairing's partner and the
+    A-set of the one site of sites() whose faces hold it."""
+    tree = run_strategy(g, rule)
+    cells, counts = critical_cells(tree), census_from_tree(tree).counts
+    partner = morse._partner_walk(tree)
     assert tree._nodes is None
-    assert rows(tree) == rows(oracle)
+    assert rows(tree) == expand_leaf_by_leaf(g, rule)
+    leaves = by_size(nd.A for nd in tree.critical_leaves())
+    assert cells == leaves
+    histogram = {}
+    for cell in leaves:
+        d = cell.bit_count() - 1
+        histogram[d] = histogram.get(d, 0) + 1
+    assert list(counts.items()) == sorted(histogram.items())
+    if count_independent_sets(g, cap=walk_cap) > walk_cap:
+        return
+    pairing = collect_pairing(tree)
+    faces = list(independence_complex(g).all_faces())
+    unpaired = [f for f in faces if f not in pairing.up and f not in pairing.down]
+    if not len(g):
+        unpaired = []  # the root of a graph with no vertex is no terminal leaf
+    assert cells == by_size(unpaired)
+    # a site's faces contain its A and miss its B, and at a Match(p, v)
+    # site v, whose faces go on to the child
+    sites = [(nd.A, nd.B | (1 << nd.step.v if isinstance(nd.step, Match) else 0))
+             for nd in tree.sites()]
+    for face in faces:
+        other = pairing.up.get(face, pairing.down.get(face))
+        if other is None:
+            assert partner(face) is None, face
+            continue
+        holders = [a for a, avoid in sites if face & a == a and not face & avoid]
+        assert len(holders) == 1, face
+        assert partner(face) == (other, holders[0]), face
 
 
 @pytest.mark.parametrize("g", [g for _, g in LISTED],
@@ -123,7 +182,7 @@ def test_step_budget_is_the_exact_expansion_count(monkeypatch, family, kw):
     with pytest.raises(CapacityError, match="step budget %d exceeded" % (count - 1)):
         run_strategy(g, rule_for(g))
     monkeypatch.undo()
-    assert rows(tree) == rows(grown_by_expand(g, rule_for(g)))
+    assert rows(tree) == expand_leaf_by_leaf(g, rule_for(g))
 
 
 def test_step_budget_stops_deciding(monkeypatch):
@@ -149,13 +208,10 @@ def test_morse_refuses_before_listing(monkeypatch, capsys):
     assert captured.out == "" and "step budget" in captured.err
 
 
-def test_hand_grown_tree_reads_its_nodes():
-    # a tree grown by expand has no map; its readers list its nodes, and a
-    # map tree listed once keeps the same list
+def test_listed_nodes_are_kept():
+    # a tree lists its nodes once, on first read, and keeps the list
     rng = random.Random(25)
-    g = sparse_random_graph(9, 0.3, rng)
-    tree = grown_by_expand(g, GENERIC_RULE)
-    assert tree.steps is None and tree.nodes is tree.nodes
-    grown = run_strategy(g, GENERIC_RULE)
-    assert grown.nodes is grown.nodes
-    assert critical_cells(grown) == critical_cells(tree)
+    tree = run_strategy(sparse_random_graph(9, 0.3, rng), GENERIC_RULE)
+    assert tree._nodes is None
+    assert tree.nodes is tree.nodes
+    assert critical_cells(tree) == by_size(nd.A for nd in tree.critical_leaves())
