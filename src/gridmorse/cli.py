@@ -3,9 +3,10 @@
 Subcommands: graph, complex, census, morse, homology, riordan, scan, verify.
 Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
 1 verification failure, 2 usage error or unwritable --out, 3 capacity
-exceeded.  Identical invocations produce byte-identical output, written
-to stdout or --out by one writer, _emit, which streams the document in
-pieces and never holds its whole text.  Every JSON document comes from
+exceeded; a reader that closes stdout early does not change the code.
+Identical invocations produce byte-identical output, written to stdout or
+--out by one writer, _emit, which streams the document in pieces and
+never holds its whole text.  Every JSON document comes from
 one encoder, _json_pieces, which yields the bytes of
 json.dumps(obj, indent=2, sort_keys=True) a whole top-level member, or a
 whole element of a top-level member's list, at a time.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from contextlib import nullcontext
@@ -108,22 +110,33 @@ def _emit(pieces, out_path):
     stdout, in batches of about 64K characters, so the whole text is never
     held.  A newline is appended when the document does not end with one.
     The destination is opened only here, after the document's object is
-    built, so a run refused before that leaves no file."""
+    built, so a run refused before that leaves no file.  A reader that
+    closes stdout early ends the writing, not the run: file descriptor 1
+    then points at os.devnull, so the interpreter's final flush stays
+    quiet, and the command exits with the status it computed."""
     last = ""
-    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
-        batch, size = [], 0
-        for piece in pieces:
-            batch.append(piece)
-            size += len(piece)
-            if size >= 65536:
-                text = "".join(batch)
-                fh.write(text)
-                last = text[-1]
-                batch, size = [], 0
-        text = "".join(batch)
-        fh.write(text)
-        if (text[-1:] or last) != "\n":
-            fh.write("\n")
+    try:
+        with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+            batch, size = [], 0
+            for piece in pieces:
+                batch.append(piece)
+                size += len(piece)
+                if size >= 65536:
+                    text = "".join(batch)
+                    fh.write(text)
+                    last = text[-1]
+                    batch, size = [], 0
+            text = "".join(batch)
+            fh.write(text)
+            if (text[-1:] or last) != "\n":
+                fh.write("\n")
+            fh.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        if out_path:
+            raise
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _lines(lines):
@@ -199,7 +212,8 @@ def _check_seed(m):
     """The seed rows against the censuses of the matching trees, which share
     no code with the seed."""
     seed = census_mod.census_seed(m)
-    return all(seed.row_counts(n) == comb_mod.comb_census(m, n).counts
+    return all(seed.row_counts(n)
+               == comb_mod.census_from_tree(comb_mod.comb_tree(m, n)).counts
                for n in range(4))
 
 
@@ -253,7 +267,7 @@ def _verify_checks(args):
     ok = True
     bad = []
     for n in range(0, nmax + 1):
-        got = comb_mod.comb_census(m, n).counts
+        got = comb_mod.census_from_tree(comb_mod.comb_tree(m, n)).counts
         want = table.row_counts(n)
         if got != want:
             ok = False

@@ -1,14 +1,13 @@
 """The pivot rules that grow matching trees, the paper's rule and a generic
 rule for every other graph, plus the critical-cell census read off a tree.
 
-`PIVOT_RULES` maps the star, theta and comb ("delta") families to
-`FAMILY_RULE`; every other graph takes `GENERIC_RULE`; `rule_for(g)` is
-that one lookup, and every tree helper here takes its rule from it.  A
-rule is a function strategy(graph, residual_mask) -> step of a node's
-residual bitmask alone (see morse) and computes from it whatever else it
-reads; run_strategy calls it once per distinct residual of a growth and
-the tree holds that one step for every node with the residual, so no rule
-keeps a memo.
+`rule_for(g)` gives the star, theta and comb ("delta") families
+`FAMILY_RULE` and every other graph `GENERIC_RULE`, and every tree helper
+here takes its rule from it.  A rule is a function strategy(graph,
+residual_mask) -> step of a node's residual bitmask alone (see morse) and
+computes from it whatever else it reads; run_strategy calls it once per
+distinct residual of a growth and the tree holds that one step for every
+node with the residual, so no rule keeps a memo.
 The generic rule frees the lowest isolated residual vertex, else matches the
 lowest one of residual degree one with its neighbour, else splits the
 lowest one: on a path, Match(1, 2), then Match(4, 5), and so on.
@@ -77,9 +76,6 @@ class CriticalCensus:
     m: int | None
     n: int | None
     counts: dict = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def euler(self) -> int:
         return sum(c if d % 2 == 0 else -c for d, c in self.counts.items())
@@ -190,14 +186,13 @@ def _generic_step(g: Graph, res: int):
 GENERIC_RULE = StrategyScript("generic", _generic_step)
 FAMILY_RULE = StrategyScript("family", _family_step)
 
-# The paper's rule, keyed by Graph.family; other graphs take GENERIC_RULE.
-PIVOT_RULES = {"star": FAMILY_RULE, "theta": FAMILY_RULE, "delta": FAMILY_RULE}
-
 
 def rule_for(g: Graph) -> StrategyScript:
     """The pivot rule that grows g's matching tree: the paper's rule for its
     family, else the generic rule."""
-    return PIVOT_RULES.get(g.family, GENERIC_RULE)
+    if g.family in ("star", "theta", "delta"):
+        return FAMILY_RULE
+    return GENERIC_RULE
 
 
 def census_from_tree(tree: MatchingTree) -> CriticalCensus:
@@ -227,7 +222,3 @@ def theta_tree(m: int, n: int) -> MatchingTree:
 
 def comb_tree(m: int, n: int) -> MatchingTree:
     return _grow("delta", m=m, n=n)
-
-
-def comb_census(m: int, n: int) -> CriticalCensus:
-    return census_from_tree(comb_tree(m, n))

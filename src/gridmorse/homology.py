@@ -252,9 +252,6 @@ class HomologyReport:
     def betti_profile(self) -> dict:
         return dict(self.betti)
 
-    def has_torsion(self) -> bool:
-        return any(self.torsion.values())
-
 
 def reduced_homology(c: SimplicialComplex,
                      face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP) -> HomologyReport:

@@ -60,7 +60,7 @@ every vertex, a Split(v) child that excludes v drops v, a child that takes
 v into A (Split(v) or Match(p, v)) drops v and N(v), and the empty child of
 a Free step keeps its parent's.  Each is the set V minus (A, B and N(A))
 would give, because N(A) is forced into B along every legal run.  A and B
-never meet, which _attach asserts as it adds each child: a checked step
+never meet, which _list_nodes asserts as it adds each child: a checked step
 takes into A only a residual vertex v, which is in neither A nor B, and
 puts into B only v or N(v), and N(v) misses A, or v would lie in N(A).
 """
@@ -106,11 +106,6 @@ class SigmaNode:
     step: object = None
     children: list = field(default_factory=list)
 
-    @property
-    def residual(self) -> tuple:
-        """The residual vertices as a sorted tuple of indices."""
-        return _bits(self.residual_mask)
-
 
 class MatchingTree:
     """A matching tree on g, held as its residual -> step map `steps`,
@@ -147,9 +142,7 @@ class MatchingTree:
                 return {"free": labels[st.p]}
             if isinstance(st, Match):
                 return {"match": [labels[st.p], labels[st.v]]}
-            if isinstance(st, Split):
-                return {"split": labels[st.v]}
-            return None
+            return {"split": labels[st.v]}
 
         edges = []
         for nd in self.nodes:
@@ -226,34 +219,6 @@ def _children(nbr, res: int, step):
     return None, inn
 
 
-def _attach(nodes: list, node: SigmaNode, step, nbr):
-    """Give a leaf its children under a legal step, numbered on from
-    len(nodes), the child without v first, and record the step and site
-    kind."""
-    A, B, res = node.A, node.B, node.residual_mask
-    if isinstance(step, Free):
-        kids = [(A, B, res, "empty")]
-        site = "free-site"
-    else:
-        out, inn = _children(nbr, res, step)
-        v = step.v
-        bit = 1 << v
-        kids = [(A | bit, B | nbr[v], inn, None)]
-        site = "matching-site"
-        if isinstance(step, Split):
-            kids.insert(0, (A, B | bit, out, None))
-            site = "splitting-site"
-    for a, b, r, kind in kids:
-        if a & b:
-            raise MatchingTreeError("A and B intersect")
-        nid = len(nodes)
-        nodes.append(SigmaNode(nid, a, b, r, kind or (None if r else "terminal")))
-        node.children.append(nid)
-    node.step = step
-    if node.kind != "root":
-        node.kind = site
-
-
 def run_strategy(g: Graph, strategy) -> MatchingTree:
     """Grow a matching tree to completion under a deterministic pivot rule.
 
@@ -302,14 +267,38 @@ def run_strategy(g: Graph, strategy) -> MatchingTree:
 def _list_nodes(g: Graph, steps: dict) -> list:
     """The nodes of the tree that a residual -> step map grows on g: each
     leaf with a nonempty residual, bar an empty-labeled one, takes its
-    residual's step, depth first from the root, the child without v first."""
+    residual's step, depth first from the root.  Its children are numbered
+    on from len(nodes), the child without v first, and it takes the step's
+    site kind unless it is the root."""
+    nbr = g.nbr
     nodes = [SigmaNode(0, 0, 0, (1 << len(g)) - 1, kind="root")]
     stack = [0]
     while stack:
         node = nodes[stack.pop()]
-        if node.residual_mask and node.kind != "empty":
-            _attach(nodes, node, steps[node.residual_mask], g.nbr)
-            stack.extend(reversed(node.children))
+        A, B, res = node.A, node.B, node.residual_mask
+        if not res or node.kind == "empty":
+            continue
+        step = node.step = steps[res]
+        if isinstance(step, Free):
+            kids = [(A, B, res, "empty")]
+            site = "free-site"
+        else:
+            out, inn = _children(nbr, res, step)
+            bit = 1 << step.v
+            kids = [(A | bit, B | nbr[step.v], inn, None)]
+            site = "matching-site"
+            if isinstance(step, Split):
+                kids.insert(0, (A, B | bit, out, None))
+                site = "splitting-site"
+        for a, b, r, kind in kids:
+            if a & b:
+                raise MatchingTreeError("A and B intersect")
+            node.children.append(len(nodes))
+            nodes.append(SigmaNode(len(nodes), a, b, r,
+                                   kind or (None if r else "terminal")))
+        if node.kind != "root":
+            node.kind = site
+        stack.extend(reversed(node.children))
     return nodes
 
 
@@ -329,9 +318,6 @@ class FacePairing:
                                     % (_bits(lo), _bits(hi)))
         self.up[lo] = hi
         self.down[hi] = lo
-
-    def pairs(self):
-        return sorted(self.up.items())
 
     def paired_faces(self):
         return {*self.up, *self.down}

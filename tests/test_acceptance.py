@@ -14,7 +14,7 @@ import pytest
 
 from conftest import groups, star_profile, theta_profile
 from gridmorse import (build_graph, census_from_tree, census_seed,
-                       census_table, collect_pairing, comb_census, comb_tree,
+                       census_table, collect_pairing, comb_tree,
                        count_independent_sets, critical_cells,
                        dimension_bounds, euler_closed_form, euler_from_table,
                        euler_recursion, full_homology, independence_complex,
@@ -62,7 +62,8 @@ def test_criterion_01_seed_table_fidelity():
     # censuses share no code with it
     for m in range(2, 9):
         for n in range(4):
-            assert census_seed(m).row_counts(n) == comb_census(m, n).counts, (m, n)
+            tree_counts = census_from_tree(comb_tree(m, n)).counts
+            assert census_seed(m).row_counts(n) == tree_counts, (m, n)
     report("PASS 01 seed-table fidelity, m in {2,3,4,5} exact, "
            "m in 2..8 against the tree census")
 
@@ -72,7 +73,7 @@ def test_criterion_02_oracle_equivalence():
     for m, nmax in ((2, 6), (3, 4)):
         table = census_table(m, nmax)
         for n in range(0, nmax + 1):
-            tree_counts = comb_census(m, n).counts
+            tree_counts = census_from_tree(comb_tree(m, n)).counts
             table_counts = table.row_counts(n)
             assert tree_counts == table_counts, (m, n, tree_counts, table_counts)
             checked += 1
@@ -139,14 +140,14 @@ def test_criterion_05_sphere_wedge_profiles():
                 continue
             rep = reduced_homology(independence_complex(g), HOMOLOGY_CAP)
             assert rep.betti_profile() == star_profile(m, n), (m, n)
-            assert not rep.has_torsion(), (m, n)
+            assert not rep.torsion, (m, n)
             ran += 1
     for m in range(2, 4):
         for n in range(1, 6):
             g = build_graph("theta", m=m, n=n)
             rep = reduced_homology(independence_complex(g), HOMOLOGY_CAP)
             assert rep.betti_profile() == theta_profile(m, n), (m, n)
-            assert not rep.has_torsion(), (m, n)
+            assert not rep.torsion, (m, n)
             ran += 1
     report("PASS 05 sphere/wedge homology profiles on %d star/theta instances "
            "(%d skipped over cap), exact" % (ran, skipped))
@@ -245,7 +246,7 @@ def test_extended_m2_combs_torsion_free_through_n11():
     cx = independence_complex(g)
     rep = full_homology(cx, HOMOLOGY_CAP)
     assert rep.route == "full-snf"
-    assert not rep.has_torsion(), rep.torsion
+    assert not rep.torsion, rep.torsion
     census = census_from_tree(comb_tree(2, 9))
     assert morse_inequality_check(census, rep)
     assert rep.betti_profile() == census.counts
@@ -259,7 +260,7 @@ def test_extended_m2_combs_torsion_free_through_n11():
         assert faces > HOMOLOGY_CAP
         census = census_from_tree(comb_tree(2, n))
         rep = morse_homology(g, HOMOLOGY_CAP)
-        assert not rep.has_torsion(), rep.torsion
+        assert not rep.torsion, rep.torsion
         assert rep.betti_profile() == census.counts
         report("PASS -- homology of the m=2 comb complex at n=%d (%d faces) "
                "by the Morse route: no torsion, Betti profile %s equals the "

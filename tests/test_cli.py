@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +15,8 @@ from gridmorse import census, cli, comb, complexes, homology
 from gridmorse.cli import main
 from gridmorse.graphs import build_graph
 from gridmorse.morse import run_strategy
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -415,6 +420,22 @@ def test_refused_run_creates_no_out_file(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_reader_closing_stdout_early_is_not_an_error(tmp_path):
+    # the 2.95 MB document is far larger than a pipe buffer, so the writer
+    # meets the closed pipe whatever the timing
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "w") as err, subprocess.Popen(
+            [sys.executable, "-m", "gridmorse.cli", "morse", "--family",
+             "delta", "--m", "2", "--n", "16"],
+            stdout=subprocess.PIPE, stderr=err,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert code == 0
+    assert err_path.read_text() == ""
+
+
 def test_bad_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["nonesuch"])
@@ -488,7 +509,7 @@ def test_census_csv_stops_at_nmax(capsys):
 
 
 def readme_commands():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (ROOT / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```")[1]
     return [line.split("#")[0].split()[1:] for line in block.splitlines()
             if line.startswith("gridmorse ")]
@@ -505,7 +526,7 @@ def test_readme_commands_run(capsys):
 def readme_quick_start():
     """README's "Library quick start" block, and the value that the
     trailing comment of each of its print lines says it prints."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (ROOT / "README.md").read_text()
     block = text.split("## Library quick start", 1)[1].split("```")[1]
     block = block.removeprefix("python\n")
     expected = [line.split("#", 1)[1].split(" - ")[0].strip()

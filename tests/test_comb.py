@@ -7,9 +7,9 @@ import pytest
 from conftest import (complete_multipartite, groups, star_profile,
                       theta_profile)
 from gridmorse import comb
-from gridmorse import (GENERIC_RULE, PIVOT_RULES, Graph, StrategyScript,
+from gridmorse import (FAMILY_RULE, GENERIC_RULE, Graph, StrategyScript,
                        build_graph, census_from_tree, collect_pairing,
-                       comb_census, comb_tree, count_independent_sets,
+                       comb_tree, count_independent_sets,
                        critical_cells, full_homology, independence_complex,
                        line_graph, path_tree, reduced_homology, rule_for,
                        run_strategy, star_tree, theta_tree, verify_acyclic)
@@ -60,26 +60,26 @@ def test_theta_examples():
 
 
 def test_comb_seed_censuses():
-    assert comb_census(2, 1).counts == {1: 2}
-    assert comb_census(3, 3).counts == {2: 1, 3: 1}
-    assert comb_census(2, 2).counts == {2: 1}
-    assert comb_census(4, 1).counts == {1: 1, 3: 1}
-    assert comb_census(5, 2).counts == {5: 1}
+    assert census_from_tree(comb_tree(2, 1)).counts == {1: 2}
+    assert census_from_tree(comb_tree(3, 3)).counts == {2: 1, 3: 1}
+    assert census_from_tree(comb_tree(2, 2)).counts == {2: 1}
+    assert census_from_tree(comb_tree(4, 1)).counts == {1: 1, 3: 1}
+    assert census_from_tree(comb_tree(5, 2)).counts == {5: 1}
 
 
 def test_comb_recursion_value():
-    assert comb_census(2, 4).counts == {3: 5}
+    assert census_from_tree(comb_tree(2, 4)).counts == {3: 5}
 
 
 def test_comb_degenerate_sizes():
-    assert comb_census(2, 0).counts == {0: 1}
-    assert comb_census(2, -1).counts == {}
+    assert census_from_tree(comb_tree(2, 0)).counts == {0: 1}
+    assert census_from_tree(comb_tree(2, -1)).counts == {}
 
 
 def test_census_metadata():
-    census = comb_census(3, 2)
+    census = census_from_tree(comb_tree(3, 2))
     assert (census.m, census.n) == (3, 2)
-    assert census.total() == 1
+    assert sum(census.counts.values()) == 1
     assert census.euler() == -1
     assert census.to_json() == {"m": 3, "n": 2, "census": {"3": 1}}
 
@@ -100,7 +100,7 @@ def test_strategies_are_pure():
     for fam, kw, tree in cases:
         strat = rule_for(tree.graph)
         for node in tree.nodes:
-            if node.step is not None and node.residual:
+            if node.step is not None and node.residual_mask:
                 g = build_graph(fam, **kw)
                 assert g is not tree.graph
                 assert strat(g, node.residual_mask) == node.step, (fam, kw, node.id)
@@ -159,7 +159,7 @@ def test_family_rule_accepts_any_vertex_order(fam):
         want = census_from_tree(MAKERS[fam](m, n)).counts
         for _ in range(2):
             g = shuffled(build_graph(fam, m=m, n=n), rng)
-            tree = run_strategy(g, PIVOT_RULES[fam])
+            tree = run_strategy(g, FAMILY_RULE)
             assert census_from_tree(tree).counts == want, (m, n)
             if count_independent_sets(g, cap=5000) > 5000:
                 continue

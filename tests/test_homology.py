@@ -219,7 +219,7 @@ def test_projective_plane_torsion():
     report = reduced_homology(rp2)
     assert report.betti_profile() == {}
     assert report.torsion == {1: (2,)}
-    assert report.has_torsion()
+    assert report.torsion
 
 
 def test_euler_agreement():

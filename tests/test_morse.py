@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import complete_multipartite, ind_complex, unbuilt
 from gridmorse.cli import main
 from gridmorse import complexes, morse
-from gridmorse import (GENERIC_RULE, PIVOT_RULES, CapacityError, FacePairing,
+from gridmorse import (FAMILY_RULE, GENERIC_RULE, CapacityError, FacePairing,
                        Free, Graph, Match, MatchingTreeError, SigmaNode,
                        Split, build_graph, census_from_tree,
                        collect_pairing, comb_tree, critical_cells,
@@ -33,7 +33,7 @@ def bit(g, label):
 def test_residual_and_sigma_at_root():
     g = build_graph("cycle", n=4)
     root = run_strategy(g, GENERIC_RULE).nodes[0]
-    assert {g.vertices[i] for i in root.residual} == set(g.vertices)
+    assert {g.vertices[i] for i in complexes._bits(root.residual_mask)} == set(g.vertices)
     # empty set, 4 singletons, 2 diagonals
     assert complexes._count_independent(g.nbr, root.residual_mask) == 7
 
@@ -47,7 +47,7 @@ def test_split_then_counts():
     assert excl.A == 0 and excl.B == bit(g, plain(1))
     assert incl.A == bit(g, plain(1))
     assert incl.B == bit(g, plain(2)) | bit(g, plain(4))
-    assert {g.vertices[i] for i in incl.residual} == {plain(3)}
+    assert {g.vertices[i] for i in complexes._bits(incl.residual_mask)} == {plain(3)}
     # {1} and {1,3}
     assert complexes._count_independent(g.nbr, incl.residual_mask) == 2
     assert complexes._count_independent(g.nbr, root.residual_mask) == 7
@@ -64,7 +64,7 @@ def test_residual_of_backbone_terminus_is_theta():
     assert excl.B == s1 and excl.step == Split(g.idx(spine(2)))
     terminus = tree.nodes[excl.children[0]]
     assert terminus.B == s1 | s2
-    kinds = sorted(g.vertices[i].kind for i in terminus.residual)
+    kinds = sorted(g.vertices[i].kind for i in complexes._bits(terminus.residual_mask))
     # hub a, hub b and all nine tendril vertices survive: a theta subgraph
     assert kinds == ["a", "b"] + ["t"] * 9
 
@@ -76,11 +76,11 @@ def test_match_records_expected_pairs():
     child = tree.nodes[1]
     assert child.A == bit(g, plain(2))
     assert child.B == bit(g, plain(1)) | bit(g, plain(3))
-    assert not child.residual
+    assert not child.residual_mask
     assert child.kind == "terminal"
     pairing = collect_pairing(tree)
     i1, i3 = g.idx(plain(1)), g.idx(plain(3))
-    assert pairing.pairs() == [(0, 1 << i1), (1 << i3, 1 << i1 | 1 << i3)]
+    assert sorted(pairing.up.items()) == [(0, 1 << i1), (1 << i3, 1 << i1 | 1 << i3)]
 
 
 def test_scripted_tree_reports_critical_cells():
@@ -176,7 +176,7 @@ def test_point_complex_run():
     tree = run_strategy(g, lambda graph, res: Free(0))
     assert critical_cells(tree) == []
     pairing = collect_pairing(tree)
-    assert pairing.pairs() == [(0, 0b1)]
+    assert sorted(pairing.up.items()) == [(0, 0b1)]
 
 
 def test_full_c4_run_partition():
@@ -221,7 +221,7 @@ def test_partition_and_cover_shape(maker, fam, kw):
     paired = pairing.paired_faces()
     assert paired | crit == set(cx.all_faces())
     assert not paired & crit
-    for lo, hi in pairing.pairs():
+    for lo, hi in sorted(pairing.up.items()):
         assert hi.bit_count() == lo.bit_count() + 1 and lo & hi == lo
     # the empty face is always matched, never critical
     assert 0 in paired
@@ -316,7 +316,8 @@ def residual_by_definition(g, node):
 def test_carried_residuals_match_definition(maker):
     tree = maker()
     for nd in tree.nodes:
-        assert nd.residual == residual_by_definition(tree.graph, nd), nd.id
+        assert (complexes._bits(nd.residual_mask)
+                == residual_by_definition(tree.graph, nd)), nd.id
 
 
 def generic_step(g, residual_mask):
@@ -364,7 +365,6 @@ def assert_carried_state(tree):
     for nd in tree.nodes:
         assert (members(nd.A), members(nd.B)) == sets[nd.id], nd.id
         res = residual_by_definition(g, nd)
-        assert nd.residual == res, nd.id
         mask = sum(1 << v for v in res)
         assert nd.residual_mask == mask, nd.id
 
@@ -571,7 +571,7 @@ def test_collect_pairing_rejects_sites_covering_one_face(sites):
 
 def test_partner_walk_matches_collect_pairing():
     # face by face, on a family tree, a generic tree and a torsion example
-    for g, rule in [(build_graph("delta", m=3, n=3), PIVOT_RULES["delta"]),
+    for g, rule in [(build_graph("delta", m=3, n=3), FAMILY_RULE),
                     (build_graph("grid2", n=5), GENERIC_RULE),
                     (line_graph(complete_multipartite(*[1] * 7)), GENERIC_RULE)]:
         tree = run_strategy(g, rule)

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import complete_multipartite, unbuilt
 from gridmorse import census, morse
-from gridmorse import (GENERIC_RULE, CapacityError, Free, Graph, Match, Split,
-                       build_graph, census_from_tree, collect_pairing,
-                       comb_tree, count_independent_sets, critical_cells,
+from gridmorse import (GENERIC_RULE, CapacityError, Free, Graph, Match,
+                       MatchingTree, MatchingTreeError, Split, build_graph,
+                       census_from_tree, collect_pairing, comb_tree,
+                       count_independent_sets, critical_cells,
                        independence_complex, line_graph, morse_homology, plain,
                        rule_for, run_strategy)
 from gridmorse.cli import main
@@ -215,3 +216,13 @@ def test_listed_nodes_are_kept():
     assert tree._nodes is None
     assert tree.nodes is tree.nodes
     assert critical_cells(tree) == by_size(nd.A for nd in tree.critical_leaves())
+
+
+def test_listing_refuses_a_map_whose_a_and_b_meet():
+    # run_strategy would refuse Split(1) at residual {0, 2}; listed by hand,
+    # its child with 1 has 1 in A and in B, and without the check its child
+    # without 1 would take the same residual and step forever
+    g = build_graph("path", n=3)
+    tree = MatchingTree(g, {0b111: Split(1), 0b101: Split(1)})
+    with pytest.raises(MatchingTreeError, match="^A and B intersect$"):
+        tree.nodes
