@@ -78,6 +78,8 @@ def census_extend(table: CensusTable, n_max: int) -> CensusTable:
     """Rows 0..n_max: the given rows, then the three-term recursion read as
     shifted row sums, row_n = x^2 row_{n-3} + x^m row_{n-3} + x^(m+1) row_{n-4},
     where row_k is the polynomial sum_d C[k][d] x^d."""
+    if n_max < 0:
+        raise ValueError("requires n_max >= 0")
     m = table.m
     rows = [list(r) for r in table.rows[:n_max + 1]]
     if len(rows) < min(n_max + 1, 4):

@@ -47,12 +47,13 @@ construction order the two agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .complexes import _bits, _components
 from .graphs import Graph, build_graph
-from .morse import (Free, Match, MatchingTree, Split, _cell_counts,
+from .morse import (Free, Match, MatchingTree, Split, critical_cells,
                     run_strategy)
 
 
@@ -196,11 +197,12 @@ def rule_for(g: Graph) -> StrategyScript:
 
 
 def census_from_tree(tree: MatchingTree) -> CriticalCensus:
-    """Histogram of critical-cell dimensions from a completed tree, by
-    dimension, counted by one pass over its residual -> step map, smallest
-    residual first, listing no node or cell."""
+    """The histogram of critical_cells(tree) by dimension, a cell's size
+    less one; the cells come by size, so the counts come in increasing
+    dimension."""
     params = tree.graph.params
-    return CriticalCensus(params.get("m"), params.get("n"), _cell_counts(tree))
+    counts = dict(Counter(c.bit_count() - 1 for c in critical_cells(tree)))
+    return CriticalCensus(params.get("m"), params.get("n"), counts)
 
 
 def _grow(family: str, **params) -> MatchingTree:

@@ -25,12 +25,13 @@ residual too, so a tree is its residual -> step map: run_strategy walks the
 distinct residuals reachable from the root, calls the pivot rule and
 checks the step once for each, and returns a MatchingTree holding that
 map.  _children gives a step's child residuals, the one rule every reader
-of the map follows.  The census (comb.census_from_tree), the critical
-cells and the partner walk read the map, one pass over it smallest
-residual first (a child's residual is a proper subset of its parent's),
-and list no node.  The nodes are listed on first read of
-MatchingTree.nodes, by _list_nodes, replaying the map depth first from the
-root; to_json, sites and collect_pairing read them.
+of the map follows.  critical_cells and the partner walk read the map,
+one pass over it smallest residual first (a child's residual is a proper
+subset of its parent's), and list no node; the census
+(comb.census_from_tree) is the histogram of critical_cells.  The nodes are
+listed on first read of MatchingTree.nodes, by _list_nodes, replaying the
+map depth first from the root; to_json, sites and collect_pairing read
+them.
 
 Faces are vertex bitmasks, as in complexes.  Pairings are never
 materialized during growth; collect_pairing rebuilds them on demand for
@@ -378,32 +379,6 @@ def _site_pairs(tree: MatchingTree, face_cap: int):
     for a, ap, ground in sites:
         for js in _layers(nbr, ground):
             yield [a | j for j in js], [ap | j for j in js]
-
-
-def _cell_counts(tree: MatchingTree) -> dict:
-    """{dimension: critical cells}, in increasing dimension, by one pass
-    over the tree's map, smallest residual first.
-    The cells under a node with a given residual are kept as one int whose
-    digit k in base 2 ** width counts those that add k vertices to the
-    node's A, with width = len(graph) + 1: fewer than 2 ** len(graph) cells
-    add k, so no digit carries.  A child that takes a vertex into A shifts
-    by width, and the two children of a Split add.  A node with residual 0
-    is a terminal leaf, bar the root of a graph with no vertex."""
-    nbr = tree.graph.nbr
-    width = len(tree.graph) + 1
-    below = {None: 0, 0: 1 if len(tree.graph) else 0}
-    for res, step in tree.steps.items():
-        out, inn = _children(nbr, res, step)
-        below[res] = (below[inn] << width) + below[out]
-    cells, digit = below[(1 << len(tree.graph)) - 1], (1 << width) - 1
-    counts = {}
-    d = -1  # a cell adding k vertices to the root's empty A has dimension k - 1
-    while cells:
-        if cells & digit:
-            counts[d] = cells & digit
-        cells >>= width
-        d += 1
-    return counts
 
 
 def critical_cells(tree: MatchingTree):

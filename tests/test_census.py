@@ -1,8 +1,9 @@
 import pytest
 
 from gridmorse import census
-from gridmorse import (DimensionBounds, build_graph, census_extend,
-                       census_seed, census_table, dimension_bounds,
+from gridmorse import (DimensionBounds, VertexLabel, build_graph,
+                       census_extend, census_seed, census_table,
+                       delta2_isomorphism, dimension_bounds,
                        euler_closed_form, euler_from_table, euler_recursion,
                        independence_complex, low_homology_prediction,
                        observation_scan, riordan_T, riordan_identity_check)
@@ -219,6 +220,31 @@ def test_census_extend_idempotent_prefix():
     assert census_extend(base, 2).rows == base.rows[:3]
     with pytest.raises(ValueError):
         census_extend(census_table(3, 2), 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: census_table(2, -1),
+    lambda: census_table(2, -5).row_counts(0),
+    lambda: riordan_identity_check(-1),
+    lambda: observation_scan(-1),
+], ids=["table", "row_counts", "riordan", "scan"])
+def test_negative_n_max_is_refused(call):
+    # an empty table has no row 0, and a check over no rows proves nothing
+    with pytest.raises(ValueError, match="requires n_max >= 0"):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: euler_closed_form(1, 0), "requires m >= 2"),
+    (lambda: euler_closed_form(2, -1), "requires n >= 0"),
+    (lambda: low_homology_prediction(4, -1), "requires n >= 0"),
+    (lambda: build_graph("grid2", n=0), "grid2 requires n >= 1"),
+    (lambda: delta2_isomorphism(0), "requires n >= 1"),
+    (lambda: str(VertexLabel("x")), "unknown label kind 'x'"),
+], ids=["euler-m", "euler-n", "low-homology-n", "grid2-n", "delta2-n", "label"])
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("m", range(2, 6))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,19 @@ def test_instance_checks_count_the_complex_once(monkeypatch):
     assert len(calls) == 1
 
 
+def patch_census_one_cell_short(monkeypatch):
+    """Make every tree census miss one cell of its top dimension."""
+    real = comb.census_from_tree
+
+    def one_cell_short(tree):
+        census = real(tree)
+        counts = dict(census.counts)
+        counts[max(counts)] -= 1
+        return comb.CriticalCensus(census.m, census.n, counts)
+
+    monkeypatch.setattr(comb, "census_from_tree", one_cell_short)
+
+
 def test_instance_checks_test_the_tree_against_the_full_route(monkeypatch):
     # the morse-inequalities row holds the tree's census against the full
     # SNF route, never against homology read off a matching tree, so a
@@ -189,17 +203,56 @@ def test_instance_checks_test_the_tree_against_the_full_route(monkeypatch):
     monkeypatch.setattr(homology, "morse_homology", no_tree_route)
     assert [status for _, status, _ in cli._instance_checks(2, 3, 1000)] == \
         [True, True]
-    real = comb.census_from_tree
-
-    def one_cell_short(tree):
-        census = real(tree)
-        counts = dict(census.counts)
-        counts[max(counts)] -= 1
-        return comb.CriticalCensus(census.m, census.n, counts)
-
-    monkeypatch.setattr(comb, "census_from_tree", one_cell_short)
+    patch_census_one_cell_short(monkeypatch)
     assert cli._instance_checks(2, 3, 1000)[1] == \
         ("morse-inequalities(m=2,n=3)", False, "")
+
+
+def test_verify_reports_a_census_one_cell_short(capsys, monkeypatch):
+    # every check that reads the tree's census fails, and verify exits 1
+    patch_census_one_cell_short(monkeypatch)
+    code, out = run(capsys, "verify", "--m", "2", "--nmax", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL seed-table(m=2)",
+        "FAIL tree-vs-table(m=2,n<=3) (rows [0, 1, 2, 3])",
+        "PASS euler-consistency(m=2)",
+        "PASS riordan(n<=10)",
+        "PASS support-bounds(m=2,n<=3)",
+        "PASS acyclic+partition(m=2,n=0)",
+        "FAIL morse-inequalities(m=2,n=0)",
+        "PASS acyclic+partition(m=2,n=1)",
+        "FAIL morse-inequalities(m=2,n=1)",
+        "PASS acyclic+partition(m=2,n=2)",
+        "FAIL morse-inequalities(m=2,n=2)",
+        "PASS acyclic+partition(m=2,n=3)",
+        "FAIL morse-inequalities(m=2,n=3)",
+        "PASS rank-excess-scan(n<=99)",
+        "PASS snf-unimodular-invariance(seed=20160603)",
+        "15 checks, 6 failed",
+    ]
+
+
+FRESH = count()  # a fake SNF that never returns the same factors twice
+
+
+@pytest.mark.parametrize("module,name,fake,row", [
+    (census, "euler_closed_form", lambda m, n: 7, "euler-consistency(m=2)"),
+    (census, "dimension_bounds", lambda m, n: census.DimensionBounds(0, -1),
+     "support-bounds(m=2,n<=0)"),
+    (cli, "smith_normal_form",
+     lambda matrix: homology.SNFResult((next(FRESH),)),
+     "snf-unimodular-invariance(seed=20160603)"),
+], ids=["euler", "support", "snf"])
+def test_verify_fails_the_one_check_whose_oracle_disagrees(
+        module, name, fake, row, capsys, monkeypatch):
+    # each fake breaks the oracle of one row, and that row alone fails
+    monkeypatch.setattr(module, name, fake)
+    code, out = run(capsys, "verify", "--m", "2", "--nmax", "0")
+    lines = out.splitlines()
+    assert code == 1 and lines[-1] == "9 checks, 1 failed"
+    assert [line for line in lines if line.startswith("FAIL")] == \
+        ["FAIL " + row]
 
 
 # sha256 of stdout and the exit code: the face representation inside the

@@ -1,18 +1,20 @@
 import hashlib
 import json
 import random
+from math import comb as binomial
 
 import pytest
 
 from conftest import (complete_multipartite, groups, star_profile,
                       theta_profile)
 from gridmorse import comb
-from gridmorse import (FAMILY_RULE, GENERIC_RULE, Graph, StrategyScript,
+from gridmorse import (FAMILY_RULE, GENERIC_RULE, Graph, Split, StrategyScript,
                        build_graph, census_from_tree, collect_pairing,
                        comb_tree, count_independent_sets,
                        critical_cells, full_homology, independence_complex,
-                       line_graph, path_tree, reduced_homology, rule_for,
-                       run_strategy, star_tree, theta_tree, verify_acyclic)
+                       line_graph, path_tree, plain, reduced_homology,
+                       rule_for, run_strategy, star_tree, theta_tree,
+                       verify_acyclic)
 
 
 def path_profile(n):
@@ -74,6 +76,24 @@ def test_comb_recursion_value():
 def test_comb_degenerate_sizes():
     assert census_from_tree(comb_tree(2, 0)).counts == {0: 1}
     assert census_from_tree(comb_tree(2, -1)).counts == {}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_of_an_edgeless_graph_split_throughout(n):
+    # every face of the full simplex is critical, the empty face among them,
+    # and the counts come in increasing dimension
+    def split_lowest(graph, res):
+        return Split((res & -res).bit_length() - 1)
+
+    g = Graph([plain(i) for i in range(1, n + 1)], [])
+    counts = census_from_tree(run_strategy(g, split_lowest)).counts
+    assert list(counts.items()) == [(k - 1, binomial(n, k)) for k in range(n + 1)]
+
+
+def test_census_of_the_empty_graph_is_empty():
+    # the root of a graph with no vertex is not a terminal leaf
+    g = Graph([], [])
+    assert census_from_tree(run_strategy(g, rule_for(g))).counts == {}
 
 
 def test_census_metadata():

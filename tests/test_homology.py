@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 from math import gcd
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import complete_multipartite, groups, ind_complex, unbuilt
 from gridmorse import complexes, homology
 from gridmorse import (GENERIC_RULE, CapacityError, CriticalCensus, Graph,
-                       IntegerMatrix, SimplicialComplex, SNFResult,
+                       IntegerMatrix, MatchingTreeError, SimplicialComplex,
+                       SNFResult,
                        boundary_matrices, build_graph, census_from_tree,
                        comb_tree, critical_cells, full_homology,
                        independence_complex, matching_complex,
@@ -386,6 +388,24 @@ def test_morse_homology_reads_the_tree_alone(monkeypatch):
     assert report.betti_profile() == census_from_tree(comb_tree(2, 10)).counts
     assert report.torsion == {} and report.route == "morse-tree"
     assert report.rule == "family"
+
+
+def test_morse_flow_refuses_a_gradient_cycle():
+    # three pairs, each with A-set its lower face, whose upper faces leave
+    # their sites into the next pair's lower face: 1 < 3 > 2 < 6 > 4 < 5 > 1
+    lower = {0b0001: (0b0011, 0b0001), 0b0010: (0b0110, 0b0010),
+             0b0100: (0b0101, 0b0100)}
+
+    def partner(face):
+        if face in lower:
+            return lower[face]
+        if face == 0b1000:
+            return None
+        return 0, 0  # an upper face: its partner lies below it
+
+    with pytest.raises(MatchingTreeError,
+                       match=re.escape("gradient cycle through (0,)")):
+        homology._morse_boundary([0b1001], [0b1000], partner, 100)
 
 
 def test_morse_homology_charges_the_flow_memo():
