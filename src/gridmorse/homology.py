@@ -12,12 +12,17 @@ the meaning of each Free, Match and Split step), and the Morse boundary is
 the simplicial boundary pushed through the gradient flow, memoised per
 dimension pair and followed only along the facets that leave a pairing
 site, with the incidence signs (-1)^popcount(face & (u - 1)) of
-the boundary matrices below.  Its matrices, a few critical cells wide, go
-to the same smith_normal_form.  It reads no face of the complex, so its
-face cap bounds the flow memo, whose entries are faces, and not the
-complex.  reduced_homology takes the Morse route on the graph of a complex
-with one (every independence and matching complex) and the full route for
-one without (from_facets, join).  Either report lists the nonzero groups.
+the boundary matrices below.  The flow runs only on the reach R of the
+critical cells one dimension down, the faces with a gradient path to one,
+found first by a backward search; every other face has flow 0.  Where no
+facet of a critical cell lies in R, the differential is zero and no flow
+runs.  Its matrices, a few critical cells wide, go to the same
+smith_normal_form.  It reads no face of the complex, so its face cap
+bounds R, whose entries are faces, and not the complex: each R is refused
+past the cap before its pair's flow runs.  reduced_homology takes the
+Morse route on the graph of a complex with one (every independence and
+matching complex) and the full route for one without (from_facets, join).
+Either report lists the nonzero groups.
 
 Boundary matrices are kept sparse (dict-of-rows with a column index); the
 facets of a vertex-bitmask face are the face with one bit cleared.
@@ -260,7 +265,8 @@ def reduced_homology(c: SimplicialComplex,
     (an independence or matching complex), else by full_homology.  Such a
     complex is counted at construction and listed on first read of
     c.graded, so this route lists none of its faces.  face_cap bounds the
-    route taken: the flow memo, or the complex's face count."""
+    route taken: the reach R of the Morse flow, or the complex's face
+    count."""
     if c.graph is None:
         return full_homology(c, face_cap)
     return morse_homology(c.graph, face_cap)
@@ -327,23 +333,32 @@ def morse_homology(g: Graph,
     The chain groups are spanned by the critical cells, the A-sets of the
     terminal leaves.  The partner of a face comes from one walk down the
     compiled tree, morse._partner_walk, with the A-set of the site that
-    pairs it.  The Morse boundary of a critical d-cell s is sum
-    [s : t] flow(t) over its facets t, where flow(t) is t for a critical t,
-    0 for an upper face t, and for t paired up with s' at a site with A-set
-    A the sum of -[s' : r][s' : t] flow(r) over the facets r = s' ^ u of s'
-    with u in A.  The other facets r of s', u in t but not in A, are upper
-    faces of the same site (the partner walk reaches that site with r as
-    with s', and there pairs r with r ^ p), so their flow is 0 and the flow
-    neither visits nor memoises them.  Both sums are one facet_sum over the
+    pairs it; the walk is compiled only when two adjacent dimensions both
+    have critical cells, for otherwise every Morse differential is zero.
+    The Morse boundary of a critical d-cell s is sum [s : t] flow(t) over
+    its facets t, where flow(t) is t for a critical t, 0 for an upper face
+    t, and for t paired up with s' at a site with A-set A the sum of
+    -[s' : r][s' : t] flow(r) over the facets r = s' ^ u of s' with u in A.
+    The other facets r of s', u in t but not in A, are upper faces of the
+    same site (the partner walk reaches that site with r as with s', and
+    there pairs r with r ^ p), so their flow is 0 and the flow neither
+    visits nor memoises them.  Both sums are one facet_sum over the
     memoised flows, which skips a zero flow before its sign.  Incidences
     are [f : f ^ u] = (-1)^popcount(f & (u - 1)), the convention of
-    _boundary_matrix.  flow is memoised per dimension pair on an explicit
-    stack; the memo entries are charged against face_cap (CapacityError
-    past it) and dropped after each pair.  The Morse boundary matrices then
-    go to smith_normal_form, whose ranks and invariant factors give the
-    groups as in full_homology.  The report lists the nonzero groups; a
-    critical empty face counts in dimension -1, which is not reported, as in
-    the full route.
+    _boundary_matrix.
+
+    A flow is nonzero only on the reach R of the critical (d-1)-cells: the
+    (d-1)-faces with a gradient path to one.  So each dimension pair first
+    grows R by a backward search from those cells (_gradient_reach), and
+    the flow, memoised on an explicit stack, runs only on faces of R and
+    reads every other face as 0.  R is charged against face_cap as it
+    grows, and CapacityError is raised past it before the pair's flow
+    runs; the memo, a subset of R, needs no cap of its own.  When no facet of a
+    critical d-cell lies in R, no flow runs at all and the differential is
+    zero.  The Morse boundary matrices then go to smith_normal_form, whose
+    ranks and invariant factors give the groups as in full_homology.  The
+    report lists the nonzero groups; a critical empty face counts in
+    dimension -1, which is not reported, as in the full route.
 
     The gradient paths are finite, so the recursion ends, because the
     matching is acyclic.  Each Split(v), and each Match(p, v) as it sends
@@ -360,36 +375,74 @@ def morse_homology(g: Graph,
     """
     rule = rule_for(g)
     tree = run_strategy(g, rule)
-    partner = _partner_walk(tree)
     cells = {}
     for face in critical_cells(tree):
         cells.setdefault(face.bit_count() - 1, []).append(face)
     top = max(cells, default=-1)
-    snfs = {}
-    for d in range(top, -1, -1):
-        if d in cells and d - 1 in cells:
-            snfs[d] = smith_normal_form(_morse_boundary(
-                cells[d], cells[d - 1], partner, face_cap))
+    pairs = [d for d in range(top, -1, -1) if d in cells and d - 1 in cells]
+    partner = _partner_walk(tree) if pairs else None
+    snfs = {d: smith_normal_form(_morse_boundary(
+                cells[d], cells[d - 1], partner, g.nbr, face_cap))
+            for d in pairs}
     return _report([len(cells.get(d, ())) for d in range(top + 1)], snfs,
                    "morse-tree", rule.name)
 
 
-def _morse_boundary(upper, lower, partner, face_cap):
+def _gradient_reach(lower, partner, nbr, face_cap):
+    """R: the faces with a gradient path to a cell of `lower`, the cells
+    themselves included, found by a backward search (the dual of
+    coreduction; Mrozek & Batko 2009, and Harker, Mischaikow, Mrozek & Nanda
+    2014 for Morse reductions).  A face r of R is reached from the lower
+    face t of a pair (t, s) when r is a facet s ^ w of the upper face s
+    that drops a vertex w of the site's A-set, the facets the flow of t
+    follows.  So for each r in R and each vertex w outside r and its
+    neighbourhood (nbr[i] is the bitmask of vertex i's neighbours), the
+    partner walk is asked about s = r | w.  Past face_cap faces it raises
+    CapacityError."""
+    full = (1 << len(nbr)) - 1
+    reach = set(lower)
+    todo = list(lower)
+    while todo:
+        if len(reach) > face_cap:
+            raise CapacityError("Morse flow reach exceeds face cap %d" % face_cap)
+        r = todo.pop()
+        free = full & ~r
+        for i in _bits(r):
+            free &= ~nbr[i]
+        while free:
+            w = free & -free
+            free ^= w
+            s = r | w
+            site = partner(s)
+            if site is not None:
+                t, a = site
+                if t < s and w & a and t != r and t not in reach:
+                    reach.add(t)
+                    todo.append(t)
+    return reach
+
+
+def _morse_boundary(upper, lower, partner, nbr, face_cap):
     """The Morse boundary matrix from the critical cells `upper` (columns)
-    to the critical cells `lower` (rows) one dimension down."""
+    to the critical cells `lower` (rows) one dimension down.  The flow runs
+    only on the reach R of `lower` (_gradient_reach, over the graph's
+    neighbourhoods nbr), which holds critical cells and lower faces alone;
+    a face outside R has flow 0 and never enters the memo."""
     row = {f: i for i, f in enumerate(lower)}
+    reach = _gradient_reach(lower, partner, nbr, face_cap)
     memo = {}
     opened = {}  # faces whose flow waits on the flows of their partner's facets
     zero = {}    # the one zero chain, shared and never written
 
     def facet_sum(cell, bits, scale):
         """The nonzero terms of the sum of scale * [cell : cell ^ u] times
-        the memoised flow of cell ^ u, over the vertex bits u of bits."""
+        the memoised flow of cell ^ u, over the vertex bits u of bits; a
+        face outside R has no memo entry, and flow 0."""
         chain = {}
         while bits:
             u = bits & -bits
             bits ^= u
-            terms = memo[cell ^ u]
+            terms = memo.get(cell ^ u)
             if terms:
                 c = scale * _incidence(cell, u)
                 for k, x in terms.items():
@@ -397,7 +450,8 @@ def _morse_boundary(upper, lower, partner, face_cap):
         return {k: x for k, x in chain.items() if x}
 
     def flow(tau):
-        """Memoise the flow of tau and of every face it waits on."""
+        """Memoise the flow of tau, a face of R, and of every face of R it
+        waits on."""
         stack = [tau]
         while stack:
             t = stack[-1]
@@ -413,9 +467,7 @@ def _morse_boundary(upper, lower, partner, face_cap):
                 site = partner(t)
                 if site is None:
                     value = {t: 1}
-                elif site[0] < t:
-                    value = zero
-                else:
+                else:  # t is a lower face: R holds no upper face
                     opened[t] = site
                     up, rest = site
                     while rest:
@@ -425,12 +477,10 @@ def _morse_boundary(upper, lower, partner, face_cap):
                         if r in opened:
                             raise MatchingTreeError("gradient cycle through %s"
                                                     % (_bits(r),))
-                        if r not in memo:
+                        if r in reach and r not in memo:
                             stack.append(r)
                     continue
             memo[t] = value
-            if len(memo) > face_cap:
-                raise CapacityError("Morse flow memo exceeds face cap %d" % face_cap)
             stack.pop()
 
     entries = {}
@@ -439,7 +489,8 @@ def _morse_boundary(upper, lower, partner, face_cap):
         while rest:
             u = rest & -rest
             rest ^= u
-            flow(sigma ^ u)
+            if sigma ^ u in reach:
+                flow(sigma ^ u)
         for k, x in facet_sum(sigma, sigma, 1).items():
             entries[(row[k], col)] = x
     return IntegerMatrix(len(lower), len(upper), entries)

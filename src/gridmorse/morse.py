@@ -387,16 +387,28 @@ def critical_cells(tree: MatchingTree):
     They are read from the tree's map, listing no node: one pass, smallest
     residual first, gives each residual the cells below a node with it,
     relative to the node's A, as its children's cells with the vertex each
-    child takes added; a Free step has none."""
+    child takes added; a Free step has none.  A first pass finds the last
+    residual whose step reads each child residual, and the child's cells
+    are dropped once that step has read them, so only the cells of
+    residuals still to be read are held at once."""
     nbr = tree.graph.nbr
+    steps = tree.steps
+    kids = [_children(nbr, res, step) for res, step in steps.items()]
+    reader = {}  # child residual -> the last residual whose step reads it
+    for res, (out, inn) in zip(steps, kids):
+        reader[out] = reader[inn] = res
+    reader[None] = reader[0] = None  # no step's child, so never dropped
     below = {None: (), 0: (0,) if len(tree.graph) else ()}
-    for res, step in tree.steps.items():
-        out, inn = _children(nbr, res, step)
+    for (res, step), (out, inn) in zip(steps.items(), kids):
         cells = below[inn]
         if cells:
             bit = 1 << step.v
             cells = tuple([c | bit for c in cells])
         below[res] = below[out] + cells
+        if reader[out] == res:
+            del below[out]
+        if reader[inn] == res and inn != out:
+            del below[inn]
     cells = list(below[(1 << len(tree.graph)) - 1])
     cells.sort(key=lambda f: (f.bit_count(), f))
     return cells

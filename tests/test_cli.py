@@ -86,7 +86,8 @@ def dims(out):
 
 def test_homology_builds_no_face(capsys, monkeypatch):
     # delta(2,10) has 808,395 faces, past the 300,000 default cap, which
-    # bounds the flow memo; a smaller cap refuses on the memo
+    # bounds the reach R of the Morse flow, 1,298 faces here; a smaller
+    # cap refuses on R
     monkeypatch.setattr(complexes, "_layers", unbuilt)
     code, out = run(capsys, "homology", "--family", "delta", "--m", "2",
                     "--n", "10")
@@ -94,7 +95,7 @@ def test_homology_builds_no_face(capsys, monkeypatch):
     code = main(["homology", "--family", "delta", "--m", "2", "--n", "10",
                  "--face-cap", "1000"])
     assert code == 3
-    assert "memo exceeds face cap 1000" in capsys.readouterr().err
+    assert "reach exceeds face cap 1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("m,betti", [(4, {8: 3, 10: 7, 12: 3}),
@@ -109,10 +110,13 @@ def test_homology_reaches_n8_without_flow(capsys, monkeypatch, m, betti):
     assert dict(dims(out)) == census.census_table(m, 8).row_counts(8) == betti
 
 
-@pytest.mark.parametrize("m,n", [(2, 13), (3, 10)])
+@pytest.mark.parametrize("m,n", [(2, 13), (3, 10), (3, 12), (4, 9), (5, 9),
+                                 (2, 15)])
 def test_homology_reaches_past_the_old_memo_bound(capsys, monkeypatch, m, n):
-    # both exited 3 on the memo while the flow followed every facet; the
-    # flow now leaves a pairing site only by dropping a vertex of its A-set
+    # (2,13) and (3,10) exited 3 on the memo while the flow followed every
+    # facet, and the rest while it memoised every face it met; the flow
+    # leaves a pairing site only by dropping a vertex of its A-set, and
+    # runs only on the faces with a gradient path to a critical cell
     monkeypatch.setattr(complexes, "_layers", unbuilt)
     code, out = run(capsys, "homology", "--family", "delta", "--m", str(m),
                     "--n", str(n))

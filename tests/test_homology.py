@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 from itertools import combinations
@@ -14,7 +16,8 @@ from gridmorse import (GENERIC_RULE, CapacityError, CriticalCensus, Graph,
                        SNFResult,
                        boundary_matrices, build_graph, census_from_tree,
                        comb_tree, critical_cells, full_homology,
-                       independence_complex, matching_complex,
+                       independence_complex, line_graph,
+                       matching_complex,
                        morse_homology, morse_inequality_check, plain,
                        reduced_homology, run_strategy, smith_normal_form)
 
@@ -258,13 +261,13 @@ def test_boundary_entry_cap(monkeypatch):
 
 def test_homology_capacity_guard():
     # the full route refuses on the face count; the Morse route builds no
-    # face and refuses on its flow memo
+    # face and refuses on the reach R of its flow
     cx = ind_complex("cycle", n=6)
     graphless = SimplicialComplex(cx.labels, cx.graded)
     with pytest.raises(CapacityError, match="18 faces exceeds homology cap 5"):
         reduced_homology(graphless, face_cap=5)
     delta = ind_complex("delta", m=2, n=9)
-    with pytest.raises(CapacityError, match="memo exceeds face cap 100"):
+    with pytest.raises(CapacityError, match="reach exceeds face cap 100"):
         reduced_homology(delta, face_cap=100)
 
 
@@ -391,24 +394,85 @@ def test_morse_homology_reads_the_tree_alone(monkeypatch):
 
 
 def test_morse_flow_refuses_a_gradient_cycle():
-    # three pairs, each with A-set its lower face, whose upper faces leave
-    # their sites into the next pair's lower face: 1 < 3 > 2 < 6 > 4 < 5 > 1
-    lower = {0b0001: (0b0011, 0b0001), 0b0010: (0b0110, 0b0010),
-             0b0100: (0b0101, 0b0100)}
+    # on six vertices with no edges, three pairs (lower face: upper face,
+    # A-set) whose upper faces leave their sites into the next pair's lower
+    # face, 01 < 012 > 12 < 123 > 13 < 013 > 01, and 012 leaves into the
+    # critical 1-cell 02 too, so the cycle lies on a gradient path to it;
+    # the flow of 01, a facet of the critical 2-cell 015, meets the cycle
+    pairs = {0b000011: (0b000111, 0b0011), 0b000110: (0b001110, 0b0100),
+             0b001010: (0b001011, 0b1000)}
+    ups = {hi: (lo, a) for lo, (hi, a) in pairs.items()}
+    sigma, critical = 0b100011, 0b000101
 
     def partner(face):
-        if face in lower:
-            return lower[face]
-        if face == 0b1000:
+        if face in (sigma, critical):
             return None
-        return 0, 0  # an upper face: its partner lies below it
+        return pairs.get(face) or ups.get(face) or (0, 0)
 
+    nbr = (0,) * 6
+    assert homology._gradient_reach([critical], partner, nbr, 100) == {
+        critical, *pairs}
     with pytest.raises(MatchingTreeError,
-                       match=re.escape("gradient cycle through (0,)")):
-        homology._morse_boundary([0b1001], [0b1000], partner, 100)
+                       match=re.escape("gradient cycle through (0, 1)")):
+        homology._morse_boundary([sigma], [critical], partner, nbr, 100)
 
 
-def test_morse_homology_charges_the_flow_memo():
-    # (2,9) needs 5,639 flow memo entries
-    with pytest.raises(CapacityError, match="memo exceeds face cap 100"):
+def test_morse_homology_charges_the_flow_memo(monkeypatch):
+    # the cap is charged on the reach R, of which the flow memo is a
+    # subset: R of (2,9) holds 825 faces, and the refusal comes before any
+    # flow
+    monkeypatch.setattr(homology, "_incidence", unbuilt)
+    with pytest.raises(CapacityError, match="reach exceeds face cap 100"):
         morse_homology(build_graph("delta", m=2, n=9), face_cap=100)
+    # R of (2,10) holds 1,298 faces
+    with pytest.raises(CapacityError, match="reach exceeds face cap 1000"):
+        morse_homology(build_graph("delta", m=2, n=10), face_cap=1000)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_no_flow_runs_where_no_gradient_path_leaves_a_critical_cell(
+        monkeypatch, m):
+    # (2,11) has no two critical dimensions adjacent, so no partner walk is
+    # compiled; (3,11) has, but no facet of a critical cell has a gradient
+    # path to a critical cell, so each Morse differential is zero
+    monkeypatch.setattr(homology, "_incidence", unbuilt)
+    if m == 2:
+        monkeypatch.setattr(homology, "_partner_walk", unbuilt)
+    report = morse_homology(build_graph("delta", m=m, n=11))
+    assert report.betti_profile() == census_from_tree(comb_tree(m, 11)).counts
+
+
+MORSE_REPORTS_DIGEST = (
+    "16b14123ed15f45d4d6db1304d1083e9643ca06ff8bb4e251917c6d4aada400a")
+
+
+def morse_reports():
+    """The homology JSON of the Morse route, one line per graph: combs with
+    m = 2..5 and n = -1..10, the line graphs of grid2 for n <= 8 (matching
+    complexes of 2 x n grids), cycles 3..12, the matching complexes of K5,5
+    and K3,3,3 (torsion Z/3 and (Z/3)^2) and 120 seeded random graphs.
+    (5,10) is left out: a flow memo of every face the flow meets, R or not,
+    passes 10^7 entries on it."""
+    graphs = [build_graph("delta", m=m, n=n)
+              for m in range(2, 6) for n in range(-1, 11) if (m, n) != (5, 10)]
+    graphs += [line_graph(build_graph("grid2", n=n)) for n in range(1, 9)]
+    graphs += [build_graph("cycle", n=n) for n in range(3, 13)]
+    graphs += [line_graph(complete_multipartite(5, 5)),
+               line_graph(complete_multipartite(3, 3, 3))]
+    rng = random.Random(31)
+    for _ in range(120):
+        size = rng.randint(3, 12)
+        density = rng.uniform(0.1, 0.6)
+        verts = [plain(i) for i in range(1, size + 1)]
+        graphs.append(Graph(verts, [(verts[x], verts[y]) for x in range(size)
+                                    for y in range(x + 1, size)
+                                    if rng.random() < density]))
+    return "".join(json.dumps(morse_homology(g).to_json(), sort_keys=True)
+                   + "\n" for g in graphs)
+
+
+def test_morse_reports_equal_the_site_pruned_flow():
+    # the digest of morse_reports() as the flow gave it while it still
+    # memoised every face it met, before it was confined to the reach R
+    digest = hashlib.sha256(morse_reports().encode()).hexdigest()
+    assert digest == MORSE_REPORTS_DIGEST
