@@ -6,9 +6,8 @@ from .census import (CensusTable, DimensionBounds, census_extend, census_seed,
                      census_table, dimension_bounds, euler_closed_form,
                      euler_from_table, euler_recursion, low_homology_prediction,
                      observation_scan, riordan_T, riordan_identity_check)
-from .comb import (FAMILY_RULE, GENERIC_RULE, CriticalCensus, StrategyScript,
-                   census_from_tree, comb_tree, path_tree, rule_for,
-                   star_tree, theta_tree)
+from .comb import (PIVOT_RULE, CriticalCensus, StrategyScript, census_from_tree,
+                   comb_tree, path_tree, star_tree, theta_tree)
 from .complexes import (CapacityError, SimplicialComplex, count_independent_sets,
                         independence_complex, join, matching_complex)
 from .graphs import (END_A, END_B, Graph, VertexLabel, build_graph,

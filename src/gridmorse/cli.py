@@ -180,7 +180,7 @@ def cmd_census(args):
 
 def cmd_morse(args):
     g = _build_family(args)
-    tree = run_strategy(g, comb_mod.rule_for(g))
+    tree = run_strategy(g, comb_mod.PIVOT_RULE)
     out = tree.to_json()
     out["census"] = comb_mod.census_from_tree(tree).to_json()
     _emit(_json_pieces(out), args.out)

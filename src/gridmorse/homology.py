@@ -4,25 +4,24 @@ There are two routes to a complex's reduced homology, and the report names
 the one taken.  The full route, "full-snf" (full_homology), reduces the
 boundary matrices over every face of a complex; it shares no code with the
 matching trees and is the oracle for the other route.  The Morse route,
-"morse-tree" (morse_homology), grows a matching tree on a graph, by the
-paper's rule for star, theta and comb graphs and the generic rule
-otherwise, and builds the Morse complex on its critical cells.  A face's
-partner comes from morse's partner walk down the compiled tree (morse owns
-the meaning of each Free, Match and Split step), and the Morse boundary is
-the simplicial boundary pushed through the gradient flow, memoised per
-dimension pair and followed only along the facets that leave a pairing
-site, with the incidence signs (-1)^popcount(face & (u - 1)) of
-the boundary matrices below.  The flow runs only on the reach R of the
-critical cells one dimension down, the faces with a gradient path to one,
-found first by a backward search; every other face has flow 0.  Where no
-facet of a critical cell lies in R, the differential is zero and no flow
-runs.  Its matrices, a few critical cells wide, go to the same
-smith_normal_form.  It reads no face of the complex, so its face cap
-bounds R, whose entries are faces, and not the complex: each R is refused
-past the cap before its pair's flow runs.  reduced_homology takes the
-Morse route on the graph of a complex with one (every independence and
-matching complex) and the full route for one without (from_facets, join).
-Either report lists the nonzero groups.
+"morse-tree" (morse_homology), grows a matching tree on a graph by the one
+pivot rule, comb.PIVOT_RULE, and builds the Morse complex on its critical
+cells.  A face's partner comes from morse's partner walk down the compiled
+tree (morse owns the meaning of each Free, Match and Split step), and the
+Morse boundary is the simplicial boundary pushed through the gradient
+flow, memoised per dimension pair and followed only along the facets that
+leave a pairing site, with the incidence signs
+(-1)^popcount(face & (u - 1)) of the boundary matrices below.  The flow
+runs only on the reach R of the critical cells one dimension down, the
+faces with a gradient path to one, found first by a backward search; every
+other face has flow 0.  Where no facet of a critical cell lies in R, the
+differential is zero and no flow runs.  Its matrices, a few critical cells
+wide, go to the same smith_normal_form.  It reads no face of the complex,
+so its face cap bounds R, whose entries are faces, and not the complex:
+each R is refused past the cap before its pair's flow runs.
+reduced_homology takes the Morse route on the graph of a complex with one
+(every independence and matching complex) and the full route for one
+without (from_facets, join).  Either report lists the nonzero groups.
 
 Boundary matrices are kept sparse (dict-of-rows with a column index); the
 facets of a vertex-bitmask face are the face with one bit cleared.
@@ -50,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .comb import rule_for
+from .comb import PIVOT_RULE
 from .complexes import CapacityError, SimplicialComplex, _bits
 from .graphs import Graph
 from .morse import MatchingTreeError, _partner_walk, critical_cells, run_strategy
@@ -245,14 +244,13 @@ class HomologyReport:
     torsion: dict   # dimension -> tuple of invariant factors > 1
     euler: int
     route: str = "full-snf"   # or "morse-tree"
-    rule: str | None = None   # the pivot rule that grew the tree, by name
 
     def to_json(self) -> dict:
         dims = sorted(set(self.betti) | set(self.torsion))
         return {"dims": [{"d": d, "betti": self.betti.get(d, 0),
                           "torsion": list(self.torsion.get(d, ()))}
                          for d in dims],
-                "euler": self.euler, "route": self.route, "rule": self.rule}
+                "euler": self.euler, "route": self.route}
 
     def betti_profile(self) -> dict:
         return dict(self.betti)
@@ -297,7 +295,7 @@ def full_homology(c: SimplicialComplex,
     return _report([len(fs) for fs in graded[1:]], snfs, "full-snf")
 
 
-def _report(counts, snfs, route, rule=None):
+def _report(counts, snfs, route):
     """The groups of a chain complex with counts[d] cells in dimension d,
     from d = 0 up, and snfs[d] reducing the boundary from dimension d where
     it is nonzero: b~_d = c_d - rank d_d - rank d_{d+1}, and the torsion in
@@ -314,7 +312,7 @@ def _report(counts, snfs, route, rule=None):
             if tors:
                 torsion[d] = tors
     euler = sum(b if d % 2 == 0 else -b for d, b in betti.items())
-    return HomologyReport(betti, torsion, euler, route, rule)
+    return HomologyReport(betti, torsion, euler, route)
 
 
 def _incidence(face, u):
@@ -326,9 +324,8 @@ def _incidence(face, u):
 def morse_homology(g: Graph,
                    face_cap: int = DEFAULT_HOMOLOGY_FACE_CAP) -> HomologyReport:
     """Reduced homology of the independence complex of g, read off the Morse
-    complex of the matching tree that rule_for(g) grows on g (Forman 1998;
-    Skoldberg 2006), without enumerating the complex; the report names that
-    rule.
+    complex of the matching tree that PIVOT_RULE grows on g (Forman 1998;
+    Skoldberg 2006), without enumerating the complex.
 
     The chain groups are spanned by the critical cells, the A-sets of the
     terminal leaves.  The partner of a face comes from one walk down the
@@ -373,8 +370,7 @@ def morse_homology(g: Graph,
     acyclic.  verify_acyclic checks it on the face poset up to the face
     caps, and a gradient cycle met on the stack raises MatchingTreeError.
     """
-    rule = rule_for(g)
-    tree = run_strategy(g, rule)
+    tree = run_strategy(g, PIVOT_RULE)
     cells = {}
     for face in critical_cells(tree):
         cells.setdefault(face.bit_count() - 1, []).append(face)
@@ -385,7 +381,7 @@ def morse_homology(g: Graph,
                 cells[d], cells[d - 1], partner, g.nbr, face_cap))
             for d in pairs}
     return _report([len(cells.get(d, ())) for d in range(top + 1)], snfs,
-                   "morse-tree", rule.name)
+                   "morse-tree")
 
 
 def _gradient_reach(lower, partner, nbr, face_cap):

@@ -11,7 +11,8 @@ from itertools import combinations
 
 import pytest
 
-from gridmorse import Graph, build_graph, independence_complex, plain
+from gridmorse import (Graph, build_graph, homology, independence_complex,
+                       plain)
 
 TEST_SECONDS = 120  # per test; the slowest takes about 6 s
 
@@ -107,3 +108,20 @@ def groups(report):
     """What both homology routes must agree on: every dimension's Betti
     number and torsion, and the Euler characteristic."""
     return report.betti, report.torsion, report.euler
+
+
+def largest_reach(monkeypatch, g):
+    """The size of the largest reach R of the Morse flow that
+    morse_homology grows on g, read by wrapping _gradient_reach."""
+    sizes = [0]
+    grow = homology._gradient_reach
+
+    def counted(*args):
+        reach = grow(*args)
+        sizes.append(len(reach))
+        return reach
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "_gradient_reach", counted)
+        homology.morse_homology(g)
+    return max(sizes)

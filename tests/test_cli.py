@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unbuilt
+from conftest import largest_reach, unbuilt
 from gridmorse import census, cli, comb, complexes, homology
 from gridmorse.cli import main
 from gridmorse.graphs import build_graph
@@ -86,16 +86,18 @@ def dims(out):
 
 def test_homology_builds_no_face(capsys, monkeypatch):
     # delta(2,10) has 808,395 faces, past the 300,000 default cap, which
-    # bounds the reach R of the Morse flow, 1,298 faces here; a smaller
-    # cap refuses on R
+    # bounds the reach R of the Morse flow; a cap of |R| answers and a
+    # smaller one refuses on R
     monkeypatch.setattr(complexes, "_layers", unbuilt)
-    code, out = run(capsys, "homology", "--family", "delta", "--m", "2",
-                    "--n", "10")
-    assert code == 0 and dims(out) == [(7, 28), (8, 1)]
-    code = main(["homology", "--family", "delta", "--m", "2", "--n", "10",
-                 "--face-cap", "1000"])
+    size = largest_reach(monkeypatch, build_graph("delta", m=2, n=10))
+    argv = ["homology", "--family", "delta", "--m", "2", "--n", "10"]
+    for cap in ([], ["--face-cap", str(size)]):
+        code, out = run(capsys, *argv, *cap)
+        assert code == 0 and dims(out) == [(7, 28), (8, 1)]
+    code = main(argv + ["--face-cap", str(size - 1)])
     assert code == 3
-    assert "reach exceeds face cap 1000" in capsys.readouterr().err
+    assert ("reach exceeds face cap %d" % (size - 1)
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("m,betti", [(4, {8: 3, 10: 7, 12: 3}),
@@ -263,24 +265,26 @@ def test_verify_fails_the_one_check_whose_oracle_disagrees(
 # library must not change a byte of what these invocations print, and an
 # --out file holds the same bytes.  The homology digest took the report's
 # "route" and "rule" fields (from the full-SNF output 2fff4a73...), then
-# lost its zero rows (from bbe9a291...).  The census, scan and riordan
-# digests were taken while each document was still joined into one string
-# before it was written.
+# lost its zero rows (from bbe9a291...), then the "rule" field again when
+# one pivot rule replaced two (from e22a3b01...).  The morse digests are of
+# that one rule's trees.  The census, scan and riordan digests were taken
+# while each document was still joined into one string before it was
+# written.
 PINNED_OUTPUT = [
     ("complex --family delta --m 2 --n 3 --faces", 0,
      "06ff2ba8af4875a2ec249b0040c701e5dc4d8196610ea1f6266a204ae30fe095"),
     ("complex --family cycle --n 6 --faces", 0,
      "88a8690e06f7cc80850b46e37a434d162b8763bf2b5ed1e2dd6941afb1529f05"),
     ("homology --family delta --m 2 --n 5", 0,
-     "e22a3b01bf62e671db1fa83ee096cbdcbe3c062fcb6ce163568dcf9f30929945"),
+     "0e25cd7c55ef1ed358e444748932481e6d03e44161527ea0202f150b4351fcb3"),
     ("morse --family delta --m 2 --n 6", 0,
-     "91b7e6039b0528c3729352375b1cee39fb6ad9e27c50858189e28d5cfd492aa4"),
+     "21e87c3b5c81e850b1bdccccca5fb9ca151c6f82a2ee2ef35088875c2e407809"),
     ("morse --family path --n 12", 0,
-     "e383766734adb50035992da24af4bd45e5db91ac2d29997fcc0db6834845eb67"),
+     "b9ca928edd55ced4eea42f9f1bbdd1676b591582a923de9d4d95323a221cf9dd"),
     ("morse --family star --m 3 --n 5", 0,
-     "a00041be644cca342a30d1d186a9f9ac13f3421a75369522850a79331056f168"),
+     "3204ba0b6d4a44131d668eea1c82ade3e5b2c7832410fcb6740d79b2e875e685"),
     ("morse --family cycle --n 6", 0,
-     "6e932b33c668444f5f54539bb6cbdf85731157d111780382a401ecc9d9abcea3"),
+     "06398d6e090e971f4bc74394c5cbc20bcb8d597ef42aae4390aaf07a987ba938"),
     ("verify --m 2 --nmax 4", 0,
      "84b7e75367e984a904e45f40717686b14e7be96b6287c410beb2b6d52cc6098e"),
     ("verify --m 2 --nmax 4 --face-cap 100", 0,
@@ -331,13 +335,13 @@ def test_emit_batches_pieces_and_ends_with_one_newline(capsys):
 
 
 def test_morse_document_is_written_without_holding_its_text(tmp_path):
-    # json.dumps(indent=2) lists every token of the 2.95 MB document and
+    # json.dumps(indent=2) lists every token of the 3.06 MB document and
     # joins them, a traced peak of about 8x the file; streamed in batches,
-    # the peak is the tree and its JSON object, about 1.9x
+    # the peak is the tree and its JSON object, about 1.6x
     target = tmp_path / "morse.json"
     tracemalloc.start()
     try:
-        code = main(["morse", "--family", "delta", "--m", "2", "--n", "16",
+        code = main(["morse", "--family", "delta", "--m", "2", "--n", "18",
                      "--out", str(target)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -408,7 +412,7 @@ def small_documents():
     """Each JSON subcommand on one small instance, with the object that its
     document writes."""
     g = build_graph("delta", m=2, n=3)
-    tree = run_strategy(g, comb.rule_for(g))
+    tree = run_strategy(g, comb.PIVOT_RULE)
     morse_doc = tree.to_json()
     morse_doc["census"] = comb.census_from_tree(tree).to_json()
     return [
@@ -574,7 +578,7 @@ def readme_commands():
 
 def test_readme_commands_run(capsys):
     commands = readme_commands()
-    assert len(commands) == 13
+    assert len(commands) == 14
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()

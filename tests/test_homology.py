@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import complete_multipartite, groups, ind_complex, unbuilt
+from conftest import (complete_multipartite, groups, ind_complex,
+                      largest_reach, unbuilt)
 from gridmorse import complexes, homology
-from gridmorse import (GENERIC_RULE, CapacityError, CriticalCensus, Graph,
+from gridmorse import (PIVOT_RULE, CapacityError, CriticalCensus, Graph,
                        IntegerMatrix, MatchingTreeError, SimplicialComplex,
                        SNFResult,
                        boundary_matrices, build_graph, census_from_tree,
@@ -156,10 +157,10 @@ def test_snf_leaves_its_input_unchanged():
     ((5, 8), {3: 14, 4: 1173}, {}, 1159),
 ], ids=["K7", "K9", "K5,5", "K6,6", "K5,8"])
 def test_matching_complex_torsion(parts, betti, torsion, euler):
-    # the Morse route (generic rule), with the full SNF route as its oracle
+    # the Morse route, with the full SNF route as its oracle
     cx = matching_complex(complete_multipartite(*parts))
     report = reduced_homology(cx)
-    assert (report.route, report.rule) == ("morse-tree", "generic")
+    assert report.route == "morse-tree"
     assert report.betti_profile() == betti
     assert report.torsion == torsion
     assert report.euler == euler
@@ -276,12 +277,11 @@ def test_report_json():
     data = reduced_homology(cx).to_json()
     assert {"d": 1, "betti": 2, "torsion": []} in data["dims"]
     assert data["euler"] == -2
-    assert (data["route"], data["rule"]) == ("morse-tree", "generic")
+    assert data["route"] == "morse-tree"
     full = full_homology(cx).to_json()
-    assert (full["route"], full["rule"]) == ("full-snf", None)
+    assert full["route"] == "full-snf"
     assert full["dims"] == data["dims"]
-    delta = reduced_homology(ind_complex("delta", m=2, n=2)).to_json()
-    assert (delta["route"], delta["rule"]) == ("morse-tree", "family")
+    assert sorted(data) == sorted(full) == ["dims", "euler", "route"]
 
 
 def unclear_homology(cx):
@@ -365,7 +365,7 @@ def test_morse_route_edge_cases(g):
 
 
 def test_morse_route_matches_full_route_on_random_graphs():
-    # seeded graphs on 3..11 vertices under the generic rule; the sample
+    # seeded graphs on 3..11 vertices under the pivot rule; the sample
     # must exercise the flow: a nonzero Morse differential shows as more
     # critical cells than the Betti numbers add up to
     rng = random.Random(20061115)
@@ -379,7 +379,7 @@ def test_morse_route_matches_full_route_on_random_graphs():
         cx = independence_complex(g)
         report = reduced_homology(cx)
         assert groups(report) == groups(full_homology(cx)), g.to_json()
-        cells = critical_cells(run_strategy(g, GENERIC_RULE))
+        cells = critical_cells(run_strategy(g, PIVOT_RULE))
         nonzero += len(cells) > sum(report.betti.values())
     assert nonzero >= 1
 
@@ -390,7 +390,6 @@ def test_morse_homology_reads_the_tree_alone(monkeypatch):
     report = morse_homology(build_graph("delta", m=2, n=10))
     assert report.betti_profile() == census_from_tree(comb_tree(2, 10)).counts
     assert report.torsion == {} and report.route == "morse-tree"
-    assert report.rule == "family"
 
 
 def test_morse_flow_refuses_a_gradient_cycle():
@@ -419,14 +418,18 @@ def test_morse_flow_refuses_a_gradient_cycle():
 
 def test_morse_homology_charges_the_flow_memo(monkeypatch):
     # the cap is charged on the reach R, of which the flow memo is a
-    # subset: R of (2,9) holds 825 faces, and the refusal comes before any
-    # flow
-    monkeypatch.setattr(homology, "_incidence", unbuilt)
-    with pytest.raises(CapacityError, match="reach exceeds face cap 100"):
-        morse_homology(build_graph("delta", m=2, n=9), face_cap=100)
-    # R of (2,10) holds 1,298 faces
-    with pytest.raises(CapacityError, match="reach exceeds face cap 1000"):
-        morse_homology(build_graph("delta", m=2, n=10), face_cap=1000)
+    # subset: on (2,9) and (2,10) a cap of |R| answers, and one less
+    # refuses before any flow
+    for n in (9, 10):
+        g = build_graph("delta", m=2, n=n)
+        size = largest_reach(monkeypatch, g)
+        want = morse_homology(g).to_json()
+        assert morse_homology(g, face_cap=size).to_json() == want
+        with monkeypatch.context() as patch:
+            patch.setattr(homology, "_incidence", unbuilt)
+            with pytest.raises(CapacityError,
+                               match="reach exceeds face cap %d" % (size - 1)):
+                morse_homology(g, face_cap=size - 1)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -443,7 +446,7 @@ def test_no_flow_runs_where_no_gradient_path_leaves_a_critical_cell(
 
 
 MORSE_REPORTS_DIGEST = (
-    "16b14123ed15f45d4d6db1304d1083e9643ca06ff8bb4e251917c6d4aada400a")
+    "4601f85a28291aa1b9186e87a329f8bb387a029f7e49b583da259ef2995b91ac")
 
 
 def morse_reports():
@@ -473,6 +476,8 @@ def morse_reports():
 
 def test_morse_reports_equal_the_site_pruned_flow():
     # the digest of morse_reports() as the flow gave it while it still
-    # memoised every face it met, before it was confined to the reach R
+    # memoised every face it met, before it was confined to the reach R,
+    # and as the family and generic rules' trees gave it, less the "rule"
+    # key each report then carried
     digest = hashlib.sha256(morse_reports().encode()).hexdigest()
     assert digest == MORSE_REPORTS_DIGEST

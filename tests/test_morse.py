@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from conftest import complete_multipartite, ind_complex, unbuilt
 from gridmorse.cli import main
 from gridmorse import complexes, morse
-from gridmorse import (FAMILY_RULE, GENERIC_RULE, CapacityError, FacePairing,
-                       Free, Graph, Match, MatchingTreeError, SigmaNode,
-                       Split, build_graph, census_from_tree,
-                       collect_pairing, comb_tree, critical_cells,
+from gridmorse import (PIVOT_RULE, CapacityError, FacePairing, Free, Graph,
+                       Match, MatchingTreeError, SigmaNode, Split, build_graph,
+                       census_from_tree, collect_pairing, comb_tree,
+                       critical_cells,
                        full_homology, independence_complex, line_graph,
                        morse_inequality_check, path_tree, plain,
                        reduced_homology, run_strategy, spine, star_tree,
@@ -20,9 +20,9 @@ from gridmorse import (FAMILY_RULE, GENERIC_RULE, CapacityError, FacePairing,
 
 def scripted(script):
     """A pivot rule that takes its step from script, a residual mask ->
-    step dict, at the residuals it names, and GENERIC_RULE's elsewhere."""
+    step dict, at the residuals it names, and PIVOT_RULE's elsewhere."""
     def rule(g, res):
-        return script[res] if res in script else GENERIC_RULE(g, res)
+        return script[res] if res in script else PIVOT_RULE(g, res)
     return rule
 
 
@@ -32,7 +32,7 @@ def bit(g, label):
 
 def test_residual_and_sigma_at_root():
     g = build_graph("cycle", n=4)
-    root = run_strategy(g, GENERIC_RULE).nodes[0]
+    root = run_strategy(g, PIVOT_RULE).nodes[0]
     assert {g.vertices[i] for i in complexes._bits(root.residual_mask)} == set(g.vertices)
     # empty set, 4 singletons, 2 diagonals
     assert complexes._count_independent(g.nbr, root.residual_mask) == 7
@@ -280,7 +280,7 @@ def test_step_budget(monkeypatch, capsys):
     # a capacity limit, not bad input: exit 3 with nothing on stdout
     monkeypatch.setattr(morse, "DEFAULT_STEP_BUDGET", 2)
     with pytest.raises(CapacityError, match="step budget 2 exceeded"):
-        run_strategy(build_graph("path", n=9), GENERIC_RULE)
+        run_strategy(build_graph("path", n=9), PIVOT_RULE)
     assert main(["morse", "--family", "path", "--n", "9"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "step budget 2" in captured.err
@@ -320,18 +320,24 @@ def test_carried_residuals_match_definition(maker):
                 == residual_by_definition(tree.graph, nd)), nd.id
 
 
-def generic_step(g, residual_mask):
-    """Free the lowest isolated residual vertex, else Match the lowest
+def fold_step(g, residual_mask):
+    """Free the lowest isolated residual vertex, else Match the highest
     residual vertex with one residual neighbour, else Split the lowest
+    residual vertex v whose residual neighbours include those of another
+    residual vertex, neither v nor a neighbour of v, else Split the lowest
     residual vertex; read from the residual's bits and g.adjsets alone."""
     res = [v for v in range(len(g)) if residual_mask >> v & 1]
-    inside = {v: [u for u in res if u in g.adjsets[v]] for v in res}
+    inside = {v: {u for u in res if u in g.adjsets[v]} for v in res}
     for v in res:
         if not inside[v]:
             return Free(v)
-    for v in res:
+    for v in reversed(res):
         if len(inside[v]) == 1:
-            return Match(v, inside[v][0])
+            return Match(v, min(inside[v]))
+    for v in res:
+        if any(inside[u] <= inside[v] for u in res
+               if u != v and u not in inside[v]):
+            return Split(v)
     return Split(res[0])
 
 
@@ -380,16 +386,16 @@ def sparse_random_graph(size, density, rnd):
        st.randoms(use_true_random=False))
 def test_carried_state_matches_recomputation(size, density, rnd):
     assert_carried_state(run_strategy(sparse_random_graph(size, density, rnd),
-                                      generic_step))
+                                      fold_step))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 11), st.floats(0.05, 0.6),
        st.randoms(use_true_random=False))
-def test_generic_rule_matches_set_based_reference(size, density, rnd):
+def test_pivot_rule_matches_set_based_reference(size, density, rnd):
     g = sparse_random_graph(size, density, rnd)
-    assert (run_strategy(g, GENERIC_RULE).to_json()
-            == run_strategy(g, generic_step).to_json())
+    assert (run_strategy(g, PIVOT_RULE).to_json()
+            == run_strategy(g, fold_step).to_json())
 
 
 @pytest.mark.parametrize("g,torsion", [
@@ -402,10 +408,11 @@ def test_generic_rule_matches_set_based_reference(size, density, rnd):
 ], ids=[*("cycle-%d" % n for n in range(3, 13)),
         *("grid2-%d" % n for n in range(1, 8)), "M(K7)", "M(K5,5)"])
 def test_generic_rule_certified(g, torsion):
-    # the generic tree's matching partitions the faces, is acyclic, and
-    # its critical cells bound the exact homology, taken by full SNF so that
-    # it shares no code with the tree
-    tree = run_strategy(g, GENERIC_RULE)
+    # on graphs outside the paper's families, the pivot rule's matching
+    # partitions the faces, is acyclic, and its critical cells bound the
+    # exact homology, taken by full SNF so that it shares no code with the
+    # tree
+    tree = run_strategy(g, PIVOT_RULE)
     cx = independence_complex(g)
     pairing = collect_pairing(tree)
     paired, crit = pairing.paired_faces(), set(critical_cells(tree))
@@ -421,7 +428,7 @@ def test_carried_state_sweep_sees_every_step_kind():
     kinds = set()
     for _ in range(200):
         g = sparse_random_graph(rnd.randint(1, 11), rnd.uniform(0.1, 0.6), rnd)
-        tree = run_strategy(g, generic_step)
+        tree = run_strategy(g, fold_step)
         assert_carried_state(tree)
         kinds.update(type(nd.step) for nd in tree.nodes if nd.step is not None)
     assert kinds == {Free, Match, Split}
@@ -560,7 +567,7 @@ def test_verify_acyclic_rejects_non_covers(lo, hi):
 def test_collect_pairing_rejects_sites_covering_one_face(sites):
     # two free sites, made by hand, that no legal growth would produce,
     # given as the listed nodes of a grown tree
-    tree = run_strategy(Graph([plain(1), plain(2)], []), GENERIC_RULE)
+    tree = run_strategy(Graph([plain(1), plain(2)], []), PIVOT_RULE)
     tree._nodes = [SigmaNode(id=i, A=sum(1 << u for u in a), B=0,
                              residual_mask=sum(1 << u for u in residual),
                              kind="free-site", step=Free(p))
@@ -570,11 +577,10 @@ def test_collect_pairing_rejects_sites_covering_one_face(sites):
 
 
 def test_partner_walk_matches_collect_pairing():
-    # face by face, on a family tree, a generic tree and a torsion example
-    for g, rule in [(build_graph("delta", m=3, n=3), FAMILY_RULE),
-                    (build_graph("grid2", n=5), GENERIC_RULE),
-                    (line_graph(complete_multipartite(*[1] * 7)), GENERIC_RULE)]:
-        tree = run_strategy(g, rule)
+    # face by face, on a comb, a grid and a torsion example
+    for g in [build_graph("delta", m=3, n=3), build_graph("grid2", n=5),
+              line_graph(complete_multipartite(*[1] * 7))]:
+        tree = run_strategy(g, PIVOT_RULE)
         partner = morse._partner_walk(tree)
         pairing = collect_pairing(tree)
         crit = set(critical_cells(tree))
@@ -596,8 +602,8 @@ def site_lemma_trees():
         verts = [plain(i) for i in range(1, size + 1)]
         yield run_strategy(Graph(verts, [
             (verts[x], verts[y]) for x in range(size) for y in range(x + 1, size)
-            if rng.random() < 0.35]), GENERIC_RULE)
-    yield run_strategy(line_graph(complete_multipartite(*[1] * 7)), GENERIC_RULE)
+            if rng.random() < 0.35]), PIVOT_RULE)
+    yield run_strategy(line_graph(complete_multipartite(*[1] * 7)), PIVOT_RULE)
 
 
 def test_partner_walk_keeps_facets_off_a_pairing_site():

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import complete_multipartite, unbuilt
 from gridmorse import census, morse
-from gridmorse import (GENERIC_RULE, CapacityError, Free, Graph, Match,
+from gridmorse import (PIVOT_RULE, CapacityError, Free, Graph, Match,
                        MatchingTree, MatchingTreeError, Split, build_graph,
                        census_from_tree, collect_pairing, comb_tree,
                        count_independent_sets, critical_cells,
                        independence_complex, line_graph, morse_homology, plain,
-                       rule_for, run_strategy)
+                       run_strategy)
 from gridmorse.cli import main
 
 
@@ -148,7 +148,7 @@ def assert_map_readers_agree(g, rule, walk_cap=5000):
 @pytest.mark.parametrize("g", [g for _, g in LISTED],
                          ids=[name for name, _ in LISTED])
 def test_listing_and_map_readers_equal_the_expand_grown_tree(g):
-    assert_map_readers_agree(g, rule_for(g))
+    assert_map_readers_agree(g, PIVOT_RULE)
 
 
 @settings(max_examples=100, deadline=None)
@@ -156,7 +156,7 @@ def test_listing_and_map_readers_equal_the_expand_grown_tree(g):
        st.randoms(use_true_random=False))
 def test_listing_and_map_readers_on_random_graphs(size, density, rnd):
     assert_map_readers_agree(sparse_random_graph(size, density, rnd),
-                             GENERIC_RULE)
+                             PIVOT_RULE)
 
 
 def test_census_and_morse_route_list_no_node(monkeypatch):
@@ -175,15 +175,15 @@ def test_step_budget_is_the_exact_expansion_count(monkeypatch, family, kw):
     # the budget is checked against the count read off the map, before any
     # node exists: the count passes, one less refuses
     g = build_graph(family, **kw)
-    count = sum(1 for nd in run_strategy(g, rule_for(g)).nodes if nd.step)
+    count = sum(1 for nd in run_strategy(g, PIVOT_RULE).nodes if nd.step)
     monkeypatch.setattr(morse, "DEFAULT_STEP_BUDGET", count)
-    tree = run_strategy(g, rule_for(g))
+    tree = run_strategy(g, PIVOT_RULE)
     monkeypatch.setattr(morse, "DEFAULT_STEP_BUDGET", count - 1)
     monkeypatch.setattr(morse, "_list_nodes", unbuilt)
     with pytest.raises(CapacityError, match="step budget %d exceeded" % (count - 1)):
-        run_strategy(g, rule_for(g))
+        run_strategy(g, PIVOT_RULE)
     monkeypatch.undo()
-    assert rows(tree) == expand_leaf_by_leaf(g, rule_for(g))
+    assert rows(tree) == expand_leaf_by_leaf(g, PIVOT_RULE)
 
 
 def test_step_budget_stops_deciding(monkeypatch):
@@ -193,7 +193,7 @@ def test_step_budget_stops_deciding(monkeypatch):
 
     def counted(graph, res):
         calls.append(res)
-        return rule_for(g)(graph, res)
+        return PIVOT_RULE(graph, res)
 
     monkeypatch.setattr(morse, "DEFAULT_STEP_BUDGET", 5)
     with pytest.raises(CapacityError, match="step budget 5 exceeded"):
@@ -212,7 +212,7 @@ def test_morse_refuses_before_listing(monkeypatch, capsys):
 def test_listed_nodes_are_kept():
     # a tree lists its nodes once, on first read, and keeps the list
     rng = random.Random(25)
-    tree = run_strategy(sparse_random_graph(9, 0.3, rng), GENERIC_RULE)
+    tree = run_strategy(sparse_random_graph(9, 0.3, rng), PIVOT_RULE)
     assert tree._nodes is None
     assert tree.nodes is tree.nodes
     assert critical_cells(tree) == by_size(nd.A for nd in tree.critical_leaves())
