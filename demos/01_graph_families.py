@@ -22,7 +22,7 @@ for family, kwargs in [("path", dict(n=5)), ("cycle", dict(n=6)),
 print()
 print("degenerate members collapse to familiar graphs:")
 print("  star  m=1 n=4  -> a 5-vertex path:",
-      [str(v) for v in build_graph("star", m=1, n=4).vertices])
+      list(build_graph("star", m=1, n=4).vertices))
 print("  theta m=2 n=2  -> a 6-cycle, all degrees",
       sorted({build_graph("theta", m=2, n=2).degree(i) for i in range(6)}))
 print("  delta m=2 n=-1 -> a single vertex:",
@@ -50,4 +50,4 @@ print()
 print("spine vertices bridge consecutive grid rungs; in delta(4,3) the")
 print("second spine vertex touches eight tendril vertices:")
 d43 = build_graph("delta", m=4, n=3)
-print("  ", sorted(str(u) for u in neighbors(d43, spine(2))))
+print("  ", sorted(neighbors(d43, spine(2))))

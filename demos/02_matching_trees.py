@@ -18,14 +18,14 @@ tree = theta_tree(2, 2)
 print("tree nodes:", len(tree.nodes))
 for nd in tree.nodes:
     labels = lambda mask: "{%s}" % ",".join(
-        str(v) for i, v in enumerate(g.vertices) if mask >> i & 1)
+        v for i, v in enumerate(g.vertices) if mask >> i & 1)
     print("  node %2d %-15s A=%-12s B=%s"
           % (nd.id, nd.kind, labels(nd.A), labels(nd.B)))
 
 cx = independence_complex(g)
 cells = critical_cells(tree)
 print("critical cells:",
-      [[str(v) for v in cx.face_labels(cell)] for cell in cells])
+      [list(cx.face_labels(cell)) for cell in cells])
 print("census:", census_from_tree(tree).counts,
       " (two 1-cells: the complex is a wedge of two circles)")
 

@@ -10,9 +10,8 @@ from .comb import (PIVOT_RULE, CriticalCensus, StrategyScript, census_from_tree,
                    comb_tree, path_tree, star_tree, theta_tree)
 from .complexes import (CapacityError, SimplicialComplex, count_independent_sets,
                         independence_complex, join, matching_complex)
-from .graphs import (END_A, END_B, Graph, VertexLabel, build_graph,
-                     delta2_isomorphism, grid_edge, line_graph, neighbors,
-                     plain, spine, tendril)
+from .graphs import (END_A, END_B, Graph, build_graph, delta2_isomorphism,
+                     grid_edge, line_graph, neighbors, plain, spine, tendril)
 from .homology import (HomologyReport, IntegerMatrix, SNFResult,
                        boundary_matrices, full_homology, morse_homology,
                        morse_inequality_check, reduced_homology,

@@ -39,7 +39,13 @@ class CensusTable:
                     yield n, d, c
 
     def row_counts(self, n: int) -> dict:
-        return {d: c for d, c in enumerate(self.rows[n]) if c}
+        return {d: c for d, c in enumerate(self.row(n)) if c}
+
+    def row(self, n: int) -> list:
+        """Row n, for 0 <= n <= n_max; a negative n does not count from the end."""
+        if n < 0 or n > self.n_max:
+            raise ValueError("row %d not in table" % n)
+        return self.rows[n]
 
     def to_csv_rows(self):
         for n, d, c in self.nonzero():
@@ -103,9 +109,7 @@ def census_table(m: int, n_max: int) -> CensusTable:
 
 
 def euler_from_table(table: CensusTable, n: int) -> int:
-    if n < 0 or n > table.n_max:
-        raise ValueError("row %d not in table" % n)
-    row = table.rows[n]
+    row = table.row(n)
     return sum(row[0::2]) - sum(row[1::2])
 
 
@@ -113,6 +117,8 @@ def euler_recursion(m: int, n: int, history) -> int:
     """Euler characteristic by the parity-split recursion
     chi[n] = (1 + (-1)^m) chi[n-3] + (-1)^(m+1) chi[n-4] for n >= 4;
     rows n <= 3 come from the seed table."""
+    if m < 2:
+        raise ValueError("requires m >= 2")
     if n <= 3:
         return euler_from_table(census_seed(m), n)
     try:

@@ -54,7 +54,8 @@ def _bits(mask: int) -> tuple:
 
 
 class SimplicialComplex:
-    """Faces graded by size, as vertex bitmasks over `labels`.
+    """Faces graded by size, as vertex bitmasks over `labels`, which are
+    strs, as a Graph's are.
 
     Only independence_complex (and so matching_complex) sets `graph`, the
     graph the faces are the independent sets of.  It passes graded=None
@@ -120,12 +121,11 @@ class SimplicialComplex:
         """The graph, f-vector and reduced Euler characteristic, and with
         include_faces every face as its vertex labels.  The faces are
         listed first, so the f-vector reads them rather than counting the
-        layers again; each label is turned into a str once."""
+        layers again."""
         out = {"graph": self.graph.to_json() if self.graph is not None else None}
         if include_faces:
-            names = [str(label) for label in self.labels]
-            out["faces"] = [[names[i] for i in _bits(f)]
-                            for f in self.all_faces()]
+            labels = self.labels
+            out["faces"] = [[labels[i] for i in _bits(f)] for f in self.all_faces()]
         f_vector = self.f_vector()
         out["f_vector"] = list(f_vector)
         out["reduced_euler"] = _reduced_euler(f_vector)
@@ -346,8 +346,7 @@ def join(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialComplex:
     """
     overlap = set(c1.labels) & set(c2.labels)
     if overlap:
-        raise ValueError("overlapping vertex labels: %s"
-                         % ", ".join(sorted(str(v) for v in overlap)))
+        raise ValueError("overlapping vertex labels: %s" % ", ".join(sorted(overlap)))
     labels = c1.labels + c2.labels
     shift = len(c1.labels)
     top = (len(c1.graded) - 1) + (len(c2.graded) - 1)

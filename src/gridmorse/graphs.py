@@ -11,67 +11,35 @@ Families built here:
           vertices s1..sn, where sk is adjacent to the k-th and (k+1)-st
           interior vertex of every path.
 
-Vertices carry structured labels so that downstream algorithms can make
-role-based decisions (hub vs spine vs tendril position).
+Every vertex label is a str, spelled by the functions below: the hubs
+END_A = "a" and END_B = "b", spines "s<k>", tendrils "t<j>.<k>", plain
+vertices "v<i>", grid edges "ge<kind>.<col>" and the other line-graph
+vertices "e<i>.<j>".  Algorithms read vertices by index in the graph's
+vertex order; labels are only looked up and printed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-
-@dataclass(frozen=True)
-class VertexLabel:
-    """Structured vertex label.
-
-    kind is one of:
-      "a"   left hub            -> "a"
-      "b"   right hub           -> "b"
-      "s"   spine, args=(k,)    -> "s<k>"
-      "t"   tendril, args=(j,k) -> "t<j>.<k>"
-      "v"   plain, args=(i,)    -> "v<i>"
-      "ge"  grid edge, args=(kind, col) -> "ge<kind>.<col>"
-      "e"   generic line-graph vertex, args=(i, j) -> "e<i>.<j>"
-    """
-
-    kind: str
-    args: tuple = ()
-
-    def __str__(self):
-        if self.kind in ("a", "b"):
-            return self.kind
-        if self.kind == "s":
-            return "s%d" % self.args
-        if self.kind == "t":
-            return "t%d.%d" % self.args
-        if self.kind == "v":
-            return "v%d" % self.args
-        if self.kind == "ge":
-            return "ge%s.%d" % self.args
-        if self.kind == "e":
-            return "e%d.%d" % self.args
-        raise ValueError("unknown label kind %r" % self.kind)
+END_A = "a"
+END_B = "b"
 
 
-END_A = VertexLabel("a")
-END_B = VertexLabel("b")
+def spine(k: int) -> str:
+    return "s%d" % k
 
 
-def spine(k: int) -> VertexLabel:
-    return VertexLabel("s", (k,))
+def tendril(j: int, k: int) -> str:
+    return "t%d.%d" % (j, k)
 
 
-def tendril(j: int, k: int) -> VertexLabel:
-    return VertexLabel("t", (j, k))
+def plain(i: int) -> str:
+    return "v%d" % i
 
 
-def plain(i: int) -> VertexLabel:
-    return VertexLabel("v", (i,))
-
-
-def grid_edge(kind: str, col: int) -> VertexLabel:
-    return VertexLabel("ge", (kind, col))
+def grid_edge(kind: str, col: int) -> str:
+    return "ge%s.%d" % (kind, col)
 
 
 class Graph:
@@ -83,20 +51,26 @@ class Graph:
     just as valid: the pivot rule grows a legal, acyclic matching tree on
     it, but picks vertices by index, so a shuffled comb can leave more
     critical cells than the paper's census, up to 36 for 14 on (2,9).
+    Vertex labels are distinct strs, and every edge endpoint is one of them.
     """
 
     __slots__ = ("vertices", "index", "adjsets", "nbr", "family", "params")
 
-    def __init__(self, vertices: Iterable[VertexLabel], edges, family=None, params=None):
+    def __init__(self, vertices: Iterable[str], edges, family=None, params=None):
         vertices = tuple(vertices)
         index = {}
         for i, v in enumerate(vertices):
+            if not isinstance(v, str):
+                raise ValueError("vertex label %r is not a str" % (v,))
             if v in index:
                 raise ValueError("duplicate vertex label %s" % v)
             index[v] = i
         nbrs = [set() for _ in vertices]
         for u, v in edges:
-            iu, iv = index[u], index[v]
+            try:
+                iu, iv = index[u], index[v]
+            except KeyError as e:
+                raise ValueError("edge endpoint %s is not a vertex" % e.args[0]) from None
             if iu == iv:
                 raise ValueError("loop at vertex %s" % u)
             nbrs[iu].add(iv)
@@ -124,7 +98,7 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self.adjsets[i])
 
-    def idx(self, v: VertexLabel) -> int:
+    def idx(self, v: str) -> int:
         try:
             return self.index[v]
         except KeyError:
@@ -134,13 +108,12 @@ class Graph:
         return {
             "family": self.family,
             "params": self.params,
-            "vertices": [str(v) for v in self.vertices],
-            "edges": [[str(self.vertices[i]), str(self.vertices[j])]
-                      for i, j in self.edges()],
+            "vertices": list(self.vertices),
+            "edges": [[self.vertices[i], self.vertices[j]] for i, j in self.edges()],
         }
 
 
-def neighbors(g: Graph, v: VertexLabel) -> set:
+def neighbors(g: Graph, v: str) -> set:
     """Open neighborhood of v, as a set of labels."""
     return {g.vertices[u] for u in g.adjsets[g.idx(v)]}
 
@@ -148,11 +121,13 @@ def neighbors(g: Graph, v: VertexLabel) -> set:
 def build_graph(family: str, *, n: int, m: int | None = None) -> Graph:
     """Construct one of the supported graph families.
 
-    path: n >= 1.  cycle: n >= 3.  grid2: n >= 1 columns.
-    star: m >= 1, n >= 1.  theta: m >= 2, n >= 1.  delta: m >= 2, n >= -1,
-    where delta with n = 0 is the theta graph on paths of 2 edges and
-    delta with n = -1 is a single isolated vertex.
+    path: n >= 1.  cycle: n >= 3.  grid2: n >= 1 columns.  These three
+    take no m.  star: m >= 1, n >= 1.  theta: m >= 2, n >= 1.  delta:
+    m >= 2, n >= -1, where delta with n = 0 is the theta graph on paths of
+    2 edges and delta with n = -1 is a single isolated vertex.
     """
+    if family in ("path", "cycle", "grid2") and m is not None:
+        raise ValueError("%s takes no m" % family)
     if family == "path":
         if n < 1:
             raise ValueError("path requires n >= 1")
@@ -221,7 +196,7 @@ def build_graph(family: str, *, n: int, m: int | None = None) -> Graph:
     raise ValueError("unknown family %r" % family)
 
 
-def _line_vertex_label(g: Graph, i: int, j: int) -> VertexLabel:
+def _line_vertex_label(g: Graph, i: int, j: int) -> str:
     """Label for the line-graph vertex corresponding to edge (i, j) of g."""
     if g.family == "grid2":
         # column-major plain indices; see build_graph
@@ -235,7 +210,7 @@ def _line_vertex_label(g: Graph, i: int, j: int) -> VertexLabel:
         if g.family == "cycle" and i == 0 and j == len(g) - 1:
             return plain(len(g))
         return plain(i + 1)
-    return VertexLabel("e", (i, j))
+    return "e%d.%d" % (i, j)
 
 
 def line_graph(g: Graph) -> Graph:

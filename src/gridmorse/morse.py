@@ -133,7 +133,7 @@ class MatchingTree:
 
     def to_json(self) -> dict:
         g = self.graph
-        labels = [str(v) for v in g.vertices]
+        labels = g.vertices
 
         def names(mask):
             return [labels[i] for i in _bits(mask)]
@@ -181,7 +181,7 @@ def _check_step(g: Graph, res: int, step):
         if loose:
             raise MatchingTreeError(
                 "free vertex %s has neighbors outside A and B: %s"
-                % (g.vertices[p], [str(g.vertices[u]) for u in _bits(loose)]))
+                % (g.vertices[p], [g.vertices[u] for u in _bits(loose)]))
     elif isinstance(step, Match):
         p, v = step.p, step.v
         _check_range(g, p, v)
@@ -195,7 +195,7 @@ def _check_step(g: Graph, res: int, step):
         if loose != bit:
             raise MatchingTreeError(
                 "pivot %s must have exactly one neighbor outside A and B (got %s)"
-                % (g.vertices[p], [str(g.vertices[u]) for u in _bits(loose)]))
+                % (g.vertices[p], [g.vertices[u] for u in _bits(loose)]))
     elif isinstance(step, Split):
         _check_range(g, step.v)
         if not res >> step.v & 1:

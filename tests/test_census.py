@@ -1,12 +1,12 @@
 import pytest
 
 from gridmorse import census
-from gridmorse import (DimensionBounds, VertexLabel, build_graph,
-                       census_extend, census_seed, census_table,
-                       delta2_isomorphism, dimension_bounds,
-                       euler_closed_form, euler_from_table, euler_recursion,
-                       independence_complex, low_homology_prediction,
-                       observation_scan, riordan_T, riordan_identity_check)
+from gridmorse import (DimensionBounds, Graph, build_graph, census_extend,
+                       census_seed, census_table, delta2_isomorphism,
+                       dimension_bounds, euler_closed_form, euler_from_table,
+                       euler_recursion, independence_complex,
+                       low_homology_prediction, observation_scan, plain,
+                       riordan_T, riordan_identity_check)
 
 
 def nonzero_map(table):
@@ -240,8 +240,19 @@ def test_negative_n_max_is_refused(call):
     (lambda: low_homology_prediction(4, -1), "requires n >= 0"),
     (lambda: build_graph("grid2", n=0), "grid2 requires n >= 1"),
     (lambda: delta2_isomorphism(0), "requires n >= 1"),
-    (lambda: str(VertexLabel("x")), "unknown label kind 'x'"),
-], ids=["euler-m", "euler-n", "low-homology-n", "grid2-n", "delta2-n", "label"])
+    (lambda: census_table(2, 5).row_counts(-1), "row -1 not in table"),
+    (lambda: census_table(2, 5).row_counts(6), "row 6 not in table"),
+    (lambda: euler_recursion(1, 5, {1: 3, 2: 7}), "requires m >= 2"),
+    (lambda: euler_recursion(1, 2, {}), "requires m >= 2"),
+    (lambda: build_graph("path", n=3, m=5), "path takes no m"),
+    (lambda: build_graph("cycle", n=3, m=5), "cycle takes no m"),
+    (lambda: build_graph("grid2", n=3, m=5), "grid2 takes no m"),
+    (lambda: Graph(["a"], [("a", "b")]), "edge endpoint b is not a vertex"),
+    (lambda: Graph([plain(1), 1], []), "vertex label 1 is not a str"),
+], ids=["euler-m", "euler-n", "low-homology-n", "grid2-n", "delta2-n",
+        "row-counts-negative", "row-counts-past-end", "euler-recursion-m",
+        "euler-recursion-seed-m", "path-m", "cycle-m", "grid2-m",
+        "edge-endpoint", "label-not-str"])
 def test_out_of_range_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()

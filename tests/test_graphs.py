@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from gridmorse import (END_A, END_B, Graph, build_graph, delta2_isomorphism,
@@ -164,3 +167,27 @@ def test_graph_json():
     assert data["params"] == {"m": 2, "n": 1}
     assert data["vertices"] == ["a", "b", "t1.1", "t2.1"]
     assert ["a", "t1.1"] in data["edges"]
+
+
+# sha256 of the labels every builder writes: the JSON of each graph of
+# LABEL_SIZES and of its line graph, in the order of the list, then the
+# sorted (comb label, grid-edge label) pairs of delta2_isomorphism(n) for
+# n = 1..6
+LABEL_SIZES = ([("path", None, n) for n in (1, 2, 5)]
+               + [("cycle", None, n) for n in (3, 4, 7)]
+               + [("grid2", None, n) for n in (1, 2, 4)]
+               + [("star", m, n) for m, n in ((1, 1), (2, 3), (4, 2))]
+               + [("theta", m, n) for m, n in ((2, 1), (3, 2), (4, 3))]
+               + [("delta", m, n) for m, n in ((2, -1), (2, 0), (2, 3), (3, 4))])
+LABEL_DIGEST = "80999a617aa3b3b5d65c6f77ed5047c2d10c786cee18058630e223daac4f2e41"
+
+
+def test_labels_pinned():
+    h = hashlib.sha256()
+    for fam, m, n in LABEL_SIZES:
+        g = build_graph(fam, m=m, n=n)
+        for x in (g, line_graph(g)):
+            h.update(json.dumps(x.to_json(), sort_keys=True).encode())
+    for n in range(1, 7):
+        h.update(json.dumps(sorted(delta2_isomorphism(n).items())).encode())
+    assert h.hexdigest() == LABEL_DIGEST

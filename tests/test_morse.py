@@ -64,9 +64,10 @@ def test_residual_of_backbone_terminus_is_theta():
     assert excl.B == s1 and excl.step == Split(g.idx(spine(2)))
     terminus = tree.nodes[excl.children[0]]
     assert terminus.B == s1 | s2
-    kinds = sorted(g.vertices[i].kind for i in complexes._bits(terminus.residual_mask))
+    labels = [g.vertices[i] for i in complexes._bits(terminus.residual_mask)]
     # hub a, hub b and all nine tendril vertices survive: a theta subgraph
-    assert kinds == ["a", "b"] + ["t"] * 9
+    assert labels == ["a", "b", "t1.1", "t1.2", "t1.3", "t2.1", "t2.2", "t2.3",
+                      "t3.1", "t3.2", "t3.3"]
 
 
 def test_match_records_expected_pairs():
