@@ -17,6 +17,8 @@ from functools import lru_cache
 from itertools import compress
 from operator import add
 
+from .graphs import _check_sizes
+
 
 @dataclass
 class CensusTable:
@@ -66,6 +68,7 @@ class DimensionBounds:
 
 def census_seed(m: int) -> CensusTable:
     """Rows n = 0..3 of the census table."""
+    _check_sizes(m=m)
     if m < 2:
         raise ValueError("requires m >= 2")
     # at m = 2 the two cells of row 1, and of row 3, coincide and add up
@@ -84,6 +87,7 @@ def census_extend(table: CensusTable, n_max: int) -> CensusTable:
     """Rows 0..n_max: the given rows, then the three-term recursion read as
     shifted row sums, row_n = x^2 row_{n-3} + x^m row_{n-3} + x^(m+1) row_{n-4},
     where row_k is the polynomial sum_d C[k][d] x^d."""
+    _check_sizes(n_max=n_max)
     if n_max < 0:
         raise ValueError("requires n_max >= 0")
     m = table.m
@@ -117,6 +121,7 @@ def euler_recursion(m: int, n: int, history) -> int:
     """Euler characteristic by the parity-split recursion
     chi[n] = (1 + (-1)^m) chi[n-3] + (-1)^(m+1) chi[n-4] for n >= 4;
     rows n <= 3 come from the seed table."""
+    _check_sizes(m=m, n=n)
     if m < 2:
         raise ValueError("requires m >= 2")
     if n <= 3:
@@ -142,6 +147,7 @@ def euler_closed_form(m: int, n: int) -> int:
     cells sit in dimensions 2 and m and cancel; it is also confirmed by
     direct enumeration of the complexes.)
     """
+    _check_sizes(m=m, n=n)
     if m < 2:
         raise ValueError("requires m >= 2")
     if n < 0:
@@ -200,6 +206,7 @@ def riordan_identity_check(n_max: int) -> bool:
 def dimension_bounds(m: int, n: int) -> DimensionBounds:
     """Support window for row n: entries outside [d_min, d_max] vanish
     (base 0-cell aside).  The two d_min branches coincide when m = 2."""
+    _check_sizes(m=m, n=n)
     if m < 2 or n < 0:
         raise ValueError("requires m >= 2 and n >= 0")
     if n % 3 in (0, 1):
@@ -219,6 +226,7 @@ def low_homology_prediction(m: int, n: int):
     n = 3k+2.  The supporting census facts (a single cell at that dimension
     and none right above it, or none at all) are re-derived from
     census_table(m, n) and checked before returning (dimension, rank)."""
+    _check_sizes(m=m, n=n)
     if m < 4:
         raise ValueError("requires m >= 4")
     if n < 0:

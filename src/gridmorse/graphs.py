@@ -118,6 +118,15 @@ def neighbors(g: Graph, v: str) -> set:
     return {g.vertices[u] for u in g.adjsets[g.idx(v)]}
 
 
+def _check_sizes(**sizes):
+    """Refuse a size that is not an int, as morse._check_range refuses a
+    step vertex: a float would pass the range checks and a bool is not a
+    count."""
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise ValueError("%s = %r is not an int" % (name, value))
+
+
 def build_graph(family: str, *, n: int, m: int | None = None) -> Graph:
     """Construct one of the supported graph families.
 
@@ -128,6 +137,9 @@ def build_graph(family: str, *, n: int, m: int | None = None) -> Graph:
     """
     if family in ("path", "cycle", "grid2") and m is not None:
         raise ValueError("%s takes no m" % family)
+    if m is not None:
+        _check_sizes(m=m)
+    _check_sizes(n=n)
     if family == "path":
         if n < 1:
             raise ValueError("path requires n >= 1")
@@ -196,27 +208,48 @@ def build_graph(family: str, *, n: int, m: int | None = None) -> Graph:
     raise ValueError("unknown family %r" % family)
 
 
-def _line_vertex_label(g: Graph, i: int, j: int) -> str:
-    """Label for the line-graph vertex corresponding to edge (i, j) of g."""
-    if g.family == "grid2":
+def _built_family(g: Graph) -> str | None:
+    """g.family when it is path, cycle or grid2 and g has exactly the
+    vertices, in order, and the edges that build_graph gives for it; else
+    None.  Only such a graph has its line-graph vertices named by the
+    family's label scheme, which reads the vertex order build_graph uses."""
+    if g.family not in ("path", "cycle", "grid2") or set(g.params) != {"n"}:
+        return None
+    try:
+        built = build_graph(g.family, n=g.params["n"])
+    except ValueError:
+        return None
+    if built.vertices != g.vertices or built.adjsets != g.adjsets:
+        return None
+    return g.family
+
+
+def _line_vertex_label(family: str | None, size: int, i: int, j: int) -> str:
+    """Label for the line-graph vertex corresponding to edge (i, j) of a
+    graph with `size` vertices, built as `family` (see _built_family)."""
+    if family == "grid2":
         # column-major plain indices; see build_graph
         ci, ri = divmod(i, 2)  # 0-based: vertex i is column ci+1, row ri+1
         cj, rj = divmod(j, 2)
         if ci == cj:
             return grid_edge("v", ci + 1)
         return grid_edge("h%d" % (ri + 1), ci + 1)
-    if g.family in ("path", "cycle"):
+    if family in ("path", "cycle"):
         # edge {v_i, v_{i+1}} -> v_i; the wrap edge of a cycle -> v_n
-        if g.family == "cycle" and i == 0 and j == len(g) - 1:
-            return plain(len(g))
+        if family == "cycle" and i == 0 and j == size - 1:
+            return plain(size)
         return plain(i + 1)
     return "e%d.%d" % (i, j)
 
 
 def line_graph(g: Graph) -> Graph:
-    """Line graph: one vertex per edge, adjacent iff the edges share an endpoint."""
+    """Line graph: one vertex per edge, adjacent iff the edges share an
+    endpoint.  A path, cycle or grid2 graph as build_graph makes it names
+    its line-graph vertices by its family's scheme; any other graph names
+    the vertex of edge (i, j) e<i>.<j>."""
     edge_list = list(g.edges())
-    labels = [_line_vertex_label(g, i, j) for i, j in edge_list]
+    scheme = _built_family(g)
+    labels = [_line_vertex_label(scheme, len(g), i, j) for i, j in edge_list]
     lg_edges = []
     for x in range(len(edge_list)):
         ix, jx = edge_list[x]

@@ -50,9 +50,16 @@ the vertices the walk went in by: the only facets of an upper face that
 can leave its site drop a vertex of A, so the Morse flow follows those
 alone.
 verify_acyclic makes one pass per size layer: a pair is a cover when
-hi ^ lo is one bit inside hi, its successors are the facets hi ^ 1 << u
-(u in lo) that are lower faces of the layer, and a depth-first search over
-the pairs with successors looks for a gradient cycle.
+hi ^ lo is one bit inside hi, and the layer's lower faces are grouped by
+that up-bit.  A gradient cycle adds each of its vertices as often as it
+drops it, so _cycle_vertices shrinks the layer's up-bits to a fixpoint
+`live` that holds the vertices of every cycle: each live vertex keeps a
+witness, a pair with a live up-bit whose facet dropping the vertex is a
+lower face with a live up-bit.  Only pairs with a live up-bit get
+successors, the facets hi ^ 1 << u (u live in lo) that are lower faces
+with a live up-bit, and a depth-first search over the pairs with
+successors looks for a gradient cycle.  On the comb pairings live ends
+empty in every layer, and no successor list is built.
 
 A node's A, B and residual (SigmaNode.residual_mask) are vertex bitmasks;
 children take A | bit, B | bit and B | Graph.nbr[v], and the preconditions
@@ -476,14 +483,25 @@ def verify_acyclic(complex: SimplicialComplex, pairing: FacePairing):
 
     Faces are vertex bitmasks.  One pass over the complex's size layers
     finds every face of the pairing and groups the pairs by layer.  One
-    pass over each layer then checks every pair and builds the successor
-    lists: hi ^ lo must be one bit inside hi, or
-    the pair is not a cover relation, and the successors of lo are the
-    facets hi ^ 1 << u, for the vertices u of lo in increasing order, that
-    are lower faces of the layer.  Every pair is checked before any cycle
-    search.  A depth-first search then runs over the pairs that have
-    successors, started in increasing mask order; the first gray node it
-    meets closes the witness, so the witness depends only on those orders.
+    pass over each layer then checks every pair and groups the layer's
+    lower faces by up-bit hi ^ lo, which must be one bit inside hi, or the
+    pair is not a cover relation.  Every pair is checked before any cycle
+    search.
+
+    A gradient cycle is balanced: a step from (lo, hi) to lo' = hi ^ x
+    adds the up-bit b = hi ^ lo and drops a vertex x of lo, and the cycle
+    returns to its first lower face, so each vertex enters as often as it
+    leaves, and the cycle's up-bits and its dropped vertices are one set
+    V(C).  _cycle_vertices shrinks the layer's up-bits to a set `live`
+    that holds V(C) for every cycle C, and only the pairs with a live
+    up-bit, the facets that drop a live vertex and the lower faces with a
+    live up-bit make the successor lists: every cycle's edges are among
+    them, so every cycle survives, and the subgraph's cycles are gradient
+    cycles.  The successors of lo are those facets hi ^ 1 << u, for the
+    live vertices u of lo in increasing order.  A depth-first search then
+    runs over the pairs that have successors, started in increasing mask
+    order; the first gray node it meets closes the witness, so the witness
+    depends only on those orders.
 
     Returns (True, None) or (False, witness) where the witness lists the
     matched (lower, upper) pairs around one cycle.  Raises ValueError if the
@@ -500,27 +518,96 @@ def verify_acyclic(complex: SimplicialComplex, pairing: FacePairing):
 
     layers = []
     for layer in by_size:
-        succ = {}
+        groups = {}  # up-bit -> the layer's lower faces with it
         for lo, hi in layer.items():
             bit = hi ^ lo
             if bit & (bit - 1) or not bit & hi:
                 raise ValueError("pair (%s, %s) is not a cover relation"
                                  % (_bits(lo), _bits(hi)))
-            facets, rest = [], lo
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if hi ^ low in layer:
-                    facets.append(hi ^ low)
-            if facets:
-                succ[lo] = facets
-        layers.append((layer, succ))
+            los = groups.get(bit)
+            if los is None:
+                groups[bit] = [lo]
+            else:
+                los.append(lo)
+        layers.append((layer, groups))
 
-    for layer, succ in layers:
+    for layer, groups in layers:
+        live = _cycle_vertices(layer, groups)
+        succ = {}
+        for bit, los in groups.items():
+            if not bit & live:
+                continue
+            for lo in los:
+                hi = lo | bit
+                facets, rest = [], lo & live
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    facet = hi ^ low
+                    above = layer.get(facet)
+                    if above is not None and (above ^ facet) & live:
+                        facets.append(facet)
+                if facets:
+                    succ[lo] = facets
         cycle = _find_cycle(succ)
         if cycle is not None:
             return False, [(lo, layer[lo]) for lo in cycle]
     return True, None
+
+
+def _cycle_vertices(layer: dict, groups: dict) -> int:
+    """A vertex mask `live` that holds V(C), the up-bits and dropped
+    vertices, of every gradient cycle C of one size layer: layer maps each
+    lower face to its upper face, groups maps each up-bit to its lower
+    faces.
+
+    live starts as every up-bit and shrinks to a fixpoint in which every
+    live vertex x has a witness: a lower face lo, with a live up-bit b and
+    x in lo, whose facet (lo | b) ^ x is a lower face with a live up-bit
+    b'.  A cycle's dropped vertex x_i has the witness (lo_i, lo_{i+1}), and
+    the up-bits b_i and b_{i+1} lie in V(C), so if V(C) is in live, no
+    vertex of V(C) loses its witness, and by induction V(C) stays in live.
+    A witness is kept as b | b' and holds while both stay live.  Each scan
+    looks for witnesses of the live vertices that lack one, over the lower
+    faces with a live up-bit, stops once all have one, and otherwise drops
+    those it found none for; the next scan then looks again for the
+    vertices whose witness lost an up-bit.
+    """
+    live = 0
+    for bit in groups:
+        live |= bit
+    witness = {}  # vertex bit -> b | b' of its witness
+    while live:
+        todo, rest = 0, live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            held = witness.get(low)
+            if held is None or held & ~live:
+                todo |= low
+        if not todo:
+            break
+        for bit, los in groups.items():
+            if not bit & live:
+                continue
+            for lo in los:
+                rest = lo & todo
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    facet = (lo | bit) ^ low
+                    above = layer.get(facet)
+                    if above is not None and (above ^ facet) & live:
+                        witness[low] = bit | (above ^ facet)
+                        todo ^= low
+                if not todo:
+                    break
+            if not todo:
+                break
+        if not todo:
+            break
+        live &= ~todo
+    return live
 
 
 def _find_cycle(succ):

@@ -249,10 +249,28 @@ def test_negative_n_max_is_refused(call):
     (lambda: build_graph("grid2", n=3, m=5), "grid2 takes no m"),
     (lambda: Graph(["a"], [("a", "b")]), "edge endpoint b is not a vertex"),
     (lambda: Graph([plain(1), 1], []), "vertex label 1 is not a str"),
+    (lambda: build_graph("delta", m=2, n=2.5), "n = 2.5 is not an int"),
+    (lambda: build_graph("star", m=True, n=2), "m = True is not an int"),
+    (lambda: build_graph("path", n="3"), "n = '3' is not an int"),
+    (lambda: census_seed(2.0), "m = 2.0 is not an int"),
+    (lambda: census_extend(census_seed(2), 5.0), "n_max = 5.0 is not an int"),
+    (lambda: census_table(2, True), "n_max = True is not an int"),
+    (lambda: euler_closed_form(2.0, 3), "m = 2.0 is not an int"),
+    (lambda: euler_closed_form(3, False), "n = False is not an int"),
+    (lambda: euler_recursion(2, 4.0, {0: 1, 1: 0}), "n = 4.0 is not an int"),
+    (lambda: euler_recursion(True, 2, {}), "m = True is not an int"),
+    (lambda: dimension_bounds(2, 3.0), "n = 3.0 is not an int"),
+    (lambda: dimension_bounds(None, 3), "m = None is not an int"),
+    (lambda: low_homology_prediction(4.0, 3), "m = 4.0 is not an int"),
+    (lambda: low_homology_prediction(4, True), "n = True is not an int"),
 ], ids=["euler-m", "euler-n", "low-homology-n", "grid2-n", "delta2-n",
         "row-counts-negative", "row-counts-past-end", "euler-recursion-m",
         "euler-recursion-seed-m", "path-m", "cycle-m", "grid2-m",
-        "edge-endpoint", "label-not-str"])
+        "edge-endpoint", "label-not-str", "graph-float-n", "graph-bool-m",
+        "graph-str-n", "seed-float-m", "extend-float-n", "table-bool-n",
+        "euler-float-m", "euler-bool-n", "euler-recursion-float-n",
+        "euler-recursion-bool-m", "bounds-float-n", "bounds-none-m",
+        "low-homology-float-m", "low-homology-bool-n"])
 def test_out_of_range_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()

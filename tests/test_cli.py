@@ -578,7 +578,7 @@ def readme_commands():
 
 def test_readme_commands_run(capsys):
     commands = readme_commands()
-    assert len(commands) == 16
+    assert len(commands) == 17
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()

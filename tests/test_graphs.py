@@ -124,6 +124,19 @@ def test_line_graph_paths_and_cycles():
     assert len(tri) == 3 and tri.edge_count() == 3
 
 
+@pytest.mark.parametrize("edges,params,labels", [
+    ([(plain(1), plain(3)), (plain(2), plain(3))], {"n": 3}, ["e0.2", "e1.2"]),
+    ([(plain(1), plain(2)), (plain(1), plain(3))], None, ["e0.1", "e0.2"]),
+    ([(plain(1), plain(2)), (plain(2), plain(3))], None, ["e0.1", "e1.2"]),
+    ([(plain(1), plain(2)), (plain(2), plain(3))], {"n": 3}, [plain(1), plain(2)]),
+], ids=["v1-v3-named-v1", "duplicate-v1", "no-params", "built-by-hand"])
+def test_line_graph_uses_the_path_scheme_only_on_a_built_path(edges, params, labels):
+    # a graph that says it is a path names its line-graph vertices by the
+    # path scheme only when it is the path build_graph makes for its params
+    g = Graph([plain(1), plain(2), plain(3)], edges, "path", params)
+    assert line_graph(g).vertices == tuple(labels)
+
+
 def test_line_graph_of_wide_grid():
     # edge count of L(G) is the sum over vertices of C(deg, 2)
     g = build_graph("grid2", n=5)

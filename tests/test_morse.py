@@ -264,6 +264,53 @@ def test_verify_acyclic_crafted_cycle():
         assert pairing.up[lo] == hi
 
 
+def test_verify_acyclic_crafted_cycle_among_pruned_layers():
+    # the square boundary coned off by an isolated v5; the square's cycle
+    # in the vertex layer, plus pairs in the two other layers whose up-bits
+    # no facet of the layer drops: v5 above the empty face, v2 above {1,5}
+    g = Graph([plain(i) for i in (1, 2, 3, 4, 5)],
+              [(plain(1), plain(3)), (plain(2), plain(4))])
+    cx = independence_complex(g)
+    assert cx.f_vector() == (1, 5, 8, 4)
+    pairing = FacePairing()
+    pairing.add(0, 0b10000)
+    pairing.add(0b0001, 0b0011)
+    pairing.add(0b0010, 0b0110)
+    pairing.add(0b0100, 0b1100)
+    pairing.add(0b1000, 0b1001)
+    pairing.add(0b10001, 0b10011)
+    assert cycle_vertices_by_layer(cx, pairing) == [0, 0b1111, 0, 0]
+    ok, witness = verify_acyclic(cx, pairing)
+    assert not ok
+    assert len(witness) == 4
+    assert {lo for lo, _ in witness} == {0b0001, 0b0010, 0b0100, 0b1000}
+    for lo, hi in witness:
+        assert pairing.up[lo] == hi
+
+
+@pytest.mark.parametrize("m,n", [(2, 6), (3, 4), (4, 3)])
+def test_comb_pairings_leave_no_cycle_vertex(monkeypatch, m, n):
+    # the balance fixpoint empties every layer of a comb pairing, so no
+    # successor list is built and the cycle search gets an empty digraph
+    lives, digraphs = [], []
+    cycle_vertices, find_cycle = morse._cycle_vertices, morse._find_cycle
+
+    def recorded_cycle_vertices(layer, groups):
+        lives.append(cycle_vertices(layer, groups))
+        return lives[-1]
+
+    def recorded_find_cycle(succ):
+        digraphs.append(succ)
+        return find_cycle(succ)
+    monkeypatch.setattr(morse, "_cycle_vertices", recorded_cycle_vertices)
+    monkeypatch.setattr(morse, "_find_cycle", recorded_find_cycle)
+    cx = ind_complex("delta", m=m, n=n)
+    assert verify_acyclic(cx, collect_pairing(comb_tree(m, n))) == (True, None)
+    assert len(lives) == len(digraphs) == len(cx.graded)
+    assert lives == [0] * len(cx.graded)
+    assert digraphs == [{}] * len(cx.graded)
+
+
 def test_double_pairing_detected():
     pairing = FacePairing()
     pairing.add(0b001, 0b011)
@@ -498,12 +545,29 @@ def random_pairing(cx, rnd, acyclic):
     return pairing
 
 
+def cycle_vertices_by_layer(cx, pairing):
+    """morse._cycle_vertices of each size layer of the pairing, on the
+    layer's pairs and their lower faces grouped by up-bit."""
+    lives = []
+    for faces in cx.graded:
+        layer = {lo: pairing.up[lo] for lo in faces if lo in pairing.up}
+        groups = {}
+        for lo, hi in layer.items():
+            groups.setdefault(hi ^ lo, []).append(lo)
+        lives.append(morse._cycle_vertices(layer, groups))
+    return lives
+
+
 def assert_matches_oracle(cx, pairing):
     ok, witness = verify_acyclic(cx, pairing)
     assert ok == kahn_acyclic(cx, pairing)
     if ok:
         assert witness is None
         return ok
+    # every up-bit of the cycle lies in its layer's cycle vertices
+    live = cycle_vertices_by_layer(cx, pairing)[witness[0][0].bit_count()]
+    for lo, hi in witness:
+        assert (hi ^ lo) & ~live == 0
     # a closed gradient path: each next lower face is a facet of the previous
     # upper face other than its own lower face, and the last wraps around
     for k, (lo, hi) in enumerate(witness):
