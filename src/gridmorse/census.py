@@ -44,7 +44,9 @@ class CensusTable:
         return {d: c for d, c in enumerate(self.row(n)) if c}
 
     def row(self, n: int) -> list:
-        """Row n, for 0 <= n <= n_max; a negative n does not count from the end."""
+        """Row n, for 0 <= n <= n_max; a negative n does not count from the
+        end, and an n that is not an int raises ValueError."""
+        _check_sizes(n=n)
         if n < 0 or n > self.n_max:
             raise ValueError("row %d not in table" % n)
         return self.rows[n]

@@ -5,9 +5,9 @@ Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
 1 verification failure, 2 usage error or unwritable --out, 3 capacity
 exceeded; a reader that closes stdout early does not change the code.
 Identical invocations produce byte-identical output, written to stdout or
---out by one writer, _emit, which streams the document in pieces and
-never holds its whole text.  Every JSON document comes from
-one encoder, _json_pieces, which yields the bytes of
+--out by one writer, _emit, which hands the document piece by piece to the
+buffered file object and never holds its whole text.  Every JSON document
+comes from one encoder, _json_pieces, which yields the bytes of
 json.dumps(obj, indent=2, sort_keys=True) a whole top-level member, or a
 whole element of a top-level member's list, at a time.
 """
@@ -107,28 +107,22 @@ def _json_pieces(obj):
 
 def _emit(pieces, out_path):
     """Write a document, given as an iterable of str pieces, to out_path or
-    stdout, in batches of about 64K characters, so the whole text is never
-    held.  A newline is appended when the document does not end with one.
-    The destination is opened only here, after the document's object is
-    built, so a run refused before that leaves no file.  A reader that
-    closes stdout early ends the writing, not the run: file descriptor 1
-    then points at os.devnull, so the interpreter's final flush stays
-    quiet, and the command exits with the status it computed."""
+    stdout, one nonempty piece at a time, so the whole text is never held;
+    the file object buffers the writes.  A newline is appended when the
+    document does not end with one.  The destination is opened only here,
+    after the document's object is built, so a run refused before that
+    leaves no file.  A reader that closes stdout early ends the writing,
+    not the run: file descriptor 1 then points at os.devnull, so the
+    interpreter's final flush stays quiet, and the command exits with the
+    status it computed."""
     last = ""
     try:
         with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
-            batch, size = [], 0
             for piece in pieces:
-                batch.append(piece)
-                size += len(piece)
-                if size >= 65536:
-                    text = "".join(batch)
-                    fh.write(text)
-                    last = text[-1]
-                    batch, size = [], 0
-            text = "".join(batch)
-            fh.write(text)
-            if (text[-1:] or last) != "\n":
+                if piece:
+                    fh.write(piece)
+                    last = piece[-1]
+            if last != "\n":
                 fh.write("\n")
             fh.flush()  # a closed pipe shows here, not at exit
     except BrokenPipeError:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .graphs import Graph, line_graph
+from .graphs import Graph, _check_sizes, line_graph
 
 DEFAULT_FACE_CAP = 5_000_000
 
@@ -144,8 +144,10 @@ def independence_complex(g: Graph, face_cap: int = DEFAULT_FACE_CAP) -> Simplici
     The faces are counted at construction, exactly and without listing
     them, and a count over face_cap raises CapacityError before any face is
     built.  They are listed, by _layers, on the first read of `graded`;
-    num_faces answers from the count.
+    num_faces answers from the count.  A face_cap that is not an int
+    raises ValueError.
     """
+    _check_sizes(face_cap=face_cap)
     count = _count_independent(g.nbr, (1 << len(g)) - 1, face_cap + 1)
     if count > face_cap:
         raise CapacityError("independence complex exceeds face cap %d" % face_cap)
@@ -222,8 +224,10 @@ def count_independent_sets(g: Graph, cap: int | None = None) -> int:
     each partial value is at least 1, and sums and products of such values
     are monotone, so once any term reaches cap + 1 the true total is at
     least cap + 1 too.  A second branch is skipped once the first has
-    saturated.
+    saturated.  A cap that is neither None nor an int raises ValueError.
     """
+    if cap is not None:
+        _check_sizes(cap=cap)
     return _count_independent(g.nbr, (1 << len(g)) - 1,
                               None if cap is None else cap + 1)
 

@@ -119,9 +119,9 @@ def neighbors(g: Graph, v: str) -> set:
 
 
 def _check_sizes(**sizes):
-    """Refuse a size that is not an int, as morse._check_range refuses a
-    step vertex: a float would pass the range checks and a bool is not a
-    count."""
+    """Refuse a size or face cap that is not an int, as morse._check_range
+    refuses a step vertex: a float would pass the range checks and a bool
+    is not a count."""
     for name, value in sizes.items():
         if type(value) is not int:
             raise ValueError("%s = %r is not an int" % (name, value))

@@ -51,7 +51,7 @@ from math import gcd
 
 from .comb import PIVOT_RULE
 from .complexes import CapacityError, SimplicialComplex, _bits
-from .graphs import Graph
+from .graphs import Graph, _check_sizes
 from .morse import MatchingTreeError, _partner_walk, critical_cells, run_strategy
 
 DEFAULT_HOMOLOGY_FACE_CAP = 300_000
@@ -280,8 +280,10 @@ def full_homology(c: SimplicialComplex,
     clearing keeps every rank and invariant factor exact (see the module
     docstring).  It shares no code with the matching trees, so it is the
     oracle for the Morse route.  A complex of more than face_cap faces is
-    refused, before any face is listed when num_faces reads a count.
+    refused, before any face is listed when num_faces reads a count, and a
+    face_cap that is not an int raises ValueError.
     """
+    _check_sizes(face_cap=face_cap)
     total = c.num_faces()
     if total > face_cap:
         raise CapacityError("complex with %d faces exceeds homology cap %d"
@@ -369,7 +371,9 @@ def morse_homology(g: Graph,
     Complexes of Graphs, 2008), so the union of the element matchings is
     acyclic.  verify_acyclic checks it on the face poset up to the face
     caps, and a gradient cycle met on the stack raises MatchingTreeError.
+    A face_cap that is not an int raises ValueError.
     """
+    _check_sizes(face_cap=face_cap)
     tree = run_strategy(g, PIVOT_RULE)
     cells = {}
     for face in critical_cells(tree):
@@ -428,7 +432,6 @@ def _morse_boundary(upper, lower, partner, nbr, face_cap):
     reach = _gradient_reach(lower, partner, nbr, face_cap)
     memo = {}
     opened = {}  # faces whose flow waits on the flows of their partner's facets
-    zero = {}    # the one zero chain, shared and never written
 
     def facet_sum(cell, bits, scale):
         """The nonzero terms of the sum of scale * [cell : cell ^ u] times
@@ -458,7 +461,7 @@ def _morse_boundary(upper, lower, partner, nbr, face_cap):
             if site is not None:
                 # every facet up ^ u of up that leaves the site has its flow now
                 up, a = site
-                value = facet_sum(up, a, -_incidence(up, up ^ t)) or zero
+                value = facet_sum(up, a, -_incidence(up, up ^ t))
             else:
                 site = partner(t)
                 if site is None:

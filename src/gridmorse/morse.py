@@ -53,7 +53,7 @@ verify_acyclic makes one pass per size layer: a pair is a cover when
 hi ^ lo is one bit inside hi, and the layer's lower faces are grouped by
 that up-bit.  A gradient cycle adds each of its vertices as often as it
 drops it, so _cycle_vertices shrinks the layer's up-bits to a fixpoint
-`live` that holds the vertices of every cycle: each live vertex keeps a
+`live` that holds the vertices of every cycle: every live vertex has a
 witness, a pair with a live up-bit whose facet dropping the vertex is a
 lower face with a live up-bit.  Only pairs with a live up-bit get
 successors, the facets hi ^ 1 << u (u live in lo) that are lower faces
@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 
 from .complexes import (CapacityError, DEFAULT_FACE_CAP, SimplicialComplex,
                         _bits, _count_independent, _layers)
-from .graphs import Graph
+from .graphs import Graph, _check_sizes
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
@@ -343,8 +343,10 @@ def collect_pairing(tree: MatchingTree, face_cap: int = DEFAULT_FACE_CAP) -> Fac
     internal invariant violation: it shows as a dict smaller than the number
     of pairs added, or as a face that is both a lower and an upper face, and
     the pairs are then replayed through FacePairing.add, which raises
-    MatchingTreeError at the first repeat.
+    MatchingTreeError at the first repeat.  A face_cap that is not an int
+    raises ValueError.
     """
+    _check_sizes(face_cap=face_cap)
     pairing = FacePairing()
     up, down = pairing.up, pairing.down
     added = 0
@@ -567,26 +569,16 @@ def _cycle_vertices(layer: dict, groups: dict) -> int:
     b'.  A cycle's dropped vertex x_i has the witness (lo_i, lo_{i+1}), and
     the up-bits b_i and b_{i+1} lie in V(C), so if V(C) is in live, no
     vertex of V(C) loses its witness, and by induction V(C) stays in live.
-    A witness is kept as b | b' and holds while both stay live.  Each scan
-    looks for witnesses of the live vertices that lack one, over the lower
-    faces with a live up-bit, stops once all have one, and otherwise drops
-    those it found none for; the next scan then looks again for the
-    vertices whose witness lost an up-bit.
+    Each round scans the lower faces with a live up-bit for a witness of
+    every live vertex, and strikes a vertex off its list at the first one
+    found; it stops once every vertex is struck off, and otherwise drops
+    those left from live for the next round.
     """
     live = 0
     for bit in groups:
         live |= bit
-    witness = {}  # vertex bit -> b | b' of its witness
     while live:
-        todo, rest = 0, live
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            held = witness.get(low)
-            if held is None or held & ~live:
-                todo |= low
-        if not todo:
-            break
+        todo = live
         for bit, los in groups.items():
             if not bit & live:
                 continue
@@ -598,14 +590,9 @@ def _cycle_vertices(layer: dict, groups: dict) -> int:
                     facet = (lo | bit) ^ low
                     above = layer.get(facet)
                     if above is not None and (above ^ facet) & live:
-                        witness[low] = bit | (above ^ facet)
                         todo ^= low
                 if not todo:
-                    break
-            if not todo:
-                break
-        if not todo:
-            break
+                    return live
         live &= ~todo
     return live
 

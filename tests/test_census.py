@@ -1,12 +1,16 @@
 import pytest
 
 from gridmorse import census
-from gridmorse import (DimensionBounds, Graph, build_graph, census_extend,
-                       census_seed, census_table, delta2_isomorphism,
-                       dimension_bounds, euler_closed_form, euler_from_table,
-                       euler_recursion, independence_complex,
-                       low_homology_prediction, observation_scan, plain,
-                       riordan_T, riordan_identity_check)
+from gridmorse import (PIVOT_RULE, DimensionBounds, Graph, build_graph,
+                       census_extend, census_seed, census_table,
+                       collect_pairing, count_independent_sets,
+                       delta2_isomorphism, dimension_bounds,
+                       euler_closed_form, euler_from_table, euler_recursion,
+                       full_homology, independence_complex,
+                       low_homology_prediction, matching_complex,
+                       morse_homology, observation_scan, plain,
+                       reduced_homology, riordan_T, riordan_identity_check,
+                       run_strategy)
 
 
 def nonzero_map(table):
@@ -263,6 +267,27 @@ def test_negative_n_max_is_refused(call):
     (lambda: dimension_bounds(None, 3), "m = None is not an int"),
     (lambda: low_homology_prediction(4.0, 3), "m = 4.0 is not an int"),
     (lambda: low_homology_prediction(4, True), "n = True is not an int"),
+    (lambda: independence_complex(build_graph("path", n=5), face_cap=10.5),
+     "face_cap = 10.5 is not an int"),
+    (lambda: matching_complex(build_graph("path", n=4), face_cap=True),
+     "face_cap = True is not an int"),
+    (lambda: collect_pairing(run_strategy(build_graph("path", n=3),
+                                          PIVOT_RULE), None),
+     "face_cap = None is not an int"),
+    (lambda: full_homology(independence_complex(build_graph("path", n=3)),
+                           None), "face_cap = None is not an int"),
+    (lambda: morse_homology(build_graph("path", n=3), None),
+     "face_cap = None is not an int"),
+    (lambda: reduced_homology(independence_complex(build_graph("path", n=3)),
+                              face_cap=5.0), "face_cap = 5.0 is not an int"),
+    (lambda: count_independent_sets(build_graph("path", n=3), cap=2.5),
+     "cap = 2.5 is not an int"),
+    (lambda: count_independent_sets(build_graph("path", n=3), cap=False),
+     "cap = False is not an int"),
+    (lambda: census_table(2, 5).row(True), "n = True is not an int"),
+    (lambda: census_table(2, 5).row_counts(2.0), "n = 2.0 is not an int"),
+    (lambda: euler_from_table(census_table(2, 5), 2.5),
+     "n = 2.5 is not an int"),
 ], ids=["euler-m", "euler-n", "low-homology-n", "grid2-n", "delta2-n",
         "row-counts-negative", "row-counts-past-end", "euler-recursion-m",
         "euler-recursion-seed-m", "path-m", "cycle-m", "grid2-m",
@@ -270,7 +295,11 @@ def test_negative_n_max_is_refused(call):
         "graph-str-n", "seed-float-m", "extend-float-n", "table-bool-n",
         "euler-float-m", "euler-bool-n", "euler-recursion-float-n",
         "euler-recursion-bool-m", "bounds-float-n", "bounds-none-m",
-        "low-homology-float-m", "low-homology-bool-n"])
+        "low-homology-float-m", "low-homology-bool-n", "complex-float-cap",
+        "matching-bool-cap", "pairing-none-cap", "full-homology-none-cap",
+        "morse-homology-none-cap", "reduced-homology-float-cap",
+        "count-float-cap", "count-bool-cap", "row-bool-n",
+        "row-counts-float-n", "euler-table-float-n"])
 def test_out_of_range_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()

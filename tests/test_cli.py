@@ -314,11 +314,12 @@ def test_pinned_output_digests(argv, code, digest, capsys, tmp_path):
 
 
 def test_emit_batches_pieces_and_ends_with_one_newline(capsys):
-    # batches are cut by characters, not by pieces: 10,000 pieces (48,890
-    # characters) make one batch, and a trailing empty piece does not hide
-    # the newline that ends the text; 200 pieces of 1,001 characters make
-    # four batches, and a text that ends a batch with its newline gets no
-    # second one
+    # the text is the pieces in order, whatever their number and size:
+    # 10,000 short pieces (48,890 characters), then with a trailing empty
+    # piece, which does not hide the newline that ends the text; no pieces
+    # at all give one newline; 200 lines of 1,001 characters get no
+    # second newline, and one piece of 65,536 characters ends with exactly
+    # one newline whether or not it ends with one itself
     pieces = ["%d," % i for i in range(10_000)]
     cli._emit(iter(pieces), None)
     assert capsys.readouterr().out == "".join(pieces) + "\n"
@@ -336,8 +337,8 @@ def test_emit_batches_pieces_and_ends_with_one_newline(capsys):
 
 def test_morse_document_is_written_without_holding_its_text(tmp_path):
     # json.dumps(indent=2) lists every token of the 3.06 MB document and
-    # joins them, a traced peak of about 8x the file; streamed in batches,
-    # the peak is the tree and its JSON object, about 1.6x
+    # joins them, a traced peak of about 8x the file; written piece by
+    # piece, the peak is the tree and its JSON object, about 1.6x
     target = tmp_path / "morse.json"
     tracemalloc.start()
     try:
@@ -481,13 +482,17 @@ def test_refused_run_creates_no_out_file(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_reader_closing_stdout_early_is_not_an_error(tmp_path):
-    # the 2.95 MB document is far larger than a pipe buffer, so the writer
-    # meets the closed pipe whatever the timing
+@pytest.mark.parametrize("argv", [
+    "morse --family delta --m 2 --n 16",
+    "census --m 2 --nmax 600 --format csv",
+], ids=["json", "lines"])
+def test_reader_closing_stdout_early_is_not_an_error(tmp_path, argv):
+    # the 1,389,518-byte JSON document and the 858,333-byte CSV are far
+    # larger than a pipe buffer, so the writer meets the closed pipe
+    # whatever the timing
     err_path = tmp_path / "stderr.txt"
     with open(err_path, "w") as err, subprocess.Popen(
-            [sys.executable, "-m", "gridmorse.cli", "morse", "--family",
-             "delta", "--m", "2", "--n", "16"],
+            [sys.executable, "-m", "gridmorse.cli", *argv.split()],
             stdout=subprocess.PIPE, stderr=err,
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))) as proc:
         assert len(proc.stdout.read(100)) == 100

@@ -280,6 +280,7 @@ def test_verify_acyclic_crafted_cycle_among_pruned_layers():
     pairing.add(0b1000, 0b1001)
     pairing.add(0b10001, 0b10011)
     assert cycle_vertices_by_layer(cx, pairing) == [0, 0b1111, 0, 0]
+    assert cycle_vertices_by_definition(cx, pairing) == [0, 0b1111, 0, 0]
     ok, witness = verify_acyclic(cx, pairing)
     assert not ok
     assert len(witness) == 4
@@ -305,9 +306,11 @@ def test_comb_pairings_leave_no_cycle_vertex(monkeypatch, m, n):
     monkeypatch.setattr(morse, "_cycle_vertices", recorded_cycle_vertices)
     monkeypatch.setattr(morse, "_find_cycle", recorded_find_cycle)
     cx = ind_complex("delta", m=m, n=n)
-    assert verify_acyclic(cx, collect_pairing(comb_tree(m, n))) == (True, None)
+    pairing = collect_pairing(comb_tree(m, n))
+    assert verify_acyclic(cx, pairing) == (True, None)
     assert len(lives) == len(digraphs) == len(cx.graded)
     assert lives == [0] * len(cx.graded)
+    assert cycle_vertices_by_definition(cx, pairing) == lives
     assert digraphs == [{}] * len(cx.graded)
 
 
@@ -558,14 +561,45 @@ def cycle_vertices_by_layer(cx, pairing):
     return lives
 
 
+def cycle_vertices_by_definition(cx, pairing):
+    """Reference for morse._cycle_vertices over Python sets.  In each size
+    layer, the steps (lo, b, x, b') go from a pair (lo, hi) with up-bit b
+    over a vertex x of lo to the facet hi - x, a lower face whose pair has
+    up-bit b'.  L starts as the layer's up-bits and is replaced by the x in
+    L with a step (lo, b, x, b'), b and b' in L, until it stays put: the
+    greatest fixpoint, given as a vertex mask per layer."""
+    lives = []
+    for faces in cx.graded:
+        layer = {frozenset(members(lo)): frozenset(members(pairing.up[lo]))
+                 for lo in faces if lo in pairing.up}
+        steps = set()
+        for lo, hi in layer.items():
+            (b,) = hi - lo
+            for x in lo:
+                facet = hi - {x}
+                if facet in layer:
+                    (b2,) = layer[facet] - facet
+                    steps.add((lo, b, x, b2))
+        live = {b for lo, hi in layer.items() for b in hi - lo}
+        while True:
+            kept = {x for _, b, x, b2 in steps if {b, x, b2} <= live}
+            if kept == live:
+                break
+            live = kept
+        lives.append(sum(1 << x for x in live))
+    return lives
+
+
 def assert_matches_oracle(cx, pairing):
+    lives = cycle_vertices_by_layer(cx, pairing)
+    assert lives == cycle_vertices_by_definition(cx, pairing)
     ok, witness = verify_acyclic(cx, pairing)
     assert ok == kahn_acyclic(cx, pairing)
     if ok:
         assert witness is None
         return ok
     # every up-bit of the cycle lies in its layer's cycle vertices
-    live = cycle_vertices_by_layer(cx, pairing)[witness[0][0].bit_count()]
+    live = lives[witness[0][0].bit_count()]
     for lo, hi in witness:
         assert (hi ^ lo) & ~live == 0
     # a closed gradient path: each next lower face is a facet of the previous
