@@ -30,6 +30,10 @@ class CensusTable:
         return len(self.rows) - 1
 
     def value(self, n: int, d: int) -> int:
+        """Entry (n, d), 0 outside the table; an index that is not an int
+        raises ValueError."""
+        if type(n) is not int or type(d) is not int:
+            _check_sizes(n=n, d=d)
         if n < 0 or d < 0 or n >= len(self.rows) or d >= len(self.rows[n]):
             return 0
         return self.rows[n][d]
@@ -162,10 +166,14 @@ def euler_closed_form(m: int, n: int) -> int:
     return seq[n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def riordan_T(j: int, k: int) -> int:
     """Doubly indexed array with T(j,k) = 2 T(j-1,k) + T(j-1,k-1), pinned
-    values T(0,0)=1, T(1,0)=0, T(2,0)=1, and T(j,k)=0 for k<0 or j<k."""
+    values T(0,0)=1, T(1,0)=0, T(2,0)=1, and T(j,k)=0 for k<0 or j<k.  An
+    index that is not an int raises ValueError; the cache is typed, so 1.0
+    and True never read the entry of 1."""
+    if type(j) is not int or type(k) is not int:
+        _check_sizes(j=j, k=k)
     if k < 0 or j < k:
         return 0
     if (j, k) == (0, 0):
@@ -183,15 +191,13 @@ def riordan_identity_check(n_max: int) -> bool:
     and the inverse indexing T(j,k) = C[2(j-2)+k][3(j-2)+k] holds."""
     table = census_table(2, n_max)
     for n in range(n_max + 1):
-        width = len(table.rows[n]) + 2
-        for d in range(width):
-            if table.value(n, d) != riordan_T(n - d + 2, 3 * d - 2 * n):
+        for d in range(len(table.rows[n]) + 2):
+            c = table.value(n, d)
+            if c != riordan_T(n - d + 2, 3 * d - 2 * n):
                 return False
-        if n >= 4:
-            for d in range(width):
-                alt = 2 * table.value(n - 3, d - 2) + table.value(n - 4, d - 3)
-                if table.value(n, d) != alt:
-                    return False
+            if n >= 4 and c != (2 * table.value(n - 3, d - 2)
+                                + table.value(n - 4, d - 3)):
+                return False
     # inverse indexing: the forward map (n, d) -> (n-d+2, 3d-2n) inverts to
     # n = 3(j-2)+k, d = 2(j-2)+k
     for j in range(0, (n_max + 6) // 3 + 3):

@@ -117,7 +117,8 @@ def _emit(pieces, out_path):
     status it computed."""
     last = ""
     try:
-        with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+        with (open(out_path, "w") if out_path is not None
+              else nullcontext(sys.stdout)) as fh:
             for piece in pieces:
                 if piece:
                     fh.write(piece)
@@ -126,7 +127,7 @@ def _emit(pieces, out_path):
                 fh.write("\n")
             fh.flush()  # a closed pipe shows here, not at exit
     except BrokenPipeError:
-        if out_path:
+        if out_path is not None:
             raise
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())

@@ -9,8 +9,7 @@ pivot rule, comb.PIVOT_RULE, and builds the Morse complex on its critical
 cells.  A face's partner comes from morse's partner walk down the compiled
 tree (morse owns the meaning of each Free, Match and Split step), and the
 Morse boundary is the simplicial boundary pushed through the gradient
-flow, memoised per dimension pair and followed only along the facets that
-leave a pairing site, with the incidence signs
+flow, memoised per dimension pair, with the incidence signs
 (-1)^popcount(face & (u - 1)) of the boundary matrices below.  The flow
 runs only on the reach R of the critical cells one dimension down, the
 faces with a gradient path to one, found first by a backward search; every
@@ -329,22 +328,18 @@ def morse_homology(g: Graph,
     complex of the matching tree that PIVOT_RULE grows on g (Forman 1998;
     Skoldberg 2006), without enumerating the complex.
 
-    The chain groups are spanned by the critical cells, the A-sets of the
-    terminal leaves.  The partner of a face comes from one walk down the
-    compiled tree, morse._partner_walk, with the A-set of the site that
-    pairs it; the walk is compiled only when two adjacent dimensions both
-    have critical cells, for otherwise every Morse differential is zero.
-    The Morse boundary of a critical d-cell s is sum [s : t] flow(t) over
-    its facets t, where flow(t) is t for a critical t, 0 for an upper face
-    t, and for t paired up with s' at a site with A-set A the sum of
-    -[s' : r][s' : t] flow(r) over the facets r = s' ^ u of s' with u in A.
-    The other facets r of s', u in t but not in A, are upper faces of the
-    same site (the partner walk reaches that site with r as with s', and
-    there pairs r with r ^ p), so their flow is 0 and the flow neither
-    visits nor memoises them.  Both sums are one facet_sum over the
-    memoised flows, which skips a zero flow before its sign.  Incidences
-    are [f : f ^ u] = (-1)^popcount(f & (u - 1)), the convention of
-    _boundary_matrix.
+    The chain groups are spanned by the critical cells, the faces the
+    matching leaves unpaired (morse.critical_cells).  The partner of a face
+    comes from one walk down the compiled tree, morse._partner_walk; the
+    walk is compiled only when two adjacent dimensions both have critical
+    cells, for otherwise every Morse differential is zero.  The Morse
+    boundary of a critical d-cell s is sum [s : t] flow(t) over its facets
+    t, where flow(t) is t for a critical t, 0 for an upper face t, and for
+    t paired up with s' the sum of -[s' : r][s' : t] flow(r) over the
+    facets r = s' ^ u of s' other than t, u in t.  Both sums are one
+    facet_sum over the memoised flows, which skips a zero flow before its
+    sign.  Incidences are [f : f ^ u] = (-1)^popcount(f & (u - 1)), the
+    convention of _boundary_matrix.
 
     A flow is nonzero only on the reach R of the critical (d-1)-cells: the
     (d-1)-faces with a gradient path to one.  So each dimension pair first
@@ -394,11 +389,10 @@ def _gradient_reach(lower, partner, nbr, face_cap):
     coreduction; Mrozek & Batko 2009, and Harker, Mischaikow, Mrozek & Nanda
     2014 for Morse reductions).  A face r of R is reached from the lower
     face t of a pair (t, s) when r is a facet s ^ w of the upper face s
-    that drops a vertex w of the site's A-set, the facets the flow of t
-    follows.  So for each r in R and each vertex w outside r and its
-    neighbourhood (nbr[i] is the bitmask of vertex i's neighbours), the
-    partner walk is asked about s = r | w.  Past face_cap faces it raises
-    CapacityError."""
+    other than t, a facet the flow of t sums over.  So for each r in R and
+    each vertex w outside r and its neighbourhood (nbr[i] is the bitmask of
+    vertex i's neighbours), the partner is asked about s = r | w.  Past
+    face_cap faces it raises CapacityError."""
     full = (1 << len(nbr)) - 1
     reach = set(lower)
     todo = list(lower)
@@ -413,21 +407,21 @@ def _gradient_reach(lower, partner, nbr, face_cap):
             w = free & -free
             free ^= w
             s = r | w
-            site = partner(s)
-            if site is not None:
-                t, a = site
-                if t < s and w & a and t != r and t not in reach:
-                    reach.add(t)
-                    todo.append(t)
+            t = partner(s)
+            if t is not None and t < s and t != r and t not in reach:
+                reach.add(t)
+                todo.append(t)
     return reach
 
 
 def _morse_boundary(upper, lower, partner, nbr, face_cap):
     """The Morse boundary matrix from the critical cells `upper` (columns)
-    to the critical cells `lower` (rows) one dimension down.  The flow runs
-    only on the reach R of `lower` (_gradient_reach, over the graph's
-    neighbourhoods nbr), which holds critical cells and lower faces alone;
-    a face outside R has flow 0 and never enters the memo."""
+    to the critical cells `lower` (rows) one dimension down, under the
+    acyclic matching `partner` (face -> partner face, or None for a critical
+    face) on the independence complex of the graph with neighbourhoods nbr.
+    The flow runs only on the reach R of `lower` (_gradient_reach), which
+    holds critical cells and lower faces alone; a face outside R has flow 0
+    and never enters the memo."""
     row = {f: i for i, f in enumerate(lower)}
     reach = _gradient_reach(lower, partner, nbr, face_cap)
     memo = {}
@@ -457,18 +451,17 @@ def _morse_boundary(upper, lower, partner, nbr, face_cap):
             if t in memo:
                 stack.pop()
                 continue
-            site = opened.pop(t, None)
-            if site is not None:
-                # every facet up ^ u of up that leaves the site has its flow now
-                up, a = site
-                value = facet_sum(up, a, -_incidence(up, up ^ t))
+            up = opened.pop(t, None)
+            if up is not None:
+                # every facet up ^ u of up other than t has its flow now
+                value = facet_sum(up, t, -_incidence(up, up ^ t))
             else:
-                site = partner(t)
-                if site is None:
+                up = partner(t)
+                if up is None:
                     value = {t: 1}
                 else:  # t is a lower face: R holds no upper face
-                    opened[t] = site
-                    up, rest = site
+                    opened[t] = up
+                    rest = t
                     while rest:
                         u = rest & -rest
                         rest ^= u

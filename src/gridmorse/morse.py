@@ -45,10 +45,7 @@ route in homology: it compiles the map once to flat records and walks a
 face down from the root.  Split(v) goes to the child given by whether v is
 in the face, Free(p) returns face ^ 1 << p, Match(p, v) goes to its child
 if v is in the face and otherwise returns face ^ 1 << p, and a leaf means
-the face is critical.  A returned partner comes with the site's A-set,
-the vertices the walk went in by: the only facets of an upper face that
-can leave its site drop a vertex of A, so the Morse flow follows those
-alone.
+the face is critical.
 verify_acyclic makes one pass per size layer: a pair is a cover when
 hi ^ lo is one bit inside hi, and the layer's lower faces are grouped by
 that up-bit.  A gradient cycle adds each of its vertices as often as it
@@ -427,24 +424,16 @@ _SPLIT, _PAIR, _LEAF = 0, 1, 2
 
 
 def _partner_walk(tree: MatchingTree):
-    """The partner function of a completed tree's matching: face -> (the
-    face it is paired with, the A-set of the site that pairs them), or None
-    for a critical face.
+    """The partner function of a completed tree's matching: face -> the
+    face it is paired with, or None for a critical face.  A partner can be
+    0, the empty face paired with a vertex, so test it with `is None`.
 
     The tree's map is compiled once into flat records (kind, pivot bit,
     second bit, out, in child), one per residual.  A Split(v) record holds
     v's bit second, its child without v out and its child with v in; a
     Match(p, v) record holds p's and v's bits and its child in; a Free(p)
     record holds p's bit and 0, so no face goes in; a leaf has no step.
-    The walk starts at the root, costs one step per tree level and ORs each
-    vertex it goes in by into the A-set.
-
-    The site's A is what the Morse flow needs: a lower face t = A | J of a
-    site has the upper face t | p, and for u in J the facet (t | p) ^ u =
-    A | (J - u) | p is an upper face of the same site: on its way to the
-    site the walk tests only vertices of A and B, and at a Match(p, v) site
-    the facet still avoids v.  So only the facets (t | p) ^ u with u in A
-    leave the site."""
+    The walk starts at the root and costs one step per tree level."""
     # in map order a residual's children come before it, numbered
     nbr = tree.graph.nbr
     index = {None: -1, 0: 0}
@@ -460,16 +449,14 @@ def _partner_walk(tree: MatchingTree):
     root = index[(1 << len(tree.graph)) - 1]
 
     def partner(face):
-        a = 0
         kind, p, v, out, inn = recs[root]
         while kind != _LEAF:
             if face & v:
-                a |= v
                 kind, p, v, out, inn = recs[inn]
             elif kind == _SPLIT:
                 kind, p, v, out, inn = recs[out]
             else:
-                return face ^ p, a
+                return face ^ p
         return None
     return partner
 

@@ -288,6 +288,13 @@ def test_negative_n_max_is_refused(call):
     (lambda: census_table(2, 5).row_counts(2.0), "n = 2.0 is not an int"),
     (lambda: euler_from_table(census_table(2, 5), 2.5),
      "n = 2.5 is not an int"),
+    (lambda: census_table(2, 5).value(True, 1), "n = True is not an int"),
+    (lambda: census_table(2, 5).value(1.5, 0), "n = 1.5 is not an int"),
+    (lambda: census_table(2, 5).value(1, 2.0), "d = 2.0 is not an int"),
+    (lambda: riordan_T(2.5, 1), "j = 2.5 is not an int"),
+    (lambda: riordan_T(True, 0), "j = True is not an int"),
+    # (4, 1) cached first: 1.0 must not read its entry
+    (lambda: riordan_T(4, 1) and riordan_T(4, 1.0), "k = 1.0 is not an int"),
 ], ids=["euler-m", "euler-n", "low-homology-n", "grid2-n", "delta2-n",
         "row-counts-negative", "row-counts-past-end", "euler-recursion-m",
         "euler-recursion-seed-m", "path-m", "cycle-m", "grid2-m",
@@ -299,7 +306,9 @@ def test_negative_n_max_is_refused(call):
         "matching-bool-cap", "pairing-none-cap", "full-homology-none-cap",
         "morse-homology-none-cap", "reduced-homology-float-cap",
         "count-float-cap", "count-bool-cap", "row-bool-n",
-        "row-counts-float-n", "euler-table-float-n"])
+        "row-counts-float-n", "euler-table-float-n", "value-bool-n",
+        "value-float-n", "value-float-d", "riordan-float-j",
+        "riordan-bool-j", "riordan-float-k-after-int"])
 def test_out_of_range_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -117,7 +117,6 @@ def test_homology_reaches_n8_without_flow(capsys, monkeypatch, m, betti):
 def test_homology_reaches_past_the_old_memo_bound(capsys, monkeypatch, m, n):
     # (2,13) and (3,10) exited 3 on the memo while the flow followed every
     # facet, and the rest while it memoised every face it met; the flow
-    # leaves a pairing site only by dropping a vertex of its A-set, and
     # runs only on the faces with a gradient path to a critical cell
     monkeypatch.setattr(complexes, "_layers", unbuilt)
     code, out = run(capsys, "homology", "--family", "delta", "--m", str(m),
@@ -470,6 +469,16 @@ def test_unwritable_out_path_exits_2_for_text_documents(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", ["graph --family path --n 2",
+                                  "census --format csv"])
+def test_empty_out_path_exits_2(capsys, argv):
+    # an empty path names no file; the document does not fall back to stdout
+    code = main([*argv.split(), "--out", ""])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_refused_run_creates_no_out_file(tmp_path, capsys):

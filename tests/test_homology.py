@@ -16,7 +16,8 @@ from gridmorse import (PIVOT_RULE, CapacityError, CriticalCensus, Graph,
                        IntegerMatrix, MatchingTreeError, SimplicialComplex,
                        SNFResult,
                        boundary_matrices, build_graph, census_from_tree,
-                       comb_tree, critical_cells, full_homology,
+                       collect_pairing, comb_tree, critical_cells,
+                       full_homology,
                        independence_complex, line_graph,
                        matching_complex,
                        morse_homology, morse_inequality_check, plain,
@@ -393,20 +394,17 @@ def test_morse_homology_reads_the_tree_alone(monkeypatch):
 
 
 def test_morse_flow_refuses_a_gradient_cycle():
-    # on six vertices with no edges, three pairs (lower face: upper face,
-    # A-set) whose upper faces leave their sites into the next pair's lower
-    # face, 01 < 012 > 12 < 123 > 13 < 013 > 01, and 012 leaves into the
-    # critical 1-cell 02 too, so the cycle lies on a gradient path to it;
-    # the flow of 01, a facet of the critical 2-cell 015, meets the cycle
-    pairs = {0b000011: (0b000111, 0b0011), 0b000110: (0b001110, 0b0100),
-             0b001010: (0b001011, 0b1000)}
-    ups = {hi: (lo, a) for lo, (hi, a) in pairs.items()}
+    # on six vertices with no edges, three pairs (lower face: upper face)
+    # whose upper faces have the next pair's lower face as a facet,
+    # 01 < 012 > 12 < 123 > 13 < 013 > 01, and 012 has the critical 1-cell
+    # 02 as a facet too, so the cycle lies on a gradient path to it; the
+    # flow of 01, a facet of the critical 2-cell 015, meets the cycle
+    pairs = {0b000011: 0b000111, 0b000110: 0b001110, 0b001010: 0b001011}
+    ups = {hi: lo for lo, hi in pairs.items()}
     sigma, critical = 0b100011, 0b000101
 
     def partner(face):
-        if face in (sigma, critical):
-            return None
-        return pairs.get(face) or ups.get(face) or (0, 0)
+        return pairs.get(face, ups.get(face))
 
     nbr = (0,) * 6
     assert homology._gradient_reach([critical], partner, nbr, 100) == {
@@ -414,6 +412,43 @@ def test_morse_flow_refuses_a_gradient_cycle():
     with pytest.raises(MatchingTreeError,
                        match=re.escape("gradient cycle through (0, 1)")):
         homology._morse_boundary([sigma], [critical], partner, nbr, 100)
+
+
+def test_morse_flow_takes_any_matching_as_a_function():
+    # the flow reads the matching through its partner function alone:
+    # fed collect_pairing's dicts it gives the partner walk's matrices
+    rng = random.Random(37)
+    graphs = [build_graph("delta", m=3, n=4),
+              line_graph(build_graph("grid2", n=7)),
+              *(line_graph(complete_multipartite(*parts))
+                for parts in [(5, 5), (6, 6), (5, 8)])]
+    for _ in range(20):
+        size = rng.randint(8, 16)
+        density = rng.uniform(0.1, 0.6)
+        verts = [plain(i) for i in range(1, size + 1)]
+        graphs.append(Graph(verts, [(verts[x], verts[y]) for x in range(size)
+                                    for y in range(x + 1, size)
+                                    if rng.random() < density]))
+    compared = nonzero = 0
+    for g in graphs:
+        tree = run_strategy(g, PIVOT_RULE)
+        pairing = collect_pairing(tree)
+        up, down = pairing.up, pairing.down
+        walk = homology._partner_walk(tree)
+        cells = {}
+        for face in critical_cells(tree):
+            cells.setdefault(face.bit_count() - 1, []).append(face)
+        for d in cells:
+            if d - 1 in cells:
+                want = homology._morse_boundary(cells[d], cells[d - 1], walk,
+                                                g.nbr, 10 ** 6)
+                got = homology._morse_boundary(
+                    cells[d], cells[d - 1], lambda f: up.get(f, down.get(f)),
+                    g.nbr, 10 ** 6)
+                assert got == want, (g.to_json(), d)
+                compared += 1
+                nonzero += got.nnz() > 0
+    assert compared == 15 and nonzero >= 10
 
 
 def test_morse_homology_charges_the_flow_memo(monkeypatch):

@@ -109,8 +109,8 @@ def assert_map_readers_agree(g, rule, walk_cap=5000):
     node; the critical cells are the A-sets of its terminal leaves and the
     census is their histogram.  On a complex of at most walk_cap faces the
     critical cells are also the faces that collect_pairing leaves unpaired,
-    and the partner walk gives each face collect_pairing's partner and the
-    A-set of the one site of sites() whose faces hold it."""
+    and the partner walk gives each face collect_pairing's partner, at the
+    one site of sites() whose faces hold it."""
     tree = run_strategy(g, rule)
     cells, counts = critical_cells(tree), census_from_tree(tree).counts
     partner = morse._partner_walk(tree)
@@ -142,7 +142,7 @@ def assert_map_readers_agree(g, rule, walk_cap=5000):
             continue
         holders = [a for a, avoid in sites if face & a == a and not face & avoid]
         assert len(holders) == 1, face
-        assert partner(face) == (other, holders[0]), face
+        assert partner(face) == other, face
 
 
 @pytest.mark.parametrize("g", [g for _, g in LISTED],
