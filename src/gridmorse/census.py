@@ -13,7 +13,6 @@ arithmetic; entries grow exponentially in n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from operator import add
 
@@ -166,23 +165,34 @@ def euler_closed_form(m: int, n: int) -> int:
     return seq[n]
 
 
-@lru_cache(maxsize=None, typed=True)
+_RIORDAN = {(0, 0): 1, (1, 0): 0, (2, 0): 1}  # T(j, k), filled on demand
+
+
 def riordan_T(j: int, k: int) -> int:
     """Doubly indexed array with T(j,k) = 2 T(j-1,k) + T(j-1,k-1), pinned
-    values T(0,0)=1, T(1,0)=0, T(2,0)=1, and T(j,k)=0 for k<0 or j<k.  An
-    index that is not an int raises ValueError; the cache is typed, so 1.0
-    and True never read the entry of 1."""
+    values T(0,0)=1, T(1,0)=0, T(2,0)=1, and T(j,k)=0 for k<0 or j<k.  The
+    entries it needs are memoised on an explicit stack, so a cold call far
+    down the array is not bounded by Python's recursion limit.  An index
+    that is not an int raises ValueError."""
     if type(j) is not int or type(k) is not int:
         _check_sizes(j=j, k=k)
     if k < 0 or j < k:
         return 0
-    if (j, k) == (0, 0):
-        return 1
-    if (j, k) == (1, 0):
-        return 0
-    if (j, k) == (2, 0):
-        return 1
-    return 2 * riordan_T(j - 1, k) + riordan_T(j - 1, k - 1)
+    memo = _RIORDAN
+    stack = [(j, k)]
+    while stack:
+        a, b = stack[-1]
+        if (a, b) in memo:
+            stack.pop()
+            continue
+        need = [key for key in ((a - 1, b), (a - 1, b - 1))
+                if 0 <= key[1] <= key[0] and key not in memo]
+        if need:
+            stack += need
+            continue
+        memo[a, b] = 2 * memo.get((a - 1, b), 0) + memo.get((a - 1, b - 1), 0)
+        stack.pop()
+    return memo[j, k]
 
 
 def riordan_identity_check(n_max: int) -> bool:

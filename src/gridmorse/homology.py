@@ -344,8 +344,10 @@ def morse_homology(g: Graph,
     A flow is nonzero only on the reach R of the critical (d-1)-cells: the
     (d-1)-faces with a gradient path to one.  So each dimension pair first
     grows R by a backward search from those cells (_gradient_reach), and
-    the flow, memoised on an explicit stack, runs only on faces of R and
-    reads every other face as 0.  R is charged against face_cap as it
+    the flow runs only on faces of R and reads every other face as 0.  Its
+    memo starts with the critical (d-1)-cells, each its own flow, and each
+    critical d-cell then takes one depth-first walk over the lower faces of
+    R below it, on a stack of faces.  R is charged against face_cap as it
     grows, and CapacityError is raised past it before the pair's flow
     runs; the memo, a subset of R, needs no cap of its own.  When no facet of a
     critical d-cell lies in R, no flow runs at all and the differential is
@@ -354,8 +356,8 @@ def morse_homology(g: Graph,
     report lists the nonzero groups; a critical empty face counts in
     dimension -1, which is not reported, as in the full route.
 
-    The gradient paths are finite, so the recursion ends, because the
-    matching is acyclic.  Each Split(v), and each Match(p, v) as it sends
+    The gradient paths are finite, so each walk ends, because the matching
+    is acyclic.  Each Split(v), and each Match(p, v) as it sends
     the faces with v to its child, is a poset map from the faces below it
     to {0 < 1} (is v in the face?).  Each Free(p) site, and each Match site
     on its faces without v, is an element matching: it pairs a face with
@@ -421,10 +423,13 @@ def _morse_boundary(upper, lower, partner, nbr, face_cap):
     face) on the independence complex of the graph with neighbourhoods nbr.
     The flow runs only on the reach R of `lower` (_gradient_reach), which
     holds critical cells and lower faces alone; a face outside R has flow 0
-    and never enters the memo."""
+    and never enters the memo.  The memo starts with the cells of `lower`,
+    so every face the walk from a critical cell opens is a lower face with
+    a partner, and its flow is memoised once the flows of its partner's
+    other facets are."""
     row = {f: i for i, f in enumerate(lower)}
     reach = _gradient_reach(lower, partner, nbr, face_cap)
-    memo = {}
+    memo = {f: {f: 1} for f in lower}  # a critical cell flows to itself
     opened = {}  # faces whose flow waits on the flows of their partner's facets
 
     def facet_sum(cell, bits, scale):
@@ -442,47 +447,35 @@ def _morse_boundary(upper, lower, partner, nbr, face_cap):
                     chain[k] = chain.get(k, 0) + c * x
         return {k: x for k, x in chain.items() if x}
 
-    def flow(tau):
-        """Memoise the flow of tau, a face of R, and of every face of R it
-        waits on."""
-        stack = [tau]
+    def push(stack, cell, bits):
+        """Push the facets cell ^ u, u a bit of bits, whose flow is still
+        to be memoised; a facet already opened closes a gradient cycle."""
+        while bits:
+            u = bits & -bits
+            bits ^= u
+            r = cell ^ u
+            if r in opened:
+                raise MatchingTreeError("gradient cycle through %s"
+                                        % (_bits(r),))
+            if r in reach and r not in memo:
+                stack.append(r)
+
+    entries = {}
+    for col, sigma in enumerate(upper):
+        stack = []
+        push(stack, sigma, sigma)
         while stack:
             t = stack[-1]
             if t in memo:
                 stack.pop()
                 continue
             up = opened.pop(t, None)
-            if up is not None:
-                # every facet up ^ u of up other than t has its flow now
-                value = facet_sum(up, t, -_incidence(up, up ^ t))
-            else:
-                up = partner(t)
-                if up is None:
-                    value = {t: 1}
-                else:  # t is a lower face: R holds no upper face
-                    opened[t] = up
-                    rest = t
-                    while rest:
-                        u = rest & -rest
-                        rest ^= u
-                        r = up ^ u
-                        if r in opened:
-                            raise MatchingTreeError("gradient cycle through %s"
-                                                    % (_bits(r),))
-                        if r in reach and r not in memo:
-                            stack.append(r)
-                    continue
-            memo[t] = value
-            stack.pop()
-
-    entries = {}
-    for col, sigma in enumerate(upper):
-        rest = sigma
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            if sigma ^ u in reach:
-                flow(sigma ^ u)
+            if up is None:  # t is a lower face: R holds no upper face
+                opened[t] = up = partner(t)
+                push(stack, up, t)
+            else:  # every facet up ^ u of up other than t has its flow now
+                memo[t] = facet_sum(up, t, -_incidence(up, up ^ t))
+                stack.pop()
         for k, x in facet_sum(sigma, sigma, 1).items():
             entries[(row[k], col)] = x
     return IntegerMatrix(len(lower), len(upper), entries)

@@ -82,6 +82,19 @@ def theta_profile(m, n):
     return out
 
 
+def members(mask):
+    """The vertex indices of a bitmask, as a frozenset."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def random_graph(size, density, rng):
+    """A graph on vertices v1..v<size> in which each pair is an edge when
+    rng.random() < density, drawn pair by pair in lex order."""
+    verts = [plain(i) for i in range(1, size + 1)]
+    return Graph(verts, [(verts[x], verts[y]) for x in range(size)
+                         for y in range(x + 1, size) if rng.random() < density])
+
+
 def complete_multipartite(*sizes):
     """Parts of the given sizes, every two vertices of different parts
     adjacent: K7 is seven parts of one, K5,5 two parts of five."""

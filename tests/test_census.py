@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
 import pytest
 
 from gridmorse import census
@@ -149,6 +156,38 @@ def test_riordan_identity():
     table = census_table(2, 10)
     assert table.value(4, 3) == riordan_T(3, 1) == 5
     assert table.value(0, 0) == riordan_T(2, 0) == 1
+
+
+RIORDAN_PROBE = """
+import json
+from gridmorse import riordan_T
+deep = riordan_T(3000, 5)
+print(json.dumps([deep, [[riordan_T(j, k) for k in range(-1, j + 2)]
+                         for j in range(61)]]))
+"""
+
+
+def riordan_closed_form(j, k):
+    """[x^k] (1+x)^2 (2+x)^(j-2) for j >= 2, and the pinned T(0,0) = 1,
+    T(1,0) = 0 with T(1,1) = T(0,0) below that."""
+    if j < 2:
+        return int(0 <= k == j)
+    return sum(comb(2, a) * comb(j - 2, k - a) * 2 ** (j - 2 - k + a)
+               for a in range(3) if 0 <= k - a <= j - 2)
+
+
+def test_riordan_cold_deep_call():
+    # a fresh interpreter, so no entry is cached: the first call goes 3,000
+    # rows down the array, past Python's recursion limit
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", RIORDAN_PROBE],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr
+    deep, rows = json.loads(proc.stdout)
+    assert deep == riordan_closed_form(3000, 5)
+    assert rows == [[riordan_closed_form(j, k) for k in range(-1, j + 2)]
+                    for j in range(61)]
 
 
 def test_dimension_bounds_examples():

@@ -6,17 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_f_vector, brute_faces, unbuilt
+from conftest import brute_f_vector, brute_faces, members, unbuilt
 from gridmorse import (CapacityError, Graph, SimplicialComplex, build_graph,
                        complexes, count_independent_sets, delta2_isomorphism,
                        full_homology, independence_complex, join, line_graph,
                        matching_complex, plain, reduced_homology)
 from gridmorse.complexes import _layer_counts, _layers
-
-
-def members(mask):
-    """The vertex indices of a bitmask, as a frozenset."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def faces_as_index_sets(cx):

@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against src/."""
+"""Smoke test: every demo script runs to completion against src/, with
+warnings as errors and nothing on stderr."""
 
 import os
 import subprocess
@@ -13,9 +14,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script):
+    # under the suite's warning policy: a warning is an error, and a demo
+    # writes nothing to stderr
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

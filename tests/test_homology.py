@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import (complete_multipartite, groups, ind_complex,
-                      largest_reach, unbuilt)
+                      largest_reach, random_graph, unbuilt)
 from gridmorse import complexes, homology
 from gridmorse import (PIVOT_RULE, CapacityError, CriticalCensus, Graph,
                        IntegerMatrix, MatchingTreeError, SimplicialComplex,
@@ -374,9 +374,7 @@ def test_morse_route_matches_full_route_on_random_graphs():
     for _ in range(300):
         size = rng.randint(3, 11)
         density = rng.uniform(0.15, 0.6)
-        verts = [plain(i) for i in range(1, size + 1)]
-        g = Graph(verts, [(verts[x], verts[y]) for x in range(size)
-                          for y in range(x + 1, size) if rng.random() < density])
+        g = random_graph(size, density, rng)
         cx = independence_complex(g)
         report = reduced_homology(cx)
         assert groups(report) == groups(full_homology(cx)), g.to_json()
@@ -425,10 +423,7 @@ def test_morse_flow_takes_any_matching_as_a_function():
     for _ in range(20):
         size = rng.randint(8, 16)
         density = rng.uniform(0.1, 0.6)
-        verts = [plain(i) for i in range(1, size + 1)]
-        graphs.append(Graph(verts, [(verts[x], verts[y]) for x in range(size)
-                                    for y in range(x + 1, size)
-                                    if rng.random() < density]))
+        graphs.append(random_graph(size, density, rng))
     compared = nonzero = 0
     for g in graphs:
         tree = run_strategy(g, PIVOT_RULE)
@@ -449,6 +444,37 @@ def test_morse_flow_takes_any_matching_as_a_function():
                 compared += 1
                 nonzero += got.nnz() > 0
     assert compared == 15 and nonzero >= 10
+
+
+def test_morse_flow_asks_no_partner_of_a_critical_cell():
+    # the memo starts with the critical (d-1)-cells, so the flow never asks
+    # the partner about one, and the reach search asks only about d-faces
+    graphs = [build_graph("delta", m=3, n=4), build_graph("delta", m=2, n=9),
+              line_graph(build_graph("grid2", n=7)),
+              *(line_graph(complete_multipartite(*parts))
+                for parts in [(5, 5), (6, 6)])]
+    compared = nonzero = 0
+    for g in graphs:
+        tree = run_strategy(g, PIVOT_RULE)
+        walk = homology._partner_walk(tree)
+        cells = {}
+        for face in critical_cells(tree):
+            cells.setdefault(face.bit_count() - 1, []).append(face)
+        for d in cells:
+            if d - 1 in cells:
+                lower = set(cells[d - 1])
+
+                def partner(face):
+                    assert face not in lower, "asked about critical %s" % face
+                    return walk(face)
+
+                got = homology._morse_boundary(cells[d], cells[d - 1],
+                                               partner, g.nbr, 10 ** 6)
+                assert got == homology._morse_boundary(
+                    cells[d], cells[d - 1], walk, g.nbr, 10 ** 6)
+                compared += 1
+                nonzero += got.nnz() > 0
+    assert compared == 9 and nonzero == 6
 
 
 def test_morse_homology_charges_the_flow_memo(monkeypatch):
@@ -501,10 +527,7 @@ def morse_reports():
     for _ in range(120):
         size = rng.randint(3, 12)
         density = rng.uniform(0.1, 0.6)
-        verts = [plain(i) for i in range(1, size + 1)]
-        graphs.append(Graph(verts, [(verts[x], verts[y]) for x in range(size)
-                                    for y in range(x + 1, size)
-                                    if rng.random() < density]))
+        graphs.append(random_graph(size, density, rng))
     return "".join(json.dumps(morse_homology(g).to_json(), sort_keys=True)
                    + "\n" for g in graphs)
 

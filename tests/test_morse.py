@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_multipartite, ind_complex, unbuilt
+from conftest import (complete_multipartite, ind_complex, members, random_graph,
+                      unbuilt)
 from gridmorse.cli import main
 from gridmorse import complexes, morse
 from gridmorse import (PIVOT_RULE, CapacityError, FacePairing, Free, Graph,
@@ -346,11 +347,6 @@ def test_tree_json():
     assert sorted(map(len, data["critical"])) == [2, 2]
 
 
-def members(mask):
-    """The vertex indices of a bitmask, as a set."""
-    return {i for i in range(mask.bit_length()) if mask >> i & 1}
-
-
 def residual_by_definition(g, node):
     """V minus (A, B and N(A)), computed from the adjacency sets alone."""
     shadow = members(node.A) | members(node.B)
@@ -426,17 +422,11 @@ def assert_carried_state(tree):
         assert nd.residual_mask == mask, nd.id
 
 
-def sparse_random_graph(size, density, rnd):
-    verts = [plain(i) for i in range(1, size + 1)]
-    return Graph(verts, [(verts[x], verts[y]) for x in range(size)
-                         for y in range(x + 1, size) if rnd.random() < density])
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 11), st.floats(0.05, 0.6),
        st.randoms(use_true_random=False))
 def test_carried_state_matches_recomputation(size, density, rnd):
-    assert_carried_state(run_strategy(sparse_random_graph(size, density, rnd),
+    assert_carried_state(run_strategy(random_graph(size, density, rnd),
                                       fold_step))
 
 
@@ -444,7 +434,7 @@ def test_carried_state_matches_recomputation(size, density, rnd):
 @given(st.integers(0, 11), st.floats(0.05, 0.6),
        st.randoms(use_true_random=False))
 def test_pivot_rule_matches_set_based_reference(size, density, rnd):
-    g = sparse_random_graph(size, density, rnd)
+    g = random_graph(size, density, rnd)
     assert (run_strategy(g, PIVOT_RULE).to_json()
             == run_strategy(g, fold_step).to_json())
 
@@ -478,7 +468,7 @@ def test_carried_state_sweep_sees_every_step_kind():
     rnd = random.Random(20161018)
     kinds = set()
     for _ in range(200):
-        g = sparse_random_graph(rnd.randint(1, 11), rnd.uniform(0.1, 0.6), rnd)
+        g = random_graph(rnd.randint(1, 11), rnd.uniform(0.1, 0.6), rnd)
         tree = run_strategy(g, fold_step)
         assert_carried_state(tree)
         kinds.update(type(nd.step) for nd in tree.nodes if nd.step is not None)
@@ -697,11 +687,8 @@ def site_lemma_trees():
     yield star_tree(3, 3)
     yield theta_tree(3, 3)
     for _ in range(30):
-        size = rng.randint(3, 10)
-        verts = [plain(i) for i in range(1, size + 1)]
-        yield run_strategy(Graph(verts, [
-            (verts[x], verts[y]) for x in range(size) for y in range(x + 1, size)
-            if rng.random() < 0.35]), PIVOT_RULE)
+        yield run_strategy(random_graph(rng.randint(3, 10), 0.35, rng),
+                           PIVOT_RULE)
     yield run_strategy(line_graph(complete_multipartite(*[1] * 7)), PIVOT_RULE)
 
 

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_multipartite, unbuilt
+from conftest import complete_multipartite, random_graph, unbuilt
 from gridmorse import census, morse
-from gridmorse import (PIVOT_RULE, CapacityError, Free, Graph, Match,
-                       MatchingTree, MatchingTreeError, Split, build_graph,
-                       census_from_tree, collect_pairing, comb_tree,
-                       count_independent_sets, critical_cells,
-                       independence_complex, line_graph, morse_homology, plain,
-                       run_strategy)
+from gridmorse import (PIVOT_RULE, CapacityError, Free, Match, MatchingTree,
+                       MatchingTreeError, Split, build_graph, census_from_tree,
+                       collect_pairing, comb_tree, count_independent_sets,
+                       critical_cells, independence_complex, line_graph,
+                       morse_homology, run_strategy)
 from gridmorse.cli import main
 
 
@@ -93,12 +92,6 @@ def listed_graphs():
 LISTED = list(listed_graphs())
 
 
-def sparse_random_graph(size, density, rnd):
-    verts = [plain(i) for i in range(1, size + 1)]
-    return Graph(verts, [(verts[x], verts[y]) for x in range(size)
-                         for y in range(x + 1, size) if rnd.random() < density])
-
-
 def by_size(faces):
     return sorted(faces, key=lambda f: (f.bit_count(), f))
 
@@ -155,7 +148,7 @@ def test_listing_and_map_readers_equal_the_expand_grown_tree(g):
 @given(st.integers(0, 11), st.floats(0.05, 0.6),
        st.randoms(use_true_random=False))
 def test_listing_and_map_readers_on_random_graphs(size, density, rnd):
-    assert_map_readers_agree(sparse_random_graph(size, density, rnd),
+    assert_map_readers_agree(random_graph(size, density, rnd),
                              PIVOT_RULE)
 
 
@@ -212,7 +205,7 @@ def test_morse_refuses_before_listing(monkeypatch, capsys):
 def test_listed_nodes_are_kept():
     # a tree lists its nodes once, on first read, and keeps the list
     rng = random.Random(25)
-    tree = run_strategy(sparse_random_graph(9, 0.3, rng), PIVOT_RULE)
+    tree = run_strategy(random_graph(9, 0.3, rng), PIVOT_RULE)
     assert tree._nodes is None
     assert tree.nodes is tree.nodes
     assert critical_cells(tree) == by_size(nd.A for nd in tree.critical_leaves())
